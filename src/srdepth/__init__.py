@@ -57,6 +57,7 @@ from .errors import (
     NotASubcomplex,
     NotNested,
     OddDegree,
+    RepeatedVertex,
     SrdepthError,
     TooLarge,
     UnusedVertex,

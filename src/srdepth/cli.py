@@ -37,6 +37,15 @@ def _complex_summary(K: SimplicialComplex) -> dict:
     }
 
 
+def _depth_json(rep) -> dict:
+    return {
+        "reisner": rep.reisner,
+        "topological": rep.topological,
+        "auslander_buchsbaum": rep.auslander_buchsbaum,
+        "agree": rep.agree,
+    }
+
+
 def _cohomology_json(K, field) -> dict:
     dims = reduced_cohomology(K, field).dims
     return {str(i): dims.get(i, 0) for i in range(-1, max(K.dim, -1) + 1)}
@@ -82,23 +91,20 @@ def _emit(report: dict, as_json: bool):
         _print_report_text(report)
 
 
-def cmd_depth(args) -> int:
-    K = load_complex(args.input)
-    field = FieldSpec.parse(args.field)
+def _depth_report(K, field) -> dict:
     rep = depth(K, field)
-    report = {
+    return {
         **_complex_summary(K),
         "field": str(field),
-        "depth": {
-            "reisner": rep.reisner,
-            "topological": rep.topological,
-            "auslander_buchsbaum": rep.auslander_buchsbaum,
-            "agree": rep.agree,
-        },
+        "depth": _depth_json(rep),
         "cohen_macaulay": rep.cohen_macaulay,
         "reduced_cohomology": _cohomology_json(K, field),
     }
-    _emit(report, args.json)
+
+
+def cmd_depth(args) -> int:
+    K = load_complex(args.input)
+    _emit(_depth_report(K, FieldSpec.parse(args.field)), args.json)
     return EXIT_OK
 
 
@@ -143,24 +149,13 @@ def cmd_limits(args) -> int:
 def cmd_verify(args) -> int:
     K = load_complex(args.input)
     field = FieldSpec.parse(args.field)
-    report = {**_complex_summary(K), "field": str(field)}
+    report = _depth_report(K, field)
     if K.is_irrelevant:
         # no nonempty faces: every harness holds vacuously
-        verdicts = {"srdec": "pass", "star_link": "pass", "key_lemma": "pass", "munkres": "pass"}
-        rep = depth(K, field)
-        report["depth"] = {
-            "reisner": rep.reisner,
-            "topological": rep.topological,
-            "auslander_buchsbaum": rep.auslander_buchsbaum,
-            "agree": rep.agree,
-        }
-        report["cohen_macaulay"] = rep.cohen_macaulay
-        report["reduced_cohomology"] = _cohomology_json(K, field)
-        report["verdicts"] = verdicts
+        report["verdicts"] = {"srdec": "pass", "star_link": "pass", "key_lemma": "pass", "munkres": "pass"}
         _emit(report, args.json)
         return EXIT_OK
     d_max = args.d_max if args.d_max is not None else default_degree_bound(K)
-    rep = depth(K, field)
     dec = verify_limit_decomposition(K, field, d_max)
     star_link = verify_star_link(K, field)
     key = verify_limit_depth_criterion(K, field, d_max)
@@ -171,14 +166,6 @@ def cmd_verify(args) -> int:
         "key_lemma": "pass" if key.passed else "fail",
         "munkres": "pass" if munkres.passed else "fail",
     }
-    report["depth"] = {
-        "reisner": rep.reisner,
-        "topological": rep.topological,
-        "auslander_buchsbaum": rep.auslander_buchsbaum,
-        "agree": rep.agree,
-    }
-    report["cohen_macaulay"] = rep.cohen_macaulay
-    report["reduced_cohomology"] = _cohomology_json(K, field)
     report["limits"] = _limits_json(dec.profile)
     report["verdicts"] = verdicts
     _emit(report, args.json)

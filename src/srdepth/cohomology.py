@@ -16,54 +16,64 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .complexes import SimplicialComplex, _popcount, _verts_of
+from .complexes import SimplicialComplex, _popcount
 from .errors import EmptyFace, NotASubcomplex
 from .linalg import ExactMatrix, FieldSpec, cohomology_dims
 
 
-def coboundary_sign(face_mask: int, vertex_bit: int) -> int:
-    """Sign of the coboundary entry from face_mask \\ {v} into face_mask:
-    (-1)^k where k is the position of v in the sorted vertex list."""
-    below = face_mask & (vertex_bit - 1)
-    return -1 if _popcount(below) % 2 else 1
-
-
-def _faces_by_card(masks) -> list[list[int]]:
-    top = max((_popcount(f) for f in masks), default=0)
+def _levels(masks, top: int) -> list[list[int]]:
+    """Face masks grouped by cardinality 0..top, each group in input order."""
     out: list[list[int]] = [[] for _ in range(top + 1)]
     for f in masks:
         out[_popcount(f)].append(f)
-    for level in out:
-        level.sort(key=_verts_of)
     return out
 
 
-def _coboundary_matrix(field, lower: list[int], upper: list[int]) -> ExactMatrix:
-    index = {f: j for j, f in enumerate(lower)}
+def _coboundary_rows(lower: list[int], upper: list[int], p) -> list:
+    """Sparse rows of the coboundary from the faces ``lower`` to the faces
+    ``upper``, one row per upper face; faces missing from ``lower`` (the
+    subcomplex of a pair) get no column.  The entry at tau minus its k-th
+    vertex is (-1)^k, in the kernel row form of ``ExactMatrix``."""
+    index = {f: j for j, f in enumerate(lower)}.get
     rows = []
+    if p == 2:
+        for tau in upper:
+            row = 0
+            m = tau
+            while m:
+                b = m & -m
+                m ^= b
+                j = index(tau ^ b)
+                if j is not None:
+                    row |= 1 << j
+            rows.append(row)
+        return rows
+    minus = -1 if p is None else p - 1
     for tau in upper:
-        row = [0] * len(lower)
+        row = {}
+        sign = 1
         m = tau
         while m:
             b = m & -m
             m ^= b
-            j = index.get(tau ^ b)
+            j = index(tau ^ b)
             if j is not None:
-                row[j] = coboundary_sign(tau, b)
+                row[j] = sign
+            sign = minus if sign == 1 else 1
         rows.append(row)
-    return ExactMatrix(field, rows, shape=(len(upper), len(lower)))
+    return rows
 
 
-def cochain_matrices(masks, field: FieldSpec, augmented: bool) -> list[ExactMatrix]:
-    """Coboundary matrices of the (augmented) cochain complex on a
-    downward-closed face set, lowest degree first."""
-    levels = _faces_by_card(masks)
-    if not augmented:
-        levels = levels[1:]
-    return [
-        _coboundary_matrix(field, levels[k], levels[k + 1])
-        for k in range(len(levels) - 1)
+def _cochain_dims(levels: list[list[int]], field: FieldSpec) -> list[int]:
+    """Cohomology dimensions of the cochain complex with bases ``levels``
+    (consecutive cardinalities) and the simplicial coboundary."""
+    if len(levels) == 1:
+        return [len(levels[0])]
+    mats = [
+        ExactMatrix.from_sparse(field, _coboundary_rows(lower, upper, field.p), len(lower))
+        for lower, upper in zip(levels, levels[1:])
     ]
+    return cohomology_dims(mats)
 
 
 @dataclass
@@ -89,8 +99,7 @@ def reduced_cohomology(K: SimplicialComplex, field: FieldSpec) -> CohomologyProf
     """Reduced cohomology of K via the augmented simplicial cochain complex."""
     if K.is_irrelevant:
         return CohomologyProfile(field, {-1: 1})
-    mats = cochain_matrices(K.face_masks, field, augmented=True)
-    dims = cohomology_dims(mats)
+    dims = _cochain_dims(_levels(K.face_masks, K.dim + 1), field)
     return CohomologyProfile(field, {i - 1: h for i, h in enumerate(dims)})
 
 
@@ -104,18 +113,7 @@ def relative_cohomology(K: SimplicialComplex, L: SimplicialComplex, field: Field
     rel = [f for f in K.face_masks if not L.has_face_mask(f)]
     if not rel:
         return zero
-    levels: list[list[int]] = [[] for _ in range(K.dim + 2)]
-    for f in rel:
-        levels[_popcount(f)].append(f)
-    for level in levels:
-        level.sort(key=_verts_of)
-    mats = [
-        _coboundary_matrix(field, levels[k], levels[k + 1])
-        for k in range(1, K.dim + 1)
-    ]
-    if not mats:
-        mats = [ExactMatrix.zeros(field, 0, len(levels[1]))]
-    dims = cohomology_dims(mats)
+    dims = _cochain_dims(_levels(rel, K.dim + 1)[1:], field)
     out = dict(zero)
     for i, h in enumerate(dims):
         if i in out:

@@ -24,6 +24,7 @@ from .errors import (
     BadParameter,
     EmptyInput,
     FaceNotInComplex,
+    RepeatedVertex,
     UnusedVertex,
     VertexOutOfRange,
 )
@@ -47,8 +48,7 @@ def _verts_of(mask: int) -> Face:
     return tuple(out)
 
 
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
+_popcount = int.bit_count
 
 
 class SimplicialComplex:
@@ -57,26 +57,31 @@ class SimplicialComplex:
     __slots__ = ("_vmask", "_facets", "_faces", "_face_set", "_hash")
 
     def __init__(self, facet_masks: Iterable[int], _closed_faces=None):
-        facets = set(facet_masks)
-        facets = {f for f in facets if not any(f != g and f & g == f for g in facets)}
-        if not facets:
-            facets = {0}
+        """Complex generated by ``facet_masks``.  The subcomplex constructors
+        pass ``_closed_faces``, a face list of another complex filtered in
+        canonical order, with ``facet_masks`` its maximal faces in the same
+        order; both are then taken as they are."""
         if _closed_faces is None:
+            facets = set(facet_masks)
+            facets = {f for f in facets if not any(f != g and f & g == f for g in facets)}
+            if not facets:
+                facets = {0}
             faces = set()
             for f in facets:
                 vs = _verts_of(f)
                 for k in range(len(vs) + 1):
                     for c in combinations(vs, k):
                         faces.add(_mask_of(c))
+            key = lambda m: (_popcount(m), _verts_of(m))
+            self._facets = tuple(sorted(facets, key=key))
+            self._faces = tuple(sorted(faces, key=key))
         else:
-            faces = set(_closed_faces)
+            self._facets = tuple(facet_masks)
+            self._faces = tuple(_closed_faces)
         self._vmask = 0
-        for f in facets:
+        for f in self._facets:
             self._vmask |= f
-        key = lambda m: (_popcount(m), _verts_of(m))
-        self._facets = tuple(sorted(facets, key=key))
-        self._faces = tuple(sorted(faces, key=key))
-        self._face_set = frozenset(faces)
+        self._face_set = frozenset(self._faces)
         self._hash = hash(self._faces)
 
     # -- identity ---------------------------------------------------------
@@ -196,10 +201,22 @@ class SimplicialComplex:
         return self._face_set <= other._face_set
 
 
-def _maximal(masks: Sequence[int]) -> list[int]:
+def _maximal(faces: Sequence[int]) -> list[int]:
+    """The inclusion-maximal members of a downward-closed face list, in its
+    order: faces with no one-vertex extension in the list."""
+    face_set = set(faces)
+    vmask = 0
+    for f in faces:
+        vmask |= f
     out = []
-    for f in masks:
-        if not any(f != g and f & g == f for g in masks):
+    for f in faces:
+        free = vmask & ~f
+        while free:
+            b = free & -free
+            if f | b in face_set:
+                break
+            free ^= b
+        else:
             out.append(f)
     return out
 
@@ -235,17 +252,18 @@ def validate(raw_facets: Sequence[Sequence[int]], m: int) -> SimplicialComplex:
     """Canonicalize raw facet input into a complex on vertex set {1..m}.
 
     Deduplicates and drops contained facets, builds the full face index, and
-    rejects declared vertices that occur in no facet.  The complex {-} is
+    rejects declared vertices that occur in no facet and non-integer
+    (including boolean) m or vertices.  The complex {-} is
     declared via m=0, facets=[[]]; an empty facet list is invalid input.
     """
-    if m < 0:
-        raise BadParameter("m must be >= 0")
+    if type(m) is not int or m < 0:
+        raise BadParameter(f"m must be an integer >= 0, got {m!r}")
     if not raw_facets:
         raise EmptyInput("no facets given; the complex {-} is declared as [[]] with m=0")
     masks = []
     for facet in raw_facets:
         for v in facet:
-            if not isinstance(v, int) or v < 1 or v > m:
+            if type(v) is not int or v < 1 or v > m:
                 raise VertexOutOfRange(f"vertex {v!r} outside 1..{m}")
         masks.append(_mask_of(facet))
     used = 0
@@ -256,6 +274,16 @@ def validate(raw_facets: Sequence[Sequence[int]], m: int) -> SimplicialComplex:
         missing = _verts_of(full & ~used)
         raise UnusedVertex(f"vertices {missing} occur in no facet")
     return SimplicialComplex(masks)
+
+
+def _validate_input(raw_facets, m: int) -> SimplicialComplex:
+    """:func:`validate` for file input, where a facet that repeats a vertex
+    is a typo rather than a set to canonicalize."""
+    K = validate(raw_facets, m)
+    for facet in raw_facets:
+        if len(set(facet)) != len(facet):
+            raise RepeatedVertex(f"facet {list(facet)} repeats a vertex")
+    return K
 
 
 # -- generators ----------------------------------------------------------------
@@ -377,7 +405,7 @@ def parse_facet_text(text: str) -> SimplicialComplex:
             raise EmptyInput(f"bad facet line: {raw_line!r}") from None
     if m is None:
         m = max((v for f in facets for v in f), default=0)
-    return validate(facets, m)
+    return _validate_input(facets, m)
 
 
 def complex_from_json(obj) -> SimplicialComplex:
@@ -387,11 +415,11 @@ def complex_from_json(obj) -> SimplicialComplex:
         facets = obj["facets"]
     except (TypeError, KeyError) as exc:
         raise EmptyInput(f"JSON complex needs keys 'm' and 'facets': {exc}") from None
-    if not isinstance(m, int) or not isinstance(facets, list) or not all(
+    if type(m) is not int or not isinstance(facets, list) or not all(
         isinstance(f, list) for f in facets
     ):
         raise EmptyInput("'m' must be an int and 'facets' a list of integer lists")
-    return validate(facets, m)
+    return _validate_input(facets, m)
 
 
 def to_facet_text(K: SimplicialComplex) -> str:

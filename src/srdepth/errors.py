@@ -25,6 +25,10 @@ class UnusedVertex(InputError):
     pass
 
 
+class RepeatedVertex(InputError):
+    pass
+
+
 class EmptyInput(InputError):
     pass
 

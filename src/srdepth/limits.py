@@ -31,11 +31,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .cohomology import reduced_cohomology
+from .cohomology import _cochain_dims, _levels, reduced_cohomology
 from .complexes import SimplicialComplex, _popcount
 from .errors import BadParameter, InternalInvariantError
 from .face_ring import graded_dim, monomial_basis, star_basis
-from .linalg import ExactMatrix, FieldSpec, cohomology_dims
+from .linalg import ExactMatrix, FieldSpec, _product_is_zero, cohomology_dims
 
 
 def _nonempty_faces(K: SimplicialComplex) -> list[int]:
@@ -151,7 +151,7 @@ def rho(K: SimplicialComplex, field: FieldSpec, d: int) -> tuple[int, int]:
     degree d, computed from the assembled matrices."""
     mats = limits_complex(K, field, d)
     r_mat = rho_matrix(K, field, d)
-    if not (mats[0] @ r_mat).is_zero():
+    if not _product_is_zero(mats[0], r_mat):
         raise InternalInvariantError("comparison map does not land in lim^0")
     lim0 = mats[0].kernel_dim()
     r = r_mat.rank()
@@ -278,42 +278,14 @@ def _reduce_cells(cells, comp):
 
 def _remainder_reduced_dims(alive, field: FieldSpec) -> dict[int, int]:
     """Reduced homology dims of what survives the pair reductions, via exact
-    ranks on the restricted incidence matrices."""
+    ranks on the restricted incidence matrices (a chain cell is a simplex
+    on element ids, so its incidences are the simplicial ones)."""
     if not alive:
         return {}
-    by_dim = {}
-    for c in alive:
-        by_dim.setdefault(_popcount(c) - 1, []).append(c)
-    for cells in by_dim.values():
-        cells.sort()
-    lo, hi = min(by_dim), max(by_dim)
-    levels = [by_dim.get(k, []) for k in range(lo, hi + 1)]
-    mats = []
-    for k in range(len(levels) - 1):
-        lower = {c: i for i, c in enumerate(levels[k])}
-        upper = levels[k + 1]
-        rows = []
-        for c in upper:
-            row = [0] * len(lower)
-            bits = sorted(_bit_ids(c))
-            for pos, b in enumerate(bits):
-                f = c ^ (1 << b)
-                i = lower.get(f)
-                if i is not None:
-                    row[i] = -1 if pos % 2 else 1
-            rows.append(row)
-        mats.append(ExactMatrix(field, rows, shape=(len(upper), len(lower))))
-    if not mats:
-        mats = [ExactMatrix.zeros(field, 0, len(levels[0]))]
-    dims = cohomology_dims(mats)
-    return {lo + i: h for i, h in enumerate(dims) if h}
-
-
-def _bit_ids(mask):
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        yield b.bit_length() - 1
+    lo = min(_popcount(c) for c in alive)
+    levels = _levels(sorted(alive), max(_popcount(c) for c in alive))[lo:]
+    dims = _cochain_dims(levels, field)
+    return {lo - 1 + i: h for i, h in enumerate(dims) if h}
 
 
 @lru_cache(maxsize=100_000)

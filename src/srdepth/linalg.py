@@ -1,24 +1,34 @@
-"""Exact rank and kernel computations over prime fields and the rationals.
+"""Exact rank and cohomology over prime fields and the rationals.
 
-All arithmetic is exact: residues for GF(p) (p < 2^31) and arbitrary
-precision integers/fractions for the rationals.  Elimination is
-deterministic (first nonzero pivot in column order).  Hot paths run
-vectorized in int64 numpy with an automatic fallback to arbitrary-precision
-Python integers when intermediate values could overflow.
+Everything is exact and pure Python.  The matrices met here are mostly
+coboundary matrices of small complexes, whose rows hold at most dim+1
+nonzeros, so the kernels work on sparse rows.  Each incoming row is reduced
+against a table of pivot rows keyed by their leading column until it either
+vanishes or becomes a new pivot:
+
+* GF(2): a row is an int bitset (bit j for column j); the pivot table is an
+  XOR basis keyed by the top bit.
+* GF(p), p odd: a row is a dict {column: residue}; pivot rows are scaled to
+  a leading 1 and reduction is mod p.
+* Q: a row is a dict {column: int} (rows with fractions are first scaled by
+  the lcm of their denominators); reduction is fraction-free, and a row is
+  divided by the gcd of its entries whenever it could have grown.
+
+The rank does not depend on the pivot order, so every result equals that of
+dense Gaussian elimination.  ``ExactMatrix`` holds its rows in the same
+sparse form, whether it was built from dense entries or from rows assembled
+directly (``ExactMatrix.from_sparse``), and ``cohomology_dims`` checks
+d_{n+1} d_n = 0 by sparse composition before taking ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import BadParameter, NotAComplex
-
-_INT64_SAFE = 2**31  # Bareiss products of two entries this size fit in int64
 
 
 def _is_prime(n: int) -> bool:
@@ -112,41 +122,143 @@ def _canon(x, field: FieldSpec):
     return int(x)
 
 
-class ExactMatrix:
-    """Dense matrix of exact field elements: canonical residues mod p, or
-    rationals stored as int when integral and as a reduced Fraction otherwise."""
+# -- sparse kernels ---------------------------------------------------------------
 
-    __slots__ = ("field", "rows", "cols", "entries", "all_int")
+
+def sparse_rank(rows, p: Optional[int]) -> int:
+    """Rank of a matrix given by sparse rows: int bitsets when p == 2, else
+    dicts {column: value} with int values (residues need not be canonical)."""
+    if p == 2:
+        return _rank_gf2(rows)
+    if p is None:
+        return _rank_q(rows)
+    return _rank_modp(rows, p)
+
+
+def _rank_gf2(rows) -> int:
+    basis = {}
+    for row in rows:
+        while row:
+            top = row.bit_length()
+            pivot = basis.get(top)
+            if pivot is None:
+                basis[top] = row
+                break
+            row ^= pivot
+    return len(basis)
+
+
+def _rank_modp(rows, p: int) -> int:
+    pivots = {}
+    for row in rows:
+        row = {c: r for c, v in row.items() if (r := v % p)}
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                if row[c] != 1:
+                    inv = pow(row[c], -1, p)
+                    row = {k: v * inv % p for k, v in row.items()}
+                pivots[c] = row
+                break
+            f = row[c]
+            for k, v in pivot.items():
+                x = (row.get(k, 0) - f * v) % p
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+    return len(pivots)
+
+
+def _rank_q(rows) -> int:
+    pivots = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                pivots[c] = _primitive(row)
+                break
+            a, b = pivot[c], row[c]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                row = {k: a * v for k, v in row.items()}
+            for k, v in pivot.items():
+                x = row.get(k, 0) - b * v
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+            if a not in (1, -1) and row:
+                row = _primitive(row)
+    return len(pivots)
+
+
+def _primitive(row: dict) -> dict:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g == 1 else {k: v // g for k, v in row.items()}
+
+
+def _integral(row: dict) -> dict:
+    """A rational row scaled by the lcm of its denominators to integers."""
+    denom = lcm(*(x.denominator for x in row.values() if type(x) is not int))
+    return {k: int(x * denom) for k, x in row.items()}
+
+
+# -- matrices -------------------------------------------------------------------------
+
+
+class ExactMatrix:
+    """Exact matrix over a field, held as sparse rows in kernel form: int
+    bitsets over GF(2), otherwise dicts {column: nonzero entry} holding
+    canonical residues mod p, or rationals stored as int when integral and
+    as a reduced Fraction otherwise.  ``entries`` is the dense view."""
+
+    __slots__ = ("field", "rows", "cols", "sparse_rows", "all_int")
 
     def __init__(self, field: FieldSpec, entries: Sequence[Sequence], shape=None):
-        self.field = field
-        p = field.p
-        if p is not None:
-            rows = [
-                tuple(x % p if type(x) is int else _canon(x, field) for x in row)
-                for row in entries
-            ]
-        else:
-            rows = [
-                tuple(x if type(x) is int else _canon(x, field) for x in row)
-                for row in entries
-            ]
+        """Matrix from dense rows of ints or Fractions, reduced to canonical
+        form.  With ``shape`` given, empty ``entries`` mean the zero matrix."""
         if shape is not None:
             r, c = shape
-            if rows and (len(rows) != r or any(len(row) != c for row in rows)):
+            if entries and (len(entries) != r or any(len(row) != c for row in entries)):
                 raise BadParameter("shape disagrees with entries")
-            self.rows, self.cols = r, c
-            if not rows:
-                rows = [(0,) * c for _ in range(r)]
         else:
-            self.rows = len(rows)
-            self.cols = len(rows[0]) if rows else 0
-            if any(len(row) != self.cols for row in rows):
+            r = len(entries)
+            c = len(entries[0]) if entries else 0
+            if any(len(row) != c for row in entries):
                 raise BadParameter("ragged rows")
-        self.entries = tuple(rows)
-        self.all_int = p is not None or all(
-            type(x) is int for row in self.entries for x in row
-        )
+        p = field.p
+        if p is None:
+            rows = [
+                {j: x if type(x) is int else _canon(x, field) for j, x in enumerate(row) if x}
+                for row in entries
+            ]
+        else:
+            rows = [
+                {j: y for j, x in enumerate(row) if (y := x % p if type(x) is int else _canon(x, field))}
+                for row in entries
+            ]
+        if not entries:
+            rows = [{} for _ in range(r)]
+        if p == 2:
+            rows = [sum(1 << j for j in row) for row in rows]
+        self.field, self.rows, self.cols, self.sparse_rows = field, r, c, rows
+        self.all_int = p is not None or all(type(x) is int for row in rows for x in row.values())
+
+    @classmethod
+    def from_sparse(cls, field: FieldSpec, rows: list, cols: int, all_int: bool = True) -> "ExactMatrix":
+        """Matrix whose rows are already in kernel form with canonical
+        entries; the list is kept, not copied.  Rational rows holding a
+        Fraction need ``all_int=False``."""
+        self = cls.__new__(cls)
+        self.field, self.rows, self.cols, self.sparse_rows = field, len(rows), cols, rows
+        self.all_int = field.p is not None or all_int
+        return self
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "ExactMatrix":
@@ -160,12 +272,20 @@ class ExactMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
+    @property
+    def entries(self) -> tuple[tuple, ...]:
+        if self.field.p == 2:
+            return tuple(
+                tuple(row >> j & 1 for j in range(self.cols)) for row in self.sparse_rows
+            )
+        return tuple(tuple(row.get(j, 0) for j in range(self.cols)) for row in self.sparse_rows)
+
     def __eq__(self, other):
         return (
             isinstance(other, ExactMatrix)
             and self.field == other.field
             and self.shape == other.shape
-            and self.entries == other.entries
+            and self.sparse_rows == other.sparse_rows
         )
 
     def __hash__(self):
@@ -175,36 +295,35 @@ class ExactMatrix:
         return f"ExactMatrix({self.field}, {self.rows}x{self.cols})"
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.field,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            shape=(self.cols, self.rows),
-        )
+        if self.field.p == 2:
+            out = [0] * self.cols
+            for i, row in enumerate(self.sparse_rows):
+                while row:
+                    b = row & -row
+                    row ^= b
+                    out[b.bit_length() - 1] |= 1 << i
+        else:
+            out = [{} for _ in range(self.cols)]
+            for i, row in enumerate(self.sparse_rows):
+                for j, x in row.items():
+                    out[j][i] = x
+        return ExactMatrix.from_sparse(self.field, out, self.rows, self.all_int)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.field != other.field or self.cols != other.rows:
             raise BadParameter("incompatible matmul")
-        a, b = self.entries, other.entries
-        out = [
-            [sum(a[i][k] * b[k][j] for k in range(self.cols)) for j in range(other.cols)]
-            for i in range(self.rows)
-        ]
-        return ExactMatrix(self.field, out, shape=(self.rows, other.cols))
+        p = self.field.p
+        out = [_compose(row, other.sparse_rows, p) for row in self.sparse_rows]
+        if p != 2:
+            out = [{j: c for j, x in acc.items() if (c := _canon(x, self.field))} for acc in out]
+        return ExactMatrix.from_sparse(self.field, out, other.cols, self.all_int and other.all_int)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
-    # -- ranks ------------------------------------------------------------
+        return not any(self.sparse_rows)
 
     def rank(self) -> int:
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        if self.field.p is not None:
-            arr = np.array(self.entries, dtype=np.int64)
-            return _rank_modp(arr, self.field.p)
-        if self.all_int:
-            return _rank_int_rows([list(row) for row in self.entries])
-        return _rank_rationals(self.entries)
+        rows = self.sparse_rows if self.all_int else [_integral(row) for row in self.sparse_rows]
+        return sparse_rank(rows, self.field.p)
 
     def kernel_dim(self) -> int:
         return self.cols - self.rank()
@@ -213,80 +332,61 @@ class ExactMatrix:
         return self.rows - self.rank()
 
 
-def _rank_modp(a: np.ndarray, p: int) -> int:
-    """In-place elimination mod p; first nonzero pivot in column order."""
-    a = a % p
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r, c:] = a[r, c:] * inv % p
-        below = np.nonzero(a[r + 1 :, c])[0]
-        if below.size:
-            idx = below + r + 1
-            a[np.ix_(idx, np.arange(c, cols))] = (
-                a[np.ix_(idx, np.arange(c, cols))] - np.outer(a[idx, c], a[r, c:])
-            ) % p
-        r += 1
-    return r
+def _compose(row, rows, p: Optional[int]):
+    """The kernel row ``row`` times the matrix with kernel rows ``rows``,
+    as raw sums (not reduced mod p)."""
+    if p == 2:
+        acc = 0
+        while row:
+            b = row & -row
+            row ^= b
+            acc ^= rows[b.bit_length() - 1]
+        return acc
+    acc = {}
+    for c, v in row.items():
+        for k, w in rows[c].items():
+            acc[k] = acc.get(k, 0) + v * w
+    return acc
 
 
-def _rank_rationals(entries) -> int:
-    """Exact rank over Q: rows are scaled to integers, then fraction-free
-    (Bareiss) elimination; falls back to big integers on potential overflow."""
-    int_rows = []
-    for row in entries:
-        denom = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                denom = denom * x.denominator // gcd(denom, x.denominator)
-        int_rows.append([int(x * denom) if denom != 1 else int(x) for x in row])
-    return _rank_int_rows(int_rows)
+def _product_is_zero(later: ExactMatrix, earlier: ExactMatrix) -> bool:
+    """Exact check that later @ earlier == 0 (shapes already validated)."""
+    p, rows = later.field.p, earlier.sparse_rows
+    for row in later.sparse_rows:
+        acc = _compose(row, rows, p)
+        if p == 2:
+            nonzero = acc != 0
+        elif p is None:
+            nonzero = any(acc.values())
+        else:
+            nonzero = any(x % p for x in acc.values())
+        if nonzero:
+            return False
+    return True
 
 
-def _rank_int_rows(int_rows) -> int:
-    maxabs = max((abs(x) for row in int_rows for x in row), default=0)
-    if maxabs < _INT64_SAFE:
-        try:
-            return _rank_bareiss_int64(np.array(int_rows, dtype=np.int64))
-        except OverflowError:
-            pass
-    return _rank_bareiss_object(int_rows)
+def cohomology_dims(differentials: Sequence[ExactMatrix]) -> list[int]:
+    """Cohomology dimensions of 0 -> C^0 -d0-> C^1 -> ... -> C^{N+1} -> 0.
 
-
-def _rank_bareiss_int64(a: np.ndarray) -> int:
-    rows, cols = a.shape
-    r = 0
-    prev = 1
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        piv = int(a[r, c])
-        if r + 1 < rows:
-            sub = a[r + 1 :, c:]
-            if max(abs(piv), int(np.abs(sub).max(initial=0)), int(np.abs(a[r, c:]).max())) >= _INT64_SAFE:
-                raise OverflowError
-            a[r + 1 :, c:] = (sub * piv - np.outer(a[r + 1 :, c], a[r, c:])) // prev
-        prev = piv
-        r += 1
-    return r
+    The n-th differential matrix has shape (dim C^{n+1}, dim C^n).  Verifies
+    d_{n+1} d_n = 0 and returns N+2 dimensions, H^n = ker(d_n) - im(d_{n-1}).
+    """
+    mats = list(differentials)
+    if not mats:
+        raise BadParameter("need at least one differential (possibly with zero rows)")
+    for n in range(len(mats) - 1):
+        if mats[n + 1].cols != mats[n].rows:
+            raise BadParameter(f"shape mismatch between d_{n} and d_{n + 1}")
+        if not _product_is_zero(mats[n + 1], mats[n]):
+            raise NotAComplex(n)
+    ranks = [m.rank() for m in mats] + [0]
+    spaces = [m.cols for m in mats] + [mats[-1].rows]
+    return [spaces[n] - ranks[n] - (ranks[n - 1] if n else 0) for n in range(len(spaces))]
 
 
 def _rank_bareiss_object(rows_in) -> int:
+    """Rank by dense fraction-free (Bareiss) elimination on Python integers:
+    an independent reference for the sparse kernels."""
     a = [list(row) for row in rows_in]
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -315,49 +415,3 @@ def _rank_bareiss_object(rows_in) -> int:
         prev = piv
         r += 1
     return r
-
-
-def _product_is_zero(later: ExactMatrix, earlier: ExactMatrix) -> bool:
-    """Exact check that later @ earlier == 0 (shapes already validated)."""
-    if later.rows == 0 or earlier.cols == 0 or later.cols == 0:
-        return True
-    if later.field.p is not None:
-        p = later.field.p
-        if later.cols * (p - 1) * (p - 1) < 2**62:
-            a = np.array(later.entries, dtype=np.int64)
-            b = np.array(earlier.entries, dtype=np.int64)
-            return not ((a @ b) % p).any()
-    elif later.all_int and earlier.all_int:
-        try:
-            a = np.array(later.entries, dtype=np.int64)
-            b = np.array(earlier.entries, dtype=np.int64)
-            bound = int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) * later.cols
-            if bound < 2**62:
-                return not (a @ b).any()
-        except OverflowError:
-            pass
-    return (later @ earlier).is_zero()
-
-
-def cohomology_dims(differentials: Sequence[ExactMatrix]) -> list[int]:
-    """Cohomology dimensions of 0 -> C^0 -d0-> C^1 -> ... -> C^{N+1} -> 0.
-
-    The n-th differential matrix has shape (dim C^{n+1}, dim C^n).  Verifies
-    d_{n+1} d_n = 0 and returns N+2 dimensions, H^n = ker(d_n) - im(d_{n-1}).
-    """
-    mats = list(differentials)
-    if not mats:
-        raise BadParameter("need at least one differential (possibly with zero rows)")
-    for n in range(len(mats) - 1):
-        if mats[n + 1].cols != mats[n].rows:
-            raise BadParameter(f"shape mismatch between d_{n} and d_{n + 1}")
-        if not _product_is_zero(mats[n + 1], mats[n]):
-            raise NotAComplex(n)
-    ranks = [m.rank() for m in mats]
-    dims = []
-    for n in range(len(mats) + 1):
-        space = mats[n].cols if n < len(mats) else mats[-1].rows
-        ker = space - ranks[n] if n < len(mats) else space
-        im = ranks[n - 1] if n > 0 else 0
-        dims.append(ker - im)
-    return dims

@@ -179,3 +179,37 @@ def test_json_input_accepted(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "depth", str(path), "--field", "p=5", "--json")
     assert code == 0
     assert json.loads(out)["depth"]["reisner"] == 2
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("bool_vertex.json", '{"m": 2, "facets": [[true, 2]]}'),
+        ("bool_m.json", '{"m": true, "facets": [[1]]}'),
+        ("repeated.facets", "1 1 2\n"),
+    ],
+    ids=["bool_vertex", "bool_m", "repeated_vertex"],
+)
+def test_malformed_input_exits_2(capsys, tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "depth", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+def test_cli_import_does_not_load_numpy():
+    import os
+    import subprocess
+    import sys
+
+    import srdepth
+
+    src = os.path.dirname(os.path.dirname(srdepth.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, srdepth.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

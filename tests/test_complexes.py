@@ -293,3 +293,29 @@ def test_text_header_and_comments():
 def test_json_roundtrip():
     for K in [cycle(5), validate([[]], 0)]:
         assert complex_from_json(to_json_obj(K)) == K
+
+
+def quadratic_maximal(masks):
+    """Reference facet detection: members contained in no other member."""
+    return [f for f in masks if not any(f != g and f & g == f for g in masks)]
+
+
+def test_maximal_matches_quadratic_definition_on_named_subcomplexes():
+    from itertools import combinations
+
+    from srdepth import named_corpus
+    from srdepth.complexes import _maximal
+
+    checked = 0
+    for name, K in named_corpus():
+        subs = [K]
+        for mask in K.face_masks:
+            subs += [K.star_by_mask(mask), K.link_by_mask(mask), K.contrastar_by_mask(mask)]
+        for k in range(K.m + 1):
+            subs += [K.induced(w) for w in combinations(K.vertices, k)]
+        for sub in subs:
+            expected = quadratic_maximal(sub.face_masks)
+            assert _maximal(sub.face_masks) == expected, name
+            assert list(sub.facet_masks) == expected, name
+            checked += 1
+    assert checked > 2000

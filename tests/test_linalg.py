@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from srdepth import GF2, GF3, GF5, QQ, ExactMatrix, FieldSpec, cohomology_dims
 from srdepth.errors import BadParameter, NotAComplex
 from srdepth.linalg import _rank_bareiss_object
+from srdepth.linalg import sparse_rank
 
 
 # -- independent oracles --------------------------------------------------------
@@ -204,3 +205,124 @@ def test_matmul_exact():
     a = ExactMatrix(QQ, [[1, 2], [3, 4]])
     b = ExactMatrix(QQ, [[0, 1], [1, 0]])
     assert (a @ b).entries == ((2, 1), (4, 3))
+
+
+# -- sparse kernels against the dense references ------------------------------------
+
+
+def dense_rank_mod_p(rows, p):
+    """Textbook Gaussian elimination mod p on a dense copy."""
+    a = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = pow(a[rank][c], -1, p)
+        for i in range(len(a)):
+            if i != rank and a[i][c]:
+                f = a[i][c] * inv
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def kernel_rows(rows, p):
+    """Raw kernel input: bitsets over GF(2), otherwise dicts whose values are
+    left uncanonicalized (negative, >= p) for the kernel to reduce."""
+    if p == 2:
+        return [sum(1 << j for j, x in enumerate(row) if x % 2) for row in rows]
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+BIG = 2**31
+nonzero_entries = st.one_of(
+    st.integers(-6, 6), st.integers(BIG, 2**70), st.integers(-(2**70), -BIG)
+)
+
+
+@st.composite
+def mixed_matrix(draw, max_dim=4):
+    """Dense or sparse integer matrices, with entries beyond 2^31 mixed in."""
+    r = draw(st.integers(1, max_dim))
+    c = draw(st.integers(1, max_dim))
+    entry = st.one_of(st.just(0), nonzero_entries) if draw(st.booleans()) else nonzero_entries
+    return [[draw(entry) for _ in range(c)] for _ in range(r)]
+
+
+@given(mixed_matrix())
+@settings(max_examples=80, deadline=None)
+def test_sparse_ranks_match_brute_force(rows):
+    expected_q = brute_rank(rows)
+    assert sparse_rank(kernel_rows(rows, None), None) == expected_q
+    assert _rank_bareiss_object(rows) == expected_q
+    assert ExactMatrix(QQ, rows).rank() == expected_q
+    for p in (2, 3, 2147483647):
+        expected = brute_rank(rows, p)
+        assert sparse_rank(kernel_rows(rows, p), p) == expected
+        assert ExactMatrix(FieldSpec.prime(p), rows).rank() == expected
+
+
+@given(mixed_matrix(max_dim=9))
+@settings(max_examples=60, deadline=None)
+def test_sparse_ranks_match_dense_elimination(rows):
+    assert sparse_rank(kernel_rows(rows, None), None) == _rank_bareiss_object(rows)
+    for p in (2, 5, 2147483647):
+        assert sparse_rank(kernel_rows(rows, p), p) == dense_rank_mod_p(rows, p)
+
+
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_fraction_ranks_match_brute_force(r, c, data):
+    rows = [[data.draw(fractions) for _ in range(c)] for _ in range(r)]
+    assert ExactMatrix(QQ, rows).rank() == brute_rank(rows)
+    assert ExactMatrix(QQ, rows).transpose().rank() == brute_rank(rows)
+    # denominators 1..5 are units mod 7
+    assert ExactMatrix(FieldSpec.prime(7), rows).rank() == brute_rank(rows, 7)
+    scaled = [[int(x * 60) for x in row] for row in rows]
+    assert _rank_bareiss_object(scaled) == brute_rank(rows)
+
+
+def test_d_squared_check_depends_on_the_field():
+    # d1 d0 = [2]: zero over GF(2) only
+    for field in (QQ, GF3, GF5):
+        d0 = ExactMatrix(field, [[1], [1]])
+        d1 = ExactMatrix(field, [[1, 1]])
+        with pytest.raises(NotAComplex) as err:
+            cohomology_dims([d0, d1])
+        assert err.value.position == 0
+    d0 = ExactMatrix(GF2, [[1], [1]])
+    d1 = ExactMatrix(GF2, [[1, 1]])
+    assert cohomology_dims([d0, d1]) == [0, 0, 0]
+    # d1 d0 = [3]: zero over GF(3) only
+    for field in (QQ, GF2, GF5):
+        with pytest.raises(NotAComplex):
+            cohomology_dims([ExactMatrix(field, [[1], [1], [1]]), ExactMatrix(field, [[1, 1, 1]])])
+    d0 = ExactMatrix(GF3, [[1], [1], [1]])
+    d1 = ExactMatrix(GF3, [[1, 1, 1]])
+    assert cohomology_dims([d0, d1]) == [0, 1, 0]
+
+
+tiny_entries = st.sampled_from([-2, -1, 0, 0, 1, 2])
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data(), st.sampled_from([GF2, GF3, QQ]))
+@settings(max_examples=120, deadline=None)
+def test_cohomology_dims_raises_exactly_when_not_a_complex(n0, n1, n2, data, field):
+    a = [[data.draw(tiny_entries) for _ in range(n0)] for _ in range(n1)]
+    b = [[data.draw(tiny_entries) for _ in range(n1)] for _ in range(n2)]
+    d0, d1 = ExactMatrix(field, a), ExactMatrix(field, b)
+    p = field.p
+    product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*a)] for row in b]
+    nonzero = any(x % p if p else x for row in product for x in row)
+    if nonzero:
+        with pytest.raises(NotAComplex) as err:
+            cohomology_dims([d0, d1])
+        assert err.value.position == 0
+    else:
+        r0, r1 = brute_rank(a, p), brute_rank(b, p)
+        assert cohomology_dims([d0, d1]) == [n0 - r0, n1 - r1 - r0, n2 - r1]
