@@ -19,7 +19,7 @@ from . import corpus as corpus_mod
 from .cohomology import reduced_cohomology, verify_munkres_shift
 from .complexes import SimplicialComplex, load_complex, to_facet_text
 from .depth import depth, verify_limit_depth_criterion, verify_star_link
-from .errors import InputError, InternalInvariantError
+from .errors import BadParameter, InputError, InternalInvariantError
 from .limits import default_degree_bound, verify_limit_decomposition
 from .linalg import FieldSpec
 
@@ -115,9 +115,20 @@ def _limits_json(profile) -> dict:
     }
 
 
+def _d_max(args, K) -> int:
+    """The --d-max value or its default, rejected when negative even where
+    no limits get computed (the complex without vertices)."""
+    if args.d_max is None:
+        return default_degree_bound(K)
+    if args.d_max < 0:
+        raise BadParameter(f"--d-max must be nonnegative, got {args.d_max}")
+    return args.d_max
+
+
 def cmd_limits(args) -> int:
     K = load_complex(args.input)
     field = FieldSpec.parse(args.field)
+    d_max = _d_max(args, K)
     if K.is_irrelevant:
         # no nonempty faces: nothing to index the limit complex
         report = {
@@ -129,7 +140,6 @@ def cmd_limits(args) -> int:
         }
         _emit(report, args.json)
         return EXIT_OK
-    d_max = args.d_max if args.d_max is not None else default_degree_bound(K)
     dec = verify_limit_decomposition(K, field, d_max)
     report = {
         **_complex_summary(K),
@@ -149,16 +159,16 @@ def cmd_limits(args) -> int:
 def cmd_verify(args) -> int:
     K = load_complex(args.input)
     field = FieldSpec.parse(args.field)
+    d_max = _d_max(args, K)
     report = _depth_report(K, field)
     if K.is_irrelevant:
         # no nonempty faces: every harness holds vacuously
         report["verdicts"] = {"srdec": "pass", "star_link": "pass", "key_lemma": "pass", "munkres": "pass"}
         _emit(report, args.json)
         return EXIT_OK
-    d_max = args.d_max if args.d_max is not None else default_degree_bound(K)
     dec = verify_limit_decomposition(K, field, d_max)
     star_link = verify_star_link(K, field)
-    key = verify_limit_depth_criterion(K, field, d_max)
+    key = verify_limit_depth_criterion(K, field, profile=dec.profile)
     munkres = verify_munkres_shift(K, field)
     verdicts = {
         "srdec": "pass" if dec.passed else "fail",

@@ -226,9 +226,17 @@ class LimitDepthReport:
 
 
 def verify_limit_depth_criterion(
-    K: SimplicialComplex, field: FieldSpec, d_max: int | None = None
+    K: SimplicialComplex,
+    field: FieldSpec,
+    d_max: int | None = None,
+    *,
+    profile: LimitsProfile | None = None,
 ) -> LimitDepthReport:
-    profile: LimitsProfile = derived_limit_dims(K, field, d_max)
+    """Check the vanishing criterion against depth; ``profile``, when given,
+    is K's limits profile over ``field`` and is used instead of computing
+    one up to ``d_max``."""
+    if profile is None:
+        profile = derived_limit_dims(K, field, d_max)
     d_k = depth_reisner(K, field)
     star_depths = [
         depth_reisner(K.star_by_mask(mask), field) for mask in K.face_masks if mask

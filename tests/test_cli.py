@@ -213,3 +213,58 @@ def test_cli_import_does_not_load_numpy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command, d_max", [("limits", "-5"), ("verify", "-1")])
+@pytest.mark.parametrize("irrelevant", [False, True], ids=["rp2", "irrelevant"])
+def test_negative_d_max_exits_2(capsys, rp2_file, tmp_path, command, d_max, irrelevant):
+    path = rp2_file
+    if irrelevant:
+        path = tmp_path / "irrelevant.json"
+        path.write_text('{"m": 0, "facets": [[]]}', encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path), "--json", "--d-max", d_max)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+def test_verify_boundary_of_6_simplex(capsys, tmp_path):
+    from srdepth import boundary_simplex
+
+    path = tmp_path / "sphere5.facets"
+    path.write_text(to_facet_text(boundary_simplex(6)), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["verdicts"] == {
+        "srdec": "pass",
+        "star_link": "pass",
+        "key_lemma": "pass",
+        "munkres": "pass",
+    }
+
+
+def test_verify_too_many_flags_fails_fast(tmp_path):
+    # the order complex of the boundary of the 7-simplex has 545,834 flags;
+    # the child gets a 1 GB address space and 60 s, so listing them fails
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    import srdepth
+    from srdepth import boundary_simplex
+
+    path = tmp_path / "sphere6.facets"
+    path.write_text(to_facet_text(boundary_simplex(7)), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(srdepth.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "srdepth.cli", "verify", str(path), "--json"],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and "545834 flags" in result.stderr

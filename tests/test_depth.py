@@ -16,6 +16,7 @@ from srdepth import (
     depth_ab,
     depth_reisner,
     depth_topological,
+    derived_limit_dims,
     disjoint_points,
     join,
     random_complex,
@@ -216,6 +217,14 @@ def test_limit_depth_criterion_two_points():
     assert rep.passed
     assert rep.depth == 1
     assert rep.l_totals[0] == 1
+
+
+def test_limit_depth_criterion_takes_a_computed_profile():
+    for K in (simplex(4), cycle(3), disjoint_points(2), rp2_minimal()):
+        for field in (GF2, QQ):
+            profile = derived_limit_dims(K, field, 8)
+            given = verify_limit_depth_criterion(K, field, profile=profile)
+            assert given == verify_limit_depth_criterion(K, field, 8)
 
 
 def moore_space_mod3():

@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 
 from srdepth import (
@@ -11,6 +13,7 @@ from srdepth import (
     disjoint_points,
     graded_dim,
     limits_complex,
+    named_corpus,
     random_complex,
     reduced_cohomology,
     rho,
@@ -19,11 +22,13 @@ from srdepth import (
     validate,
     verify_limit_decomposition,
 )
+from srdepth.cohomology import _cochain_dims, _levels
+from srdepth.complexes import _popcount
 from srdepth.errors import BadParameter
 from srdepth.limits import (
-    _chain_cells,
     _nonempty_faces,
-    _poset_nerve_unreduced,
+    _star_block,
+    _whole_block,
     flag_chains,
     unnormalized_h01,
 )
@@ -74,6 +79,11 @@ def test_requires_a_vertex():
         derived_limit_dims(validate([[]], 0), QQ, 4)
 
 
+def test_negative_degree_bound_rejected():
+    with pytest.raises(BadParameter):
+        derived_limit_dims(cycle(3), QQ, -2)
+
+
 def test_rho_examples():
     assert rho(disjoint_points(2), QQ, 0) == (0, 1)
     for d in (0, 2, 4, 6):
@@ -94,6 +104,8 @@ def test_grouped_equals_direct():
         (boundary_simplex(2), 6),
         (validate([[1, 2, 3], [3, 4, 5]], 5), 4),
         (random_complex(5, 2, 0.6, 31), 2),
+        (boundary_simplex(3), 4),
+        (rp2_minimal(), 4),
     ]
     for K, d_max in grid:
         for field in (QQ, GF2):
@@ -159,6 +171,154 @@ def test_normalized_equals_unnormalized_h01():
             assert unnormalized_h01(K, QQ, d) == (h0, h1)
 
 
+# -- chain-level nerve: the test-only oracle for the grouped engine's blocks ----
+#
+# It lists every chain of an inclusion poset of faces, removes homology-
+# preserving pairs and ranks what is left, without using that an order
+# complex of a face poset is a barycentric subdivision.
+
+
+def _chain_cells(poset: tuple[int, ...]):
+    """All chains of the inclusion poset, as bitmasks over element ids, plus
+    per-element comparability masks.  Ids follow the (card, verts) order, so
+    ascending ids within a chain equal ascending inclusion."""
+    n = len(poset)
+    comp = [0] * n
+    for i in range(n):
+        a = poset[i]
+        for j in range(i + 1, n):
+            b = poset[j]
+            if a & b == a and a != b:
+                comp[i] |= 1 << j
+                comp[j] |= 1 << i
+    cells = []
+
+    def extend(mask, top, allowed):
+        cells.append(mask)
+        m = allowed
+        while m:
+            b = m & -m
+            m ^= b
+            j = b.bit_length() - 1
+            extend(mask | b, j, allowed & comp[j])
+    for i in range(n):
+        extend(1 << i, i, comp[i] & ~((1 << (i + 1)) - 1))
+    return cells, comp
+
+
+def _reduce_cells(cells, comp):
+    """Exact pair reductions on the augmented chain complex of chain cells.
+
+    Removes (face, coface) pairs where either the face has a unique alive
+    coface (free-face reduction) or the coface has a unique alive face
+    (coreduction); both deletions preserve homology because the discarded
+    incidence is the only one through the pair, so the elimination has no
+    correction term.  Counts only involve unit coefficients, hence the
+    remainder is field independent.  The empty cell 0 participates as the
+    (-1)-dimensional augmentation cell.
+    """
+    alive = set(cells)
+    alive.add(0)
+    nfaces = {0: 0}
+    ncof = {c: 0 for c in alive}
+    for c in cells:
+        nfaces[c] = _popcount(c)
+        m = c
+        while m:
+            b = m & -m
+            m ^= b
+            ncof[c ^ b] += 1
+
+    n_elems = len(comp)
+
+    def allcomp(c):
+        a = (1 << n_elems) - 1
+        m = c
+        while m:
+            b = m & -m
+            m ^= b
+            a &= comp[b.bit_length() - 1]
+        return a & ~c
+
+    def faces_of(c):
+        m = c
+        while m:
+            b = m & -m
+            m ^= b
+            yield c ^ b
+
+    def cofaces_of(c):
+        if c == 0:
+            for i in range(n_elems):
+                yield 1 << i
+            return
+        m = allcomp(c)
+        while m:
+            b = m & -m
+            m ^= b
+            yield c | b
+
+    order = sorted(alive, key=lambda c: (_popcount(c), c))
+    coq = deque(c for c in order if nfaces[c] == 1)
+    req = deque(c for c in order if ncof[c] == 1)
+
+    def delete(x):
+        alive.discard(x)
+        for f in faces_of(x):
+            if f in alive:
+                ncof[f] -= 1
+                if ncof[f] == 1:
+                    req.append(f)
+        for g in cofaces_of(x):
+            if g in alive:
+                nfaces[g] -= 1
+                if nfaces[g] == 1:
+                    coq.append(g)
+
+    while coq or req:
+        while coq:
+            t = coq.popleft()
+            if t not in alive or nfaces[t] != 1:
+                continue
+            s = next(f for f in faces_of(t) if f in alive)
+            delete(t)
+            delete(s)
+        while req:
+            s = req.popleft()
+            if s not in alive or ncof[s] != 1:
+                continue
+            t = next(g for g in cofaces_of(s) if g in alive)
+            delete(s)
+            delete(t)
+    return alive
+
+
+def _remainder_reduced_dims(alive, field):
+    """Reduced homology dims of what survives the pair reductions, via exact
+    ranks on the restricted incidence matrices (a chain cell is a simplex
+    on element ids, so its incidences are the simplicial ones)."""
+    if not alive:
+        return {}
+    lo = min(_popcount(c) for c in alive)
+    levels = _levels(sorted(alive), max(_popcount(c) for c in alive))[lo:]
+    dims = _cochain_dims(levels, field)
+    return {lo - 1 + i: h for i, h in enumerate(dims) if h}
+
+
+def poset_nerve_unreduced(poset, field):
+    """Unreduced cohomology dims (degrees 0, 1, ...) of the order complex of
+    a nonempty inclusion poset of faces."""
+    cells, comp = _chain_cells(poset)
+    alive = _reduce_cells(cells, comp)
+    reduced = _remainder_reduced_dims(alive, field)
+    if reduced.get(-1, 0):
+        raise AssertionError("augmentation cell survived on a nonempty poset")
+    top = max(reduced, default=0)
+    dims = [reduced.get(i, 0) for i in range(top + 1)]
+    dims[0] += 1  # unreduced degree 0 of a nonempty complex
+    return tuple(dims)
+
+
 def order_complex_as_simplicial(poset):
     """Dense oracle: materialize the order complex on relabeled elements."""
     cells, _ = _chain_cells(poset)
@@ -168,6 +328,14 @@ def order_complex_as_simplicial(poset):
         if not any((c | (1 << i)) in cell_set for i in range(len(poset)) if not c & (1 << i)):
             facets.append(c)
     return SimplicialComplex(facets)
+
+
+def _trimmed(dims):
+    """Unreduced dims without trailing zeros (degree 0 always kept)."""
+    dims = list(dims)
+    while len(dims) > 1 and dims[-1] == 0:
+        dims.pop()
+    return dims
 
 
 def test_nerve_engine_matches_dense_order_complex():
@@ -184,13 +352,14 @@ def test_nerve_engine_matches_dense_order_complex():
         poset = tuple(_nonempty_faces(K))
         oc = order_complex_as_simplicial(poset)
         for field in (GF2, GF3, QQ):
-            fast = list(_poset_nerve_unreduced(poset, field))
+            fast = list(poset_nerve_unreduced(poset, field))
             dense = reduced_cohomology(oc, field).dims
             expected = [dense.get(i, 0) for i in range(len(fast))]
             expected[0] += 1
             top = max(dense, default=0)
             assert all(dense.get(i, 0) == 0 for i in range(len(fast), top + 1))
             assert fast == expected, (K, str(field))
+            assert _trimmed(_whole_block(K, field)) == fast, (K, str(field))
 
 
 def test_nerve_engine_matches_star_posets():
@@ -201,11 +370,27 @@ def test_nerve_engine_matches_star_posets():
         poset = tuple(_nonempty_faces(K.star_by_mask(f)))
         oc = order_complex_as_simplicial(poset)
         for field in (GF2, QQ):
-            fast = list(_poset_nerve_unreduced(poset, field))
+            fast = list(poset_nerve_unreduced(poset, field))
             dense = reduced_cohomology(oc, field).dims
             expected = [dense.get(i, 0) for i in range(len(fast))]
             expected[0] += 1
             assert fast == expected
+            assert _trimmed(_star_block(K, f, field)) == fast
+
+
+def test_grouped_blocks_match_nerve_oracle_on_named_corpus():
+    # whole block = chain-level nerve = K's own cohomology (unreduced);
+    # every star block = its nerve = a point's, since a star is a cone
+    for name, K in named_corpus():
+        for field in (GF2, GF3, QQ):
+            h = reduced_cohomology(K, field).dims
+            own = [h.get(i, 0) for i in range(K.dim + 1)]
+            own[0] += 1
+            oracle = poset_nerve_unreduced(tuple(_nonempty_faces(K)), field)
+            assert list(oracle) == _trimmed(_whole_block(K, field)) == _trimmed(own), (name, str(field))
+            for f in _nonempty_faces(K):
+                star_oracle = poset_nerve_unreduced(tuple(_nonempty_faces(K.star_by_mask(f))), field)
+                assert list(star_oracle) == _trimmed(_star_block(K, f, field)) == [1], (name, f, str(field))
 
 
 def test_profile_l_totals():
