@@ -35,6 +35,8 @@ Face = tuple[int, ...]
 def _mask_of(vertices: Iterable[int]) -> int:
     m = 0
     for v in vertices:
+        if v < 1:
+            raise VertexOutOfRange(f"vertex {v!r} is not a label >= 1")
         m |= 1 << (v - 1)
     return m
 

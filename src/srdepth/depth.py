@@ -29,7 +29,7 @@ from itertools import combinations
 
 from .cohomology import reduced_cohomology, relative_cohomology
 from .complexes import SimplicialComplex, _popcount
-from .errors import EngineDisagreement, TooLarge
+from .errors import BadParameter, EngineDisagreement, TooLarge
 from .limits import LimitsProfile, derived_limit_dims
 from .linalg import FieldSpec
 
@@ -237,6 +237,8 @@ def verify_limit_depth_criterion(
     one up to ``d_max``."""
     if profile is None:
         profile = derived_limit_dims(K, field, d_max)
+    elif profile.field != field:
+        raise BadParameter(f"the profile is over {profile.field}, not {field}")
     d_k = depth_reisner(K, field)
     star_depths = [
         depth_reisner(K.star_by_mask(mask), field) for mask in K.face_masks if mask

@@ -157,12 +157,6 @@ def restriction_map(
         raise NotNested(f"{tuple(sigma)} is not contained in {tuple(tau)}")
     K._require_face(sigma)
     K._require_face(tau)
-    src = star_basis(K, s, d)
-    tgt = star_basis(K, t, d)
-    tgt_index = {e: i for i, e in enumerate(tgt)}
-    rows = [[0] * len(src) for _ in range(len(tgt))]
-    for j, e in enumerate(src):
-        i = tgt_index.get(e)
-        if i is not None:
-            rows[i][j] = 1
-    return ExactMatrix(field, rows, shape=(len(tgt), len(src)))
+    index = {e: j for j, e in enumerate(star_basis(K, s, d))}
+    rows = [{index[e]: 1} for e in star_basis(K, t, d)]
+    return ExactMatrix(field, rows, shape=(len(rows), len(index)))

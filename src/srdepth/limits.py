@@ -103,68 +103,55 @@ def limits_complex(K: SimplicialComplex, field: FieldSpec, d: int) -> list[Exact
 def _limits_complex_cached(K: SimplicialComplex, field: FieldSpec, d: int) -> list[ExactMatrix]:
     _require_vertex(K)
     flags = flag_chains(K)
-    bases = {}
-    for level in flags:
-        for fl in level:
-            if fl[-1] not in bases:
-                bases[fl[-1]] = star_basis(K, fl[-1], d)
-    index = {face: {e: i for i, e in enumerate(b)} for face, b in bases.items()}
+    levels = list(zip(flags, flags[1:])) or [(flags[0], [])]
+    return [_functor_matrix(K, field, d, src, tgt) for src, tgt in levels]
 
-    def offsets(level):
-        offs, total = [], 0
-        for fl in level:
-            offs.append(total)
-            total += len(bases[fl[-1]])
-        return offs, total
 
-    mats = []
-    for n in range(len(flags) - 1):
-        src_offs, src_total = offsets(flags[n])
-        tgt_offs, tgt_total = offsets(flags[n + 1])
-        src_pos = {fl: o for fl, o in zip(flags[n], src_offs)}
-        rows = [[0] * src_total for _ in range(tgt_total)]
-        for g, g_off in zip(flags[n + 1], tgt_offs):
-            tgt_basis = bases[g[-1]]
-            for k in range(n + 2):
-                f = g[:k] + g[k + 1 :]
-                sign = -1 if k % 2 else 1
-                f_off = src_pos[f]
-                if k <= n:
-                    # same last face: identity block
-                    for i in range(len(tgt_basis)):
-                        rows[g_off + i][f_off + i] += sign
-                else:
-                    # restriction from star(g[n]) into star(g[n+1])
-                    tgt_idx = index[g[-1]]
-                    for j, e in enumerate(bases[f[-1]]):
-                        i = tgt_idx.get(e)
-                        if i is not None:
-                            rows[g_off + i][f_off + j] += sign
-        mats.append(ExactMatrix(field, rows, shape=(tgt_total, src_total)))
-    if not mats:
-        _, c0 = offsets(flags[0])
-        mats = [ExactMatrix.zeros(field, 0, c0)]
-    return mats
+def _functor_matrix(
+    K: SimplicialComplex, field: FieldSpec, d: int, src_chains, tgt_chains
+) -> ExactMatrix:
+    """Degree-d differential from the cochains on ``src_chains`` to those on
+    ``tgt_chains``, chains of nonempty faces one longer: the alternating sum
+    of the deletions, where deleting entry k of a target chain g restricts
+    from the star of the shorter chain's last face into the star of g's last
+    face (the identity when that face is unchanged).  The star of g's last
+    face is the smaller one, so each of its monomials lies in the source
+    basis and a deletion puts a single sign in each target row; on a weakly
+    increasing chain (a, a) the two deletions cancel.  Rows and columns
+    follow chain order, then the lex monomial order of the star block."""
+    index = {}
+
+    def basis_index(face):
+        if face not in index:
+            index[face] = {e: i for i, e in enumerate(star_basis(K, face, d))}
+        return index[face]
+
+    offset, cols = {}, 0
+    for f in src_chains:
+        offset[f] = cols
+        cols += len(basis_index(f[-1]))
+    rows = []
+    for g in tgt_chains:
+        tgt = basis_index(g[-1])
+        block = [{} for _ in tgt]
+        for k in range(len(g)):
+            f = g[:k] + g[k + 1 :]
+            sign = -1 if k % 2 else 1
+            off, src = offset[f], basis_index(f[-1])
+            for row, e in zip(block, tgt):
+                col = off + src[e]
+                row[col] = row.get(col, 0) + sign
+        rows += block
+    return ExactMatrix(field, rows, shape=(len(rows), cols))
 
 
 def rho_matrix(K: SimplicialComplex, field: FieldSpec, d: int) -> ExactMatrix:
     """Matrix of the comparison map from the degree-d piece of the face ring
     into C^0: a monomial goes to its family of star restrictions."""
     _require_vertex(K)
-    basis = monomial_basis(K, d)
-    objs = _nonempty_faces(K)
-    blocks = [star_basis(K, f, d) for f in objs]
-    indexes = [{e: i for i, e in enumerate(b)} for b in blocks]
-    total = sum(len(b) for b in blocks)
-    rows = [[0] * len(basis) for _ in range(total)]
-    off = 0
-    for block, idx in zip(blocks, indexes):
-        for j, e in enumerate(basis):
-            i = idx.get(e)
-            if i is not None:
-                rows[off + i][j] = 1
-        off += len(block)
-    return ExactMatrix(field, rows, shape=(total, len(basis)))
+    index = {e: j for j, e in enumerate(monomial_basis(K, d))}
+    rows = [{index[e]: 1} for f in _nonempty_faces(K) for e in star_basis(K, f, d)]
+    return ExactMatrix(field, rows, shape=(len(rows), len(index)))
 
 
 def rho(K: SimplicialComplex, field: FieldSpec, d: int) -> tuple[int, int]:
@@ -335,39 +322,7 @@ def unnormalized_h01(K: SimplicialComplex, field: FieldSpec, d: int) -> tuple[in
     c1 = [(a,) for a in objs]
     c2 = [(a, b) for a in objs for b in leq[a]]
     c3 = [(a, b, c) for a in objs for b in leq[a] for c in leq[b]]
-    bases = {f: star_basis(K, f, d) for f in objs}
-    index = {f: {e: i for i, e in enumerate(b)} for f, b in bases.items()}
-
-    def offsets(chains):
-        offs, total = {}, 0
-        for ch in chains:
-            offs[ch] = total
-            total += len(bases[ch[-1]])
-        return offs, total
-
-    def assemble(src_chains, tgt_chains):
-        src_offs, src_total = offsets(src_chains)
-        tgt_offs, tgt_total = offsets(tgt_chains)
-        rows = [[0] * src_total for _ in range(tgt_total)]
-        for g in tgt_chains:
-            g_off = tgt_offs[g]
-            n1 = len(g)
-            for k in range(n1):
-                f = g[:k] + g[k + 1 :]
-                sign = -1 if k % 2 else 1
-                f_off = src_offs[f]
-                if k < n1 - 1:
-                    for i in range(len(bases[g[-1]])):
-                        rows[g_off + i][f_off + i] += sign
-                else:
-                    tgt_idx = index[g[-1]]
-                    for j, e in enumerate(bases[f[-1]]):
-                        i = tgt_idx.get(e)
-                        if i is not None:
-                            rows[g_off + i][f_off + j] += sign
-        return ExactMatrix(field, rows, shape=(tgt_total, src_total))
-
-    d0 = assemble(c1, c2)
-    d1 = assemble(c2, c3)
+    d0 = _functor_matrix(K, field, d, c1, c2)
+    d1 = _functor_matrix(K, field, d, c2, c3)
     dims = cohomology_dims([d0, d1])
     return dims[0], dims[1]

@@ -16,9 +16,11 @@ vanishes or becomes a new pivot:
 
 The rank does not depend on the pivot order, so every result equals that of
 dense Gaussian elimination.  ``ExactMatrix`` holds its rows in the same
-sparse form, whether it was built from dense entries or from rows assembled
-directly (``ExactMatrix.from_sparse``), and ``cohomology_dims`` checks
-d_{n+1} d_n = 0 by sparse composition before taking ranks.
+sparse form, whether it was built from dense rows, from dict rows
+{column: int or Fraction} that list only the entries that may be nonzero,
+or from rows already in kernel form (``ExactMatrix.from_sparse``);
+``cohomology_dims`` checks d_{n+1} d_n = 0 by sparse composition before
+taking ranks.
 """
 
 from __future__ import annotations
@@ -216,35 +218,47 @@ class ExactMatrix:
     """Exact matrix over a field, held as sparse rows in kernel form: int
     bitsets over GF(2), otherwise dicts {column: nonzero entry} holding
     canonical residues mod p, or rationals stored as int when integral and
-    as a reduced Fraction otherwise.  ``entries`` is the dense view."""
+    as a reduced Fraction otherwise.  It is built from dense rows or from
+    dict rows {column: entry}.  ``entries`` is the dense view."""
 
     __slots__ = ("field", "rows", "cols", "sparse_rows", "all_int")
 
-    def __init__(self, field: FieldSpec, entries: Sequence[Sequence], shape=None):
-        """Matrix from dense rows of ints or Fractions, reduced to canonical
-        form.  With ``shape`` given, empty ``entries`` mean the zero matrix."""
-        if shape is not None:
-            r, c = shape
-            if entries and (len(entries) != r or any(len(row) != c for row in entries)):
-                raise BadParameter("shape disagrees with entries")
-        else:
+    def __init__(self, field: FieldSpec, entries: Sequence, shape=None):
+        """Matrix from rows of ints or Fractions, reduced to canonical form.
+        A row is either dense (a sequence of ``cols`` entries) or a dict
+        {column: entry}; dict rows need ``shape``, and entries that reduce
+        to zero are dropped.  With ``shape`` given, empty ``entries`` mean
+        the zero matrix."""
+        if shape is None:
             r = len(entries)
             c = len(entries[0]) if entries else 0
-            if any(len(row) != c for row in entries):
-                raise BadParameter("ragged rows")
+        else:
+            r, c = shape
+            if entries and len(entries) != r:
+                raise BadParameter("shape disagrees with entries")
+        items = []
+        for row in entries or [{}] * r:
+            if isinstance(row, dict):
+                if shape is None:
+                    raise BadParameter("dict rows need a shape")
+                if row and not (min(row) >= 0 and max(row) < c):
+                    raise BadParameter(f"a dict row has a column outside 0..{c - 1}")
+                items.append(row.items())
+            elif len(row) != c:
+                raise BadParameter("ragged rows" if shape is None else "shape disagrees with entries")
+            else:
+                items.append(enumerate(row))
         p = field.p
         if p is None:
             rows = [
-                {j: x if type(x) is int else _canon(x, field) for j, x in enumerate(row) if x}
-                for row in entries
+                {j: x if type(x) is int else _canon(x, field) for j, x in row if x}
+                for row in items
             ]
         else:
             rows = [
-                {j: y for j, x in enumerate(row) if (y := x % p if type(x) is int else _canon(x, field))}
-                for row in entries
+                {j: y for j, x in row if (y := x % p if type(x) is int else _canon(x, field))}
+                for row in items
             ]
-        if not entries:
-            rows = [{} for _ in range(r)]
         if p == 2:
             rows = [sum(1 << j for j in row) for row in rows]
         self.field, self.rows, self.cols, self.sparse_rows = field, r, c, rows
@@ -262,7 +276,7 @@ class ExactMatrix:
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "ExactMatrix":
-        return cls(field, [[0] * cols for _ in range(rows)], shape=(rows, cols))
+        return cls(field, [], shape=(rows, cols))
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "ExactMatrix":

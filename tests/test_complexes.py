@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srdepth import (
+    QQ,
     EmptyInput,
     FaceNotInComplex,
     SimplicialComplex,
@@ -13,8 +14,10 @@ from srdepth import (
     cycle,
     disjoint_points,
     join,
+    local_cohomology,
     parse_facet_text,
     random_complex,
+    restriction_map,
     rp2_minimal,
     simplex,
     suspension,
@@ -119,6 +122,16 @@ def test_face_not_in_complex():
         cycle(4).star((1, 3))
     with pytest.raises(FaceNotInComplex):
         cycle(4).link((5,))
+    # labels below 1 are an input error, not a bare shift-count ValueError
+    for call in (
+        lambda: cycle(4).has_face((0,)),
+        lambda: cycle(4).star((0,)),
+        lambda: cycle(4).link((-1,)),
+        lambda: restriction_map(cycle(4), (), (0,), 2, QQ),
+        lambda: local_cohomology(cycle(4), (0,), QQ),
+    ):
+        with pytest.raises(VertexOutOfRange):
+            call()
 
 
 def test_induced_examples():

@@ -27,7 +27,7 @@ from srdepth import (
     verify_star_link,
 )
 from srdepth.depth import join_additivity_observations, link_condition, local_condition
-from srdepth.errors import EngineDisagreement, TooLarge
+from srdepth.errors import BadParameter, EngineDisagreement, TooLarge
 
 ALL_FIELDS = (GF2, GF3, GF5, QQ)
 IRRELEVANT = validate([[]], 0)
@@ -225,6 +225,9 @@ def test_limit_depth_criterion_takes_a_computed_profile():
             profile = derived_limit_dims(K, field, 8)
             given = verify_limit_depth_criterion(K, field, profile=profile)
             assert given == verify_limit_depth_criterion(K, field, 8)
+    # a profile over another field is refused, not used for the wrong verdict
+    with pytest.raises(BadParameter):
+        verify_limit_depth_criterion(cycle(3), QQ, profile=derived_limit_dims(cycle(3), GF2, 8))
 
 
 def moore_space_mod3():

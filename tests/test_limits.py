@@ -56,6 +56,16 @@ def test_single_edge_degree_zero_matrix():
     assert mats[0].entries == ((-1, 0, 1), (0, -1, 1))
     assert mats[0].rank() == 2
     assert cohomology_dims(mats) == [1, 0]
+    # degree 2 has real restriction blocks: every star of the edge is the
+    # edge, with basis x1, x2 inside each flag's block, rows and columns alike
+    (mat,) = limits_complex(EDGE, QQ, 2)
+    assert mat.shape == (4, 6)
+    assert mat.entries == (
+        (-1, 0, 0, 0, 1, 0),
+        (0, -1, 0, 0, 0, 1),
+        (0, 0, -1, 0, 1, 0),
+        (0, 0, 0, -1, 0, 1),
+    )
 
 
 def test_three_cycle_degree_zero_over_q():
@@ -162,13 +172,14 @@ def test_decomposition_two_points_cokernel():
 
 
 def test_normalized_equals_unnormalized_h01():
-    for K in [EDGE, disjoint_points(2), cycle(3)]:
-        for d in (0, 2, 4):
-            mats = limits_complex(K, QQ, d)
-            dims = cohomology_dims(mats)
-            h0 = dims[0]
-            h1 = dims[1] if len(dims) > 1 else 0
-            assert unnormalized_h01(K, QQ, d) == (h0, h1)
+    for K in [EDGE, disjoint_points(2), cycle(3), rp2_minimal(), boundary_simplex(3)]:
+        for field in (GF2, GF3, QQ):
+            for d in (0, 2, 4):
+                mats = limits_complex(K, field, d)
+                dims = cohomology_dims(mats)
+                h0 = dims[0]
+                h1 = dims[1] if len(dims) > 1 else 0
+                assert unnormalized_h01(K, field, d) == (h0, h1), (K, str(field), d)
 
 
 # -- chain-level nerve: the test-only oracle for the grouped engine's blocks ----

@@ -109,6 +109,11 @@ def test_fraction_entries():
 def test_empty_shapes():
     assert ExactMatrix.zeros(QQ, 0, 5).rank() == 0
     assert ExactMatrix.zeros(GF2, 5, 0).rank() == 0
+    assert ExactMatrix.zeros(GF3, 2, 3).shape == (2, 3)
+    with pytest.raises(BadParameter):
+        ExactMatrix(QQ, [{0: 1}, {3: 1}], shape=(2, 3))  # column >= cols
+    with pytest.raises(BadParameter):
+        ExactMatrix(GF2, [{0: 1}, {1: 1}])  # dict rows need a shape
 
 
 def test_big_entries_go_through_object_path():
@@ -254,14 +259,21 @@ def mixed_matrix(draw, max_dim=4):
 @given(mixed_matrix())
 @settings(max_examples=80, deadline=None)
 def test_sparse_ranks_match_brute_force(rows):
+    # dict rows, zeros and uncanonical residues included, build the same matrix
+    dict_rows, shape = [dict(enumerate(row)) for row in rows], (len(rows), len(rows[0]))
     expected_q = brute_rank(rows)
     assert sparse_rank(kernel_rows(rows, None), None) == expected_q
     assert _rank_bareiss_object(rows) == expected_q
     assert ExactMatrix(QQ, rows).rank() == expected_q
+    assert ExactMatrix(QQ, dict_rows, shape=shape) == ExactMatrix(QQ, rows)
+    assert ExactMatrix(QQ, dict_rows, shape=shape).rank() == expected_q
     for p in (2, 3, 2147483647):
+        field = FieldSpec.prime(p)
         expected = brute_rank(rows, p)
         assert sparse_rank(kernel_rows(rows, p), p) == expected
-        assert ExactMatrix(FieldSpec.prime(p), rows).rank() == expected
+        assert ExactMatrix(field, rows).rank() == expected
+        assert ExactMatrix(field, dict_rows, shape=shape) == ExactMatrix(field, rows)
+        assert ExactMatrix(field, dict_rows, shape=shape).rank() == expected
 
 
 @given(mixed_matrix(max_dim=9))
