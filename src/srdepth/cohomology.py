@@ -7,7 +7,9 @@ the complex {-}.
 
 Local cohomology at an inner point of a nonempty face sigma is *defined*
 through the degree shift by the link and *verified* against the independent
-relative computation for the pair (K, contrastar sigma).
+relative computation for the pair (K, contrastar sigma), whose cochains
+live on the faces containing sigma; the depth engine hands that face filter
+to ``_relative_dims`` and builds no contrastar.
 """
 
 from __future__ import annotations
@@ -103,21 +105,20 @@ def reduced_cohomology(K: SimplicialComplex, field: FieldSpec) -> CohomologyProf
     return CohomologyProfile(field, {i - 1: h for i, h in enumerate(dims)})
 
 
-@lru_cache(maxsize=200_000)
 def relative_cohomology(K: SimplicialComplex, L: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
     """Cohomology of the pair (K, L): the cochain complex on faces of K not
     in L, with the coboundary inherited from K."""
     if not L.is_subcomplex_of(K):
         raise NotASubcomplex(f"{L!r} is not a subcomplex of {K!r}")
-    zero = {i: 0 for i in range(max(K.dim, 0) + 1)}
-    rel = [f for f in K.face_masks if not L.has_face_mask(f)]
-    if not rel:
-        return zero
-    dims = _cochain_dims(_levels(rel, K.dim + 1)[1:], field)
-    out = dict(zero)
-    for i, h in enumerate(dims):
-        if i in out:
-            out[i] = h
+    return _relative_dims(K, [f for f in K.face_masks if not L.has_face_mask(f)], field)
+
+
+def _relative_dims(K: SimplicialComplex, rel: list[int], field: FieldSpec) -> dict[int, int]:
+    """Cohomology in degrees 0..dim K of the cochains on the faces ``rel``
+    of K (listed in K's order, closed upward in K), with K's coboundary."""
+    out = {i: 0 for i in range(max(K.dim, 0) + 1)}
+    if rel:
+        out.update(enumerate(_cochain_dims(_levels(rel, K.dim + 1)[1:], field)))
     return out
 
 

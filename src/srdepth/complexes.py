@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BadParameter,
+    EmptyFace,
     EmptyInput,
     FaceNotInComplex,
     RepeatedVertex,
@@ -195,8 +196,8 @@ class SimplicialComplex:
         return _induced(self, _mask_of(vertex_subset) & self._vmask)
 
     def contrastar(self, face: Iterable[int]) -> "SimplicialComplex":
-        """Faces not containing sigma; the complement of an inner point of
-        sigma deformation retracts onto it."""
+        """Faces not containing the nonempty face sigma; the complement of
+        an inner point of sigma deformation retracts onto it."""
         return _contrastar(self, self._require_face(face))
 
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
@@ -241,8 +242,9 @@ def _induced(K: "SimplicialComplex", w: int) -> "SimplicialComplex":
     return SimplicialComplex(_maximal(kept), _closed_faces=kept)
 
 
-@lru_cache(maxsize=200_000)
 def _contrastar(K: "SimplicialComplex", s: int) -> "SimplicialComplex":
+    if not s:
+        raise EmptyFace("the contrastar of the empty face has no faces")
     kept = [f for f in K._faces if f & s != s]
     return SimplicialComplex(_maximal(kept), _closed_faces=kept)
 

@@ -6,14 +6,16 @@ verification harnesses for the structural identities they are built on.
   criterion).
 * ``depth_topological``: the largest r such that the complex itself and all
   local cohomology groups at inner points vanish in degrees <= r - 2; the
-  local groups are computed from the independent relative-pair oracle
-  (K, contrastar sigma), not through the link shift.
+  local group at sigma is H*(K, contrastar sigma), computed on its relative
+  cochains (the faces containing sigma), not through the link shift.
 * ``depth_ab``: number of ring generators minus the projective dimension
   read off the Betti table, which is computed by the induced-subcomplex
   cohomology formula (Hochster) - a third, resolution-theoretic route.
 
 The three must agree (the equivalence is a theorem); disagreement raises
 ``EngineDisagreement`` as a bug signal, never as a legitimate outcome.
+``link_condition`` and ``local_condition`` (depth >= r) read the same
+per-face bounds as the first two engines.
 
 Depth is always computed through these criteria, never by searching for
 explicit regular sequences: over small finite fields low-degree regular
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .cohomology import reduced_cohomology, relative_cohomology
+from .cohomology import _relative_dims, reduced_cohomology
 from .complexes import SimplicialComplex, _popcount
 from .errors import BadParameter, EngineDisagreement, TooLarge
 from .limits import LimitsProfile, derived_limit_dims
@@ -36,40 +38,48 @@ from .linalg import FieldSpec
 HOCHSTER_VERTEX_BOUND = 14  # 2^m induced subcomplexes are enumerated
 
 
-def _first_nonzero_degree(dims: dict[int, int]):
-    for i in sorted(dims):
-        if dims[i]:
-            return i
-    return None
-
-
 # -- engine 1: link criterion ---------------------------------------------------
+
+
+def _link_bounds(K: SimplicialComplex, field: FieldSpec):
+    """c + card(sigma) + 1 for each face sigma whose link has reduced
+    cohomology in lowest degree c."""
+    for mask in K.face_masks:
+        c = reduced_cohomology(K.link_by_mask(mask), field).first_nonzero()
+        if c is not None:
+            yield c + _popcount(mask) + 1
 
 
 @lru_cache(maxsize=200_000)
 def depth_reisner(K: SimplicialComplex, field: FieldSpec) -> int:
     """Largest r in [0, dim K + 1] such that for every face sigma the link
     has vanishing reduced cohomology in degrees <= r - card(sigma) - 2."""
-    best = K.krull_dim
-    for mask in K.face_masks:
-        link = K.link_by_mask(mask)
-        c = reduced_cohomology(link, field).first_nonzero()
-        if c is not None:
-            best = min(best, c + _popcount(mask) + 1)
-    return max(best, 0)
+    return max(min([K.krull_dim, *_link_bounds(K, field)]), 0)
 
 
 def link_condition(K: SimplicialComplex, field: FieldSpec, r: int) -> bool:
     """Condition (links): reduced link cohomology vanishes through degree
     r - card - 2 at every face."""
-    for mask in K.face_masks:
-        c = reduced_cohomology(K.link_by_mask(mask), field).first_nonzero()
-        if c is not None and c <= r - _popcount(mask) - 2:
-            return False
-    return True
+    return all(b >= r for b in _link_bounds(K, field))
 
 
 # -- engine 2: topological criterion via relative pairs -------------------------
+
+
+def _point_bounds(K: SimplicialComplex, field: FieldSpec):
+    """c + 1 for the lowest nonvanishing degree c of ~H*(K) and of
+    H*(K, contrastar sigma) for each nonempty sigma, whose relative
+    cochains are the faces containing sigma."""
+    c = reduced_cohomology(K, field).first_nonzero()
+    if c is not None:
+        yield c + 1
+    for mask in K.face_masks:
+        if not mask:
+            continue
+        rel = _relative_dims(K, [f for f in K.face_masks if f & mask == mask], field)
+        c = next((i for i, h in rel.items() if h), None)
+        if c is not None:
+            yield c + 1
 
 
 @lru_cache(maxsize=200_000)
@@ -77,34 +87,13 @@ def depth_topological(K: SimplicialComplex, field: FieldSpec) -> int:
     """Largest r in [0, dim K + 1] such that reduced cohomology of K and the
     relative cohomology of (K, contrastar sigma) for every nonempty sigma
     vanish in degrees <= r - 2."""
-    best = K.krull_dim
-    c = reduced_cohomology(K, field).first_nonzero()
-    if c is not None:
-        best = min(best, c + 1)
-    for mask in K.face_masks:
-        if not mask:
-            continue
-        rel = relative_cohomology(K, K.contrastar_by_mask(mask), field)
-        c = _first_nonzero_degree(rel)
-        if c is not None:
-            best = min(best, c + 1)
-    return max(best, 0)
+    return max(min([K.krull_dim, *_point_bounds(K, field)]), 0)
 
 
 def local_condition(K: SimplicialComplex, field: FieldSpec, r: int) -> bool:
     """Condition (points): reduced cohomology of K and all relative-pair
     local cohomology vanish through degree r - 2."""
-    c = reduced_cohomology(K, field).first_nonzero()
-    if c is not None and c <= r - 2:
-        return False
-    for mask in K.face_masks:
-        if not mask:
-            continue
-        rel = relative_cohomology(K, K.contrastar_by_mask(mask), field)
-        c = _first_nonzero_degree(rel)
-        if c is not None and c <= r - 2:
-            return False
-    return True
+    return all(b >= r for b in _point_bounds(K, field))
 
 
 # -- engine 3: Betti table and the Auslander-Buchsbaum count --------------------
@@ -128,11 +117,11 @@ class BettiTable:
 
 
 @lru_cache(maxsize=50_000)
-def betti_table(K: SimplicialComplex, field: FieldSpec, vertex_bound: int = HOCHSTER_VERTEX_BOUND) -> BettiTable:
+def betti_table(K: SimplicialComplex, field: FieldSpec) -> BettiTable:
     """beta(i, j) = sum over j-element vertex subsets W of the dimension of
     reduced cohomology of the induced subcomplex K_W in degree j - i - 1."""
-    if K.m > vertex_bound:
-        raise TooLarge(f"Betti oracle enumerates 2^m subsets; m={K.m} > {vertex_bound}")
+    if K.m > HOCHSTER_VERTEX_BOUND:
+        raise TooLarge(f"Betti oracle enumerates 2^m subsets; m={K.m} > {HOCHSTER_VERTEX_BOUND}")
     beta: dict[tuple[int, int], int] = {}
     verts = K.vertices
     for j in range(K.m + 1):

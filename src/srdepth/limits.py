@@ -289,10 +289,9 @@ def verify_limit_decomposition(
     K: SimplicialComplex,
     field: FieldSpec,
     d_max: int | None = None,
-    method: str = "grouped",
 ) -> LimitDecompositionReport:
     _require_vertex(K)
-    profile = derived_limit_dims(K, field, d_max, method=method)
+    profile = derived_limit_dims(K, field, d_max)
     h = reduced_cohomology(K, field).dims
     failure = None
     for d in sorted(profile.lim[0]):

@@ -65,6 +65,8 @@ class FieldSpec:
 
     def __post_init__(self):
         if self.p is not None:
+            if type(self.p) is not int:
+                raise BadParameter(f"the characteristic must be an int, got {self.p!r}")
             if not (2 <= self.p < 2**31):
                 raise BadParameter(f"prime must satisfy 2 <= p < 2^31, got {self.p}")
             if not _is_prime(self.p):
@@ -234,6 +236,8 @@ class ExactMatrix:
             c = len(entries[0]) if entries else 0
         else:
             r, c = shape
+            if not all(type(n) is int and n >= 0 for n in (r, c)):
+                raise BadParameter(f"a shape needs two ints >= 0, got {shape}")
             if entries and len(entries) != r:
                 raise BadParameter("shape disagrees with entries")
         items = []

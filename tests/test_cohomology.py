@@ -17,6 +17,7 @@ from srdepth import (
     validate,
     verify_munkres_shift,
 )
+from srdepth.cohomology import _relative_dims
 from srdepth.errors import EmptyFace, FaceNotInComplex, NotASubcomplex
 
 FIELDS = (GF2, GF3, QQ)
@@ -127,6 +128,14 @@ def test_local_cohomology_errors():
 def test_munkres_shift_small_corpus():
     for K in [cycle(4), rp2_minimal(), boundary_simplex(3), cone(cycle(5)),
               random_complex(6, 2, 0.5, 11), random_complex(7, 3, 0.25, 12)]:
-        for field in (GF2, QQ):
+        for field in (GF2, GF3, QQ):
             report = verify_munkres_shift(K, field)
             assert report.passed, report.witness
+            # the faces containing sigma are the relative cochains of the
+            # pair, in K's order: the depth engine's shortcut
+            for s in K.face_masks:
+                if s:
+                    faces_above = [f for f in K.face_masks if f & s == s]
+                    assert relative_cohomology(K, K.contrastar_by_mask(s), field) == _relative_dims(
+                        K, faces_above, field
+                    )

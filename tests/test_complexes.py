@@ -26,7 +26,7 @@ from srdepth import (
     validate,
 )
 from srdepth.complexes import complex_from_json
-from srdepth.errors import BadParameter
+from srdepth.errors import BadParameter, EmptyFace
 
 
 def faces_set(K):
@@ -158,6 +158,10 @@ def test_contrastar_is_downward_closed_and_misses_face():
         assert not cs.has_face(sigma)
         for f in cs.faces():
             assert K.has_face(f)
+    with pytest.raises(EmptyFace):
+        K.contrastar(())
+    with pytest.raises(EmptyFace):
+        K.contrastar_by_mask(0)
 
 
 def test_cycle_generator():
@@ -323,7 +327,9 @@ def test_maximal_matches_quadratic_definition_on_named_subcomplexes():
     for name, K in named_corpus():
         subs = [K]
         for mask in K.face_masks:
-            subs += [K.star_by_mask(mask), K.link_by_mask(mask), K.contrastar_by_mask(mask)]
+            subs += [K.star_by_mask(mask), K.link_by_mask(mask)]
+            if mask:  # the empty face has no contrastar
+                subs.append(K.contrastar_by_mask(mask))
         for k in range(K.m + 1):
             subs += [K.induced(w) for w in combinations(K.vertices, k)]
         for sub in subs:

@@ -70,6 +70,9 @@ def test_fieldspec_rejects_nonprime():
     with pytest.raises(BadParameter):
         FieldSpec.prime(2**31 + 11)
     assert FieldSpec.prime(2147483647).characteristic == 2147483647
+    for bad in (2.0, True, "3", Fraction(5)):
+        with pytest.raises(BadParameter):
+            FieldSpec(bad)
 
 
 # -- rank examples ------------------------------------------------------------------
@@ -114,6 +117,11 @@ def test_empty_shapes():
         ExactMatrix(QQ, [{0: 1}, {3: 1}], shape=(2, 3))  # column >= cols
     with pytest.raises(BadParameter):
         ExactMatrix(GF2, [{0: 1}, {1: 1}])  # dict rows need a shape
+    for shape in ((-1, 2), (2, -1), (1.5, 2)):
+        with pytest.raises(BadParameter):
+            ExactMatrix(QQ, [], shape=shape)
+    with pytest.raises(BadParameter):
+        ExactMatrix.zeros(GF3, -1, 0)
 
 
 def test_big_entries_go_through_object_path():
