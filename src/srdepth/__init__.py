@@ -2,9 +2,10 @@
 
 The package computes the depth of the face ring of a finite simplicial
 complex by three independent methods (link cohomology, local cohomology at
-inner points via relative pairs, and the Betti-table count), computes the
-higher derived limits of the star functor over the face poset, and ships
-harnesses checking the structural identities relating all of these.
+inner points via relative pairs, and the projective dimension from induced
+subcomplexes), computes the higher derived limits of the star functor over
+the face poset, and ships harnesses checking the structural identities
+relating all of these.
 """
 
 from .cohomology import (

@@ -128,9 +128,9 @@ def local_cohomology(K: SimplicialComplex, sigma, field: FieldSpec) -> dict[int,
     sigma = tuple(sigma)
     if not sigma:
         raise EmptyFace("local cohomology needs a nonempty face")
-    link = K.link(sigma)
-    shifted = reduced_cohomology(link, field)
-    s = len(sigma)
+    mask = K._require_face(sigma)
+    shifted = reduced_cohomology(K.link_by_mask(mask), field)
+    s = _popcount(mask)
     return {
         i: shifted.dims.get(i - s, 0) for i in range(max(K.dim, 0) + 1)
     }

@@ -161,7 +161,12 @@ class SimplicialComplex:
         return self._vmask == 0
 
     def _require_face(self, face: Iterable[int]) -> int:
+        """The mask of ``face``, which must be a face of K written without
+        a repeated vertex (the mask alone would silently drop the repeat)."""
+        face = tuple(face)
         mask = _mask_of(face)
+        if _popcount(mask) != len(face):
+            raise RepeatedVertex(f"face {face} repeats a vertex")
         if mask not in self._face_set:
             raise FaceNotInComplex(f"{tuple(sorted(face))} is not a face")
         return mask

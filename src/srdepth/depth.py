@@ -8,9 +8,15 @@ verification harnesses for the structural identities they are built on.
   local cohomology groups at inner points vanish in degrees <= r - 2; the
   local group at sigma is H*(K, contrastar sigma), computed on its relative
   cochains (the faces containing sigma), not through the link shift.
-* ``depth_ab``: number of ring generators minus the projective dimension
-  read off the Betti table, which is computed by the induced-subcomplex
-  cohomology formula (Hochster) - a third, resolution-theoretic route.
+* ``depth_ab``: number of ring generators minus the projective dimension,
+  a third, resolution-theoretic route.  By Hochster's formula pd is the
+  largest |W| - c - 1 over vertex subsets W, with c the lowest degree of
+  nonvanishing reduced cohomology of the induced subcomplex K_W.  The
+  subsets are walked by size from m downward, and the walk stops once no
+  smaller W can beat the best value found.  As pd >= m - dim K - 1, it
+  visits at most sum of C(m, k) for k <= dim K subsets; that count is
+  checked up front against ``2**HOCHSTER_VERTEX_BOUND``.  The engine reads
+  induced subcomplexes only, never links or face filters.
 
 The three must agree (the equivalence is a theorem); disagreement raises
 ``EngineDisagreement`` as a bug signal, never as a legitimate outcome.
@@ -28,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from .cohomology import _relative_dims, reduced_cohomology
 from .complexes import SimplicialComplex, _popcount
@@ -35,7 +42,7 @@ from .errors import BadParameter, EngineDisagreement, TooLarge
 from .limits import LimitsProfile, derived_limit_dims
 from .linalg import FieldSpec
 
-HOCHSTER_VERTEX_BOUND = 14  # 2^m induced subcomplexes are enumerated
+HOCHSTER_VERTEX_BOUND = 14  # log2 of the most induced subcomplexes one call may visit
 
 
 # -- engine 1: link criterion ---------------------------------------------------
@@ -134,9 +141,39 @@ def betti_table(K: SimplicialComplex, field: FieldSpec) -> BettiTable:
     return BettiTable(K.m, field, beta)
 
 
+def _hochster_walk_estimate(K: SimplicialComplex) -> int:
+    """Most vertex subsets ``depth_ab`` visits: those of size >= m - krull + 1,
+    sum of C(m, k) for k <= krull - 1.  A W that attains pd has
+    |W| - 1 >= pd >= m - krull (Auslander-Buchsbaum), so the walk has found
+    pd before it reaches size m - krull."""
+    return sum(comb(K.m, k) for k in range(K.krull_dim))
+
+
 def depth_ab(K: SimplicialComplex, field: FieldSpec) -> int:
-    """Depth as (number of generators) - (projective dimension)."""
-    return K.m - betti_table(K, field).projective_dimension
+    """Depth as (number of generators) - (projective dimension), with pd
+    the largest |W| - c_W - 1 over the vertex subsets W whose induced
+    subcomplex has lowest nonvanishing reduced cohomology degree c_W."""
+    estimate = _hochster_walk_estimate(K)
+    if estimate > 2**HOCHSTER_VERTEX_BOUND:
+        raise TooLarge(
+            f"the Hochster walk may visit {estimate} vertex subsets (m={K.m}, "
+            f"krull dimension {K.krull_dim}); more than 2^{HOCHSTER_VERTEX_BOUND}"
+        )
+    pd = 0  # beta(0, 0) = 1 from the empty subset
+    verts = K.vertices
+    for j in range(K.m, 0, -1):
+        # c_W >= 0 for nonempty W, so no subset of size <= j beats j - 1
+        if j - 1 <= pd:
+            break
+        for subset in combinations(verts, j):
+            if K.has_face(subset):  # K_W is a simplex: acyclic
+                continue
+            c = reduced_cohomology(K.induced(subset), field).first_nonzero()
+            if c is not None and j - c - 1 > pd:
+                pd = j - c - 1
+                if pd == j - 1:
+                    break
+    return K.m - pd
 
 
 # -- the aggregate report --------------------------------------------------------
@@ -158,10 +195,12 @@ class DepthReport:
 
 
 def depth(K: SimplicialComplex, field: FieldSpec) -> DepthReport:
-    """Run all three engines and assert agreement."""
+    """Run all three engines and assert agreement.  ``depth_ab`` goes first:
+    its up-front ``TooLarge`` check then comes before the other engines
+    spend any time."""
+    r3 = depth_ab(K, field)
     r1 = depth_reisner(K, field)
     r2 = depth_topological(K, field)
-    r3 = depth_ab(K, field)
     if not (r1 == r2 == r3):
         raise EngineDisagreement(K, field, r1, r2, r3)
     return DepthReport(
@@ -265,17 +304,3 @@ def verify_limit_depth_criterion(
     return LimitDepthReport(
         field, passed, d_k, r_min, l_totals, almost_trivial, corollary_checked, witness
     )
-
-
-def join_additivity_observations(pairs, field: FieldSpec):
-    """Soft regression check: depth of a join against the sum of depths.
-    Returns a list of (names, got, expected) mismatches for manual review."""
-    from .complexes import join
-
-    mismatches = []
-    for (name_a, a), (name_b, b) in pairs:
-        got = depth_reisner(join(a, b), field)
-        expected = depth_reisner(a, field) + depth_reisner(b, field)
-        if got != expected:
-            mismatches.append(((name_a, name_b), got, expected))
-    return mismatches

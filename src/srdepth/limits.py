@@ -307,21 +307,3 @@ def verify_limit_decomposition(
         if failure:
             break
     return LimitDecompositionReport(field, profile.d_max, failure is None, failure, profile)
-
-
-# -- unnormalized complex (spot check for the normalization step) ---------------
-
-
-def unnormalized_h01(K: SimplicialComplex, field: FieldSpec, d: int) -> tuple[int, int]:
-    """H^0 and H^1 of the full chain-indexed complex (weakly increasing
-    flags, identities allowed) truncated after three terms."""
-    _require_vertex(K)
-    objs = _nonempty_faces(K)
-    leq = {a: [b for b in objs if a & b == a] for a in objs}
-    c1 = [(a,) for a in objs]
-    c2 = [(a, b) for a in objs for b in leq[a]]
-    c3 = [(a, b, c) for a in objs for b in leq[a] for c in leq[b]]
-    d0 = _functor_matrix(K, field, d, c1, c2)
-    d1 = _functor_matrix(K, field, d, c2, c3)
-    dims = cohomology_dims([d0, d1])
-    return dims[0], dims[1]

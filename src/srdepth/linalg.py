@@ -400,36 +400,3 @@ def cohomology_dims(differentials: Sequence[ExactMatrix]) -> list[int]:
     ranks = [m.rank() for m in mats] + [0]
     spaces = [m.cols for m in mats] + [mats[-1].rows]
     return [spaces[n] - ranks[n] - (ranks[n - 1] if n else 0) for n in range(len(spaces))]
-
-
-def _rank_bareiss_object(rows_in) -> int:
-    """Rank by dense fraction-free (Bareiss) elimination on Python integers:
-    an independent reference for the sparse kernels."""
-    a = [list(row) for row in rows_in]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    r = 0
-    prev = 1
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot_row = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            a[r], a[pivot_row] = a[pivot_row], a[r]
-        piv = a[r][c]
-        for i in range(r + 1, rows):
-            ai, ar = a[i], a[r]
-            f = ai[c]
-            if f == 0 and piv == prev:
-                continue
-            for j in range(cols):
-                ai[j] = (ai[j] * piv - f * ar[j]) // prev
-        prev = piv
-        r += 1
-    return r

@@ -163,6 +163,17 @@ def test_depth_full_simplex_over_gf5(capsys, tmp_path):
     assert report["cohen_macaulay"] is True
 
 
+def test_depth_fifteen_cycle(capsys, tmp_path):
+    # past the 2^14 Betti table: the Hochster walk visits one subset here
+    from srdepth import cycle
+
+    path = tmp_path / "cycle_15.facets"
+    path.write_text(to_facet_text(cycle(15)), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "depth", str(path))
+    assert code == 0
+    assert "reisner=2 topological=2 auslander_buchsbaum=2" in out
+
+
 def test_verify_random_complex(capsys, tmp_path):
     from srdepth import random_complex
 

@@ -18,7 +18,7 @@ from srdepth import (
     verify_munkres_shift,
 )
 from srdepth.cohomology import _relative_dims
-from srdepth.errors import EmptyFace, FaceNotInComplex, NotASubcomplex
+from srdepth.errors import EmptyFace, FaceNotInComplex, NotASubcomplex, RepeatedVertex
 
 FIELDS = (GF2, GF3, QQ)
 
@@ -123,6 +123,14 @@ def test_local_cohomology_errors():
         local_cohomology(cycle(4), (), QQ)
     with pytest.raises(FaceNotInComplex):
         local_cohomology(cycle(4), (1, 3), QQ)
+    # a repeated vertex is refused, not deduplicated into another face
+    for call in (
+        lambda: local_cohomology(cycle(4), (1, 1), QQ),
+        lambda: cycle(4).link((1, 1)),
+        lambda: cycle(4).star((2, 2, 1)),
+    ):
+        with pytest.raises(RepeatedVertex):
+            call()
 
 
 def test_munkres_shift_small_corpus():

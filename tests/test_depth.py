@@ -1,3 +1,4 @@
+import importlib
 import warnings
 
 import pytest
@@ -8,6 +9,7 @@ from srdepth import (
     GF5,
     QQ,
     FieldSpec,
+    SimplicialComplex,
     betti_table,
     boundary_simplex,
     cone,
@@ -19,17 +21,22 @@ from srdepth import (
     derived_limit_dims,
     disjoint_points,
     join,
+    named_corpus,
     random_complex,
+    random_corpus,
     rp2_minimal,
     simplex,
     validate,
     verify_limit_depth_criterion,
     verify_star_link,
 )
-from srdepth.depth import join_additivity_observations, link_condition, local_condition
+from srdepth.depth import _hochster_walk_estimate, link_condition, local_condition
 from srdepth.errors import BadParameter, EngineDisagreement, TooLarge
 
+from oracles import join_additivity_observations
+
 ALL_FIELDS = (GF2, GF3, GF5, QQ)
+DEPTH_MODULE = importlib.import_module("srdepth.depth")  # srdepth.depth is also the function
 IRRELEVANT = validate([[]], 0)
 
 
@@ -130,6 +137,62 @@ def test_betti_rp2_gf2_projective_dimension():
 def test_betti_respects_vertex_bound():
     with pytest.raises(TooLarge):
         betti_table(disjoint_points(15), GF2)  # m=15 > 14
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a call the code under test must not make")
+
+
+def test_top_down_pd_matches_betti_table():
+    corpus = [K for _, K in named_corpus()]
+    corpus += [K for _, _, K in random_corpus(200, 20240101, 8)]
+    # cone over a 4-cycle with a whisker at vertex 1: among the 5-subsets,
+    # dropping the apex leaves a circle (pd 3) before dropping vertex 1
+    # disconnects the whisker (pd 4), so a size is walked past its first hit
+    corpus.append(validate([[1, 2, 6], [2, 3, 6], [3, 4, 6], [1, 4, 6], [1, 5]], 6))
+    for field in (GF2, GF3, QQ):
+        for K in corpus:
+            pd = betti_table(K, field).projective_dimension
+            assert K.m - depth_ab(K, field) == pd, (K, str(field))
+
+
+def test_depth_ab_reads_induced_subcomplexes_only(monkeypatch):
+    # the Hochster walk must stay independent of the link and face-filter
+    # engines, and visit no more subsets than its up-front estimate
+    for name in ("star", "star_by_mask", "link", "link_by_mask", "contrastar", "contrastar_by_mask"):
+        monkeypatch.setattr(SimplicialComplex, name, refuse)
+    monkeypatch.setattr(DEPTH_MODULE, "_relative_dims", refuse)
+    visits = []
+    induced = SimplicialComplex.induced
+    monkeypatch.setattr(
+        SimplicialComplex, "induced", lambda K, w: visits.append(w) or induced(K, w)
+    )
+    sample = [K for _, K in named_corpus()]
+    sample += [cycle(15), join(cycle(8), cycle(9)), disjoint_points(15), IRRELEVANT]
+    for K in sample:
+        visits.clear()
+        depth_ab(K, GF2)
+        assert len(visits) <= _hochster_walk_estimate(K), K
+
+
+def test_depth_beyond_fourteen_vertices():
+    rep = depth(join(cycle(8), cycle(9)), GF2)
+    assert rep.reisner == rep.topological == rep.auslander_buchsbaum == 4
+    assert depth(cycle(15), GF2).auslander_buchsbaum == 2
+
+
+def test_depth_ab_too_large_fails_before_any_work(monkeypatch):
+    K = boundary_simplex(14)  # m=15, krull 14: sum of C(15, k) for k <= 13
+    monkeypatch.setattr(SimplicialComplex, "induced", refuse)
+    monkeypatch.setattr(SimplicialComplex, "link_by_mask", refuse)
+    with pytest.raises(TooLarge, match="32752"):
+        depth(K, GF2)
+
+
+def test_depth_raises_when_engines_disagree(monkeypatch):
+    monkeypatch.setattr(DEPTH_MODULE, "depth_ab", lambda K, field: 0)
+    with pytest.raises(EngineDisagreement):
+        depth(cycle(4), GF2)
 
 
 def test_engine_agreement_on_sample():

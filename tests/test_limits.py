@@ -25,14 +25,10 @@ from srdepth import (
 from srdepth.cohomology import _cochain_dims, _levels
 from srdepth.complexes import _popcount
 from srdepth.errors import BadParameter
-from srdepth.limits import (
-    _nonempty_faces,
-    _star_block,
-    _whole_block,
-    flag_chains,
-    unnormalized_h01,
-)
+from srdepth.limits import _nonempty_faces, _star_block, _whole_block, flag_chains
 from srdepth.linalg import cohomology_dims
+
+from oracles import unnormalized_h01
 
 EDGE = validate([[1, 2]], 2)
 
