@@ -123,7 +123,6 @@ class BettiTable:
         return self.beta.get(tuple(key), 0)
 
 
-@lru_cache(maxsize=50_000)
 def betti_table(K: SimplicialComplex, field: FieldSpec) -> BettiTable:
     """beta(i, j) = sum over j-element vertex subsets W of the dimension of
     reduced cohomology of the induced subcomplex K_W in degree j - i - 1."""

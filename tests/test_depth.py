@@ -175,12 +175,6 @@ def test_depth_ab_reads_induced_subcomplexes_only(monkeypatch):
         assert len(visits) <= _hochster_walk_estimate(K), K
 
 
-def test_depth_beyond_fourteen_vertices():
-    rep = depth(join(cycle(8), cycle(9)), GF2)
-    assert rep.reisner == rep.topological == rep.auslander_buchsbaum == 4
-    assert depth(cycle(15), GF2).auslander_buchsbaum == 2
-
-
 def test_depth_ab_too_large_fails_before_any_work(monkeypatch):
     K = boundary_simplex(14)  # m=15, krull 14: sum of C(15, k) for k <= 13
     monkeypatch.setattr(SimplicialComplex, "induced", refuse)
@@ -202,11 +196,13 @@ def test_engine_agreement_on_sample():
         random_complex(6, 2, 0.4, 100),
         random_complex(7, 2, 0.6, 101),
         random_complex(7, 3, 0.3, 102),
+        join(cycle(8), cycle(9)),  # m=17, past the 2^14 Betti table
     ]
     for K in sample:
         for field in ALL_FIELDS:
             rep = depth(K, field)
             assert rep.agree
+    assert depth(join(cycle(8), cycle(9)), GF2).reisner == 4  # 2 + 2
 
 
 def test_engines_agree_on_noncontiguous_labels():
