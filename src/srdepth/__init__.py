@@ -56,7 +56,6 @@ from .errors import (
     InternalInvariantError,
     NotAComplex,
     NotASubcomplex,
-    NotNested,
     OddDegree,
     RepeatedVertex,
     SrdepthError,
@@ -69,7 +68,6 @@ from .face_ring import (
     graded_dim,
     hilbert_series,
     monomial_basis,
-    restriction_map,
 )
 from .limits import (
     LimitsProfile,

@@ -92,9 +92,6 @@ class CohomologyProfile:
                 return i
         return None
 
-    def total(self) -> int:
-        return sum(self.dims.values())
-
 
 @lru_cache(maxsize=200_000)
 def reduced_cohomology(K: SimplicialComplex, field: FieldSpec) -> CohomologyProfile:

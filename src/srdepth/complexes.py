@@ -135,9 +135,6 @@ class SimplicialComplex:
             if card is None or _popcount(f) == card:
                 yield _verts_of(f)
 
-    def num_faces(self, card: int) -> int:
-        return sum(1 for f in self._faces if _popcount(f) == card)
-
     @property
     def f_vector(self) -> tuple[int, ...]:
         """(f_-1, f_0, ..., f_dim) with f_-1 = 1 for the empty face."""
@@ -264,25 +261,25 @@ def validate(raw_facets: Sequence[Sequence[int]], m: int) -> SimplicialComplex:
     rejects declared vertices that occur in no facet and non-integer
     (including boolean) m or vertices.  The complex {-} is
     declared via m=0, facets=[[]]; an empty facet list is invalid input.
+    Every label 1..m must occur, so m is checked against the number of
+    distinct labels before any bitmask is built: a huge declared m costs
+    time linear in the input, not in m.
     """
     if type(m) is not int or m < 0:
         raise BadParameter(f"m must be an integer >= 0, got {m!r}")
     if not raw_facets:
         raise EmptyInput("no facets given; the complex {-} is declared as [[]] with m=0")
-    masks = []
+    labels = set()
     for facet in raw_facets:
         for v in facet:
             if type(v) is not int or v < 1 or v > m:
                 raise VertexOutOfRange(f"vertex {v!r} outside 1..{m}")
-        masks.append(_mask_of(facet))
-    used = 0
-    for f in masks:
-        used |= f
-    full = (1 << m) - 1
-    if used != full:
-        missing = _verts_of(full & ~used)
-        raise UnusedVertex(f"vertices {missing} occur in no facet")
-    return SimplicialComplex(masks)
+        labels.update(facet)
+    if len(labels) != m:
+        # at most len(labels) of 1..len(labels)+5 occur: the first gaps lie there
+        missing = [v for v in range(1, min(m, len(labels) + 5) + 1) if v not in labels][:5]
+        raise UnusedVertex(f"{m - len(labels)} of the vertices 1..{m} occur in no facet, first {missing}")
+    return SimplicialComplex([_mask_of(facet) for facet in raw_facets])
 
 
 def _validate_input(raw_facets, m: int) -> SimplicialComplex:

@@ -15,6 +15,7 @@ from .complexes import (
     simplex,
     suspension,
 )
+from .errors import BadParameter
 
 DEFAULT_SEED = 20240101
 
@@ -51,6 +52,10 @@ def random_corpus(
     dimensions 1..3 and a ladder of densities; each entry gets its own
     derived seed so single complexes can be regenerated in isolation.
     """
+    if max_m < 4:
+        raise BadParameter(f"the vertex bound must be at least 4, got {max_m}")
+    if count < 0:
+        raise BadParameter(f"the count must be nonnegative, got {count}")
     ms = list(range(4, max_m + 1))
     dims = [1, 2, 3, 2]
     densities = [0.2, 0.35, 0.5, 0.65]

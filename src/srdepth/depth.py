@@ -21,7 +21,9 @@ verification harnesses for the structural identities they are built on.
 The three must agree (the equivalence is a theorem); disagreement raises
 ``EngineDisagreement`` as a bug signal, never as a legitimate outcome.
 ``link_condition`` and ``local_condition`` (depth >= r) read the same
-per-face bounds as the first two engines.
+per-face bounds as the first two engines.  Those per-face walks visit one
+face per pair sigma <= tau, sum of f_k 2^k; that count is checked up front
+against ``2**FACE_PAIR_BOUND``.
 
 Depth is always computed through these criteria, never by searching for
 explicit regular sequences: over small finite fields low-degree regular
@@ -43,6 +45,19 @@ from .limits import LimitsProfile, derived_limit_dims
 from .linalg import FieldSpec
 
 HOCHSTER_VERTEX_BOUND = 14  # log2 of the most induced subcomplexes one call may visit
+FACE_PAIR_BOUND = 21  # log2 of the most face pairs one link or face-filter walk may visit
+
+
+def _check_face_pairs(K: SimplicialComplex) -> None:
+    """Refuse, before any work, a complex whose links (or face filters)
+    hold more than ``2**FACE_PAIR_BOUND`` faces together: one per pair
+    sigma <= tau of faces, sum of f_k 2^k over the f-vector."""
+    pairs = sum(f << k for k, f in enumerate(K.f_vector))
+    if pairs > 2**FACE_PAIR_BOUND:
+        raise TooLarge(
+            f"the link and face-filter engines walk {pairs} face pairs "
+            f"(m={K.m}); more than 2^{FACE_PAIR_BOUND}"
+        )
 
 
 # -- engine 1: link criterion ---------------------------------------------------
@@ -51,6 +66,7 @@ HOCHSTER_VERTEX_BOUND = 14  # log2 of the most induced subcomplexes one call may
 def _link_bounds(K: SimplicialComplex, field: FieldSpec):
     """c + card(sigma) + 1 for each face sigma whose link has reduced
     cohomology in lowest degree c."""
+    _check_face_pairs(K)
     for mask in K.face_masks:
         c = reduced_cohomology(K.link_by_mask(mask), field).first_nonzero()
         if c is not None:
@@ -77,6 +93,7 @@ def _point_bounds(K: SimplicialComplex, field: FieldSpec):
     """c + 1 for the lowest nonvanishing degree c of ~H*(K) and of
     H*(K, contrastar sigma) for each nonempty sigma, whose relative
     cochains are the faces containing sigma."""
+    _check_face_pairs(K)
     c = reduced_cohomology(K, field).first_nonzero()
     if c is not None:
         yield c + 1

@@ -53,10 +53,6 @@ class OddDegree(InputError):
     pass
 
 
-class NotNested(InputError):
-    pass
-
-
 class TooLarge(InputError):
     pass
 

@@ -1,5 +1,5 @@
-"""The graded face ring of a complex: monomial bases, Hilbert series, and
-the restriction maps between the rings of nested stars.
+"""The graded face ring of a complex: monomial bases of the ring and of its
+star rings, and the Hilbert series.
 
 Generators carry internal degree 2 (the topological grading), so every
 graded piece lives in an even degree; degree d holds the monomials of
@@ -10,13 +10,11 @@ vectors over the complex's vertex tuple, listed in lexicographic order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import Iterable
 
-from .complexes import SimplicialComplex, _mask_of, _popcount
-from .errors import NotNested, OddDegree
-from .linalg import ExactMatrix, FieldSpec
+from .complexes import SimplicialComplex, _popcount
+from .errors import OddDegree
 
 
 def _check_degree(d: int) -> int:
@@ -75,7 +73,6 @@ def _monomials(vertices: tuple[int, ...], support_masks: Iterable[int], t: int):
     return out
 
 
-@lru_cache(maxsize=100_000)
 def monomial_basis(K: SimplicialComplex, d: int) -> tuple[tuple[int, ...], ...]:
     """Lex-sorted exponent vectors (over K.vertices) of the degree-d piece."""
     t = _check_degree(d)
@@ -134,29 +131,9 @@ def hilbert_series(K: SimplicialComplex) -> HilbertSeries:
 
 def star_basis(K: SimplicialComplex, sigma_mask: int, d: int) -> tuple[tuple[int, ...], ...]:
     """Degree-d monomial basis of the face ring of star(sigma), written as
-    exponent vectors over the ambient K.vertices."""
-    return _star_basis_cached(K, sigma_mask, d)
-
-
-@lru_cache(maxsize=200_000)
-def _star_basis_cached(K, sigma_mask, d):
+    exponent vectors over the ambient K.vertices.  For sigma <= tau the
+    basis of star(tau) is the part of this one supported on star(tau), so
+    the restriction between the two rings keeps a monomial or kills it."""
     t = _check_degree(d)
     star = K.star_by_mask(sigma_mask)
     return tuple(_monomials(K.vertices, star.face_masks, t))
-
-
-def restriction_map(
-    K: SimplicialComplex, sigma, tau, d: int, field: FieldSpec
-) -> ExactMatrix:
-    """Matrix of the degree-d surjection from the ring of star(sigma) onto the
-    ring of star(tau), for nested faces sigma <= tau: a monomial maps to
-    itself when its support stays a face of star(tau), else to zero."""
-    s = _mask_of(sigma)
-    t = _mask_of(tau)
-    if s & t != s:
-        raise NotNested(f"{tuple(sigma)} is not contained in {tuple(tau)}")
-    K._require_face(sigma)
-    K._require_face(tau)
-    index = {e: j for j, e in enumerate(star_basis(K, s, d))}
-    rows = [{index[e]: 1} for e in star_basis(K, t, d)]
-    return ExactMatrix(field, rows, shape=(len(rows), len(index)))

@@ -31,7 +31,6 @@ Both paths are cross-checked in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from .cohomology import _cochain_dims, reduced_cohomology
@@ -96,48 +95,44 @@ def limits_complex(K: SimplicialComplex, field: FieldSpec, d: int) -> list[Exact
     """Assembled differentials d_0, d_1, ... of the degree-d normalized
     cochain complex.  Row/column order follows flag order, then the lex
     monomial order inside each star block."""
-    return _limits_complex_cached(K, field, d)
-
-
-@lru_cache(maxsize=64)
-def _limits_complex_cached(K: SimplicialComplex, field: FieldSpec, d: int) -> list[ExactMatrix]:
     _require_vertex(K)
+    index = _star_index(K, d)
     flags = flag_chains(K)
     levels = list(zip(flags, flags[1:])) or [(flags[0], [])]
-    return [_functor_matrix(K, field, d, src, tgt) for src, tgt in levels]
+    return [_functor_matrix(field, index, src, tgt) for src, tgt in levels]
 
 
-def _functor_matrix(
-    K: SimplicialComplex, field: FieldSpec, d: int, src_chains, tgt_chains
-) -> ExactMatrix:
+def _star_index(K: SimplicialComplex, d: int) -> dict[int, dict[tuple[int, ...], int]]:
+    """For each nonempty face, the position of each monomial in the
+    degree-d basis of its star ring."""
+    return {
+        f: {e: i for i, e in enumerate(star_basis(K, f, d))} for f in _nonempty_faces(K)
+    }
+
+
+def _functor_matrix(field: FieldSpec, index, src_chains, tgt_chains) -> ExactMatrix:
     """Degree-d differential from the cochains on ``src_chains`` to those on
-    ``tgt_chains``, chains of nonempty faces one longer: the alternating sum
-    of the deletions, where deleting entry k of a target chain g restricts
-    from the star of the shorter chain's last face into the star of g's last
-    face (the identity when that face is unchanged).  The star of g's last
-    face is the smaller one, so each of its monomials lies in the source
-    basis and a deletion puts a single sign in each target row; on a weakly
-    increasing chain (a, a) the two deletions cancel.  Rows and columns
-    follow chain order, then the lex monomial order of the star block."""
-    index = {}
-
-    def basis_index(face):
-        if face not in index:
-            index[face] = {e: i for i, e in enumerate(star_basis(K, face, d))}
-        return index[face]
-
+    ``tgt_chains``, chains of nonempty faces one longer, with ``index`` the
+    star bases of :func:`_star_index`: the alternating sum of the deletions,
+    where deleting entry k of a target chain g restricts from the star of
+    the shorter chain's last face into the star of g's last face (the
+    identity when that face is unchanged).  The star of g's last face is the
+    smaller one, so each of its monomials lies in the source basis and a
+    deletion puts a single sign in each target row; on a weakly increasing
+    chain (a, a) the two deletions cancel.  Rows and columns follow chain
+    order, then the lex monomial order of the star block."""
     offset, cols = {}, 0
     for f in src_chains:
         offset[f] = cols
-        cols += len(basis_index(f[-1]))
+        cols += len(index[f[-1]])
     rows = []
     for g in tgt_chains:
-        tgt = basis_index(g[-1])
+        tgt = index[g[-1]]
         block = [{} for _ in tgt]
         for k in range(len(g)):
             f = g[:k] + g[k + 1 :]
             sign = -1 if k % 2 else 1
-            off, src = offset[f], basis_index(f[-1])
+            off, src = offset[f], index[f[-1]]
             for row, e in zip(block, tgt):
                 col = off + src[e]
                 row[col] = row.get(col, 0) + sign
@@ -145,25 +140,26 @@ def _functor_matrix(
     return ExactMatrix(field, rows, shape=(len(rows), cols))
 
 
-def rho_matrix(K: SimplicialComplex, field: FieldSpec, d: int) -> ExactMatrix:
-    """Matrix of the comparison map from the degree-d piece of the face ring
-    into C^0: a monomial goes to its family of star restrictions."""
-    _require_vertex(K)
+def _rho_dims(
+    K: SimplicialComplex, field: FieldSpec, d: int, d0: ExactMatrix, lim0: int
+) -> tuple[int, int]:
+    """(kernel, cokernel) dimensions of the comparison map from the degree-d
+    piece of the face ring into lim^0 = ker d0, of dimension ``lim0``: a
+    monomial goes to its family of star restrictions."""
     index = {e: j for j, e in enumerate(monomial_basis(K, d))}
     rows = [{index[e]: 1} for f in _nonempty_faces(K) for e in star_basis(K, f, d)]
-    return ExactMatrix(field, rows, shape=(len(rows), len(index)))
+    r_mat = ExactMatrix(field, rows, shape=(len(rows), len(index)))
+    if not _product_is_zero(d0, r_mat):
+        raise InternalInvariantError("comparison map does not land in lim^0")
+    r = r_mat.rank()
+    return r_mat.cols - r, lim0 - r
 
 
 def rho(K: SimplicialComplex, field: FieldSpec, d: int) -> tuple[int, int]:
     """(kernel, cokernel) dimensions of the comparison map into lim^0 in
     degree d, computed from the assembled matrices."""
-    mats = limits_complex(K, field, d)
-    r_mat = rho_matrix(K, field, d)
-    if not _product_is_zero(mats[0], r_mat):
-        raise InternalInvariantError("comparison map does not land in lim^0")
-    lim0 = mats[0].kernel_dim()
-    r = r_mat.rank()
-    return r_mat.cols - r, lim0 - r
+    d0 = limits_complex(K, field, d)[0]
+    return _rho_dims(K, field, d, d0, d0.kernel_dim())
 
 
 # -- the blocks of the grouped engine -------------------------------------------
@@ -209,9 +205,6 @@ class LimitsProfile:
             return sum(self.rho_cokernel.values())
         return sum(self.lim.get(i, {}).values())
 
-    def l_is_zero(self, i: int) -> bool:
-        return self.l_total(i) == 0
-
 
 def default_degree_bound(K: SimplicialComplex) -> int:
     return 4 * K.m
@@ -244,7 +237,7 @@ def derived_limit_dims(
             dims = cohomology_dims(mats)
             for i in range(top + 1):
                 lim[i][d] = dims[i] if i < len(dims) else 0
-            rker[d], rcok[d] = rho(K, field, d)
+            rker[d], rcok[d] = _rho_dims(K, field, d, mats[0], dims[0])
         return LimitsProfile(field, d_max, lim, rker, rcok)
     if method != "grouped":
         raise BadParameter(f"unknown method {method!r}")

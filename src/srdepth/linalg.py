@@ -1,6 +1,8 @@
 """Exact rank and cohomology over prime fields and the rationals.
 
-Everything is exact and pure Python.  The matrices met here are mostly
+Everything is exact and pure Python.  Every matrix the program builds has
+int entries (coboundaries, star-functor differentials, the comparison map),
+so ``ExactMatrix`` takes ints only.  The matrices met here are mostly
 coboundary matrices of small complexes, whose rows hold at most dim+1
 nonzeros, so the kernels work on sparse rows.  Each incoming row is reduced
 against a table of pivot rows keyed by their leading column until it either
@@ -10,24 +12,21 @@ vanishes or becomes a new pivot:
   XOR basis keyed by the top bit.
 * GF(p), p odd: a row is a dict {column: residue}; pivot rows are scaled to
   a leading 1 and reduction is mod p.
-* Q: a row is a dict {column: int} (rows with fractions are first scaled by
-  the lcm of their denominators); reduction is fraction-free, and a row is
-  divided by the gcd of its entries whenever it could have grown.
+* Q: a row is a dict {column: int}; reduction is fraction-free, and a row
+  is divided by the gcd of its entries whenever it could have grown.
 
 The rank does not depend on the pivot order, so every result equals that of
 dense Gaussian elimination.  ``ExactMatrix`` holds its rows in the same
 sparse form, whether it was built from dense rows, from dict rows
-{column: int or Fraction} that list only the entries that may be nonzero,
-or from rows already in kernel form (``ExactMatrix.from_sparse``);
-``cohomology_dims`` checks d_{n+1} d_n = 0 by sparse composition before
-taking ranks.
+{column: int} that list only the entries that may be nonzero, or from rows
+already in kernel form (``ExactMatrix.from_sparse``); ``cohomology_dims``
+checks d_{n+1} d_n = 0 by sparse composition before taking ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import BadParameter, NotAComplex
@@ -73,14 +72,6 @@ class FieldSpec:
                 raise BadParameter(f"{self.p} is not prime")
 
     @classmethod
-    def rationals(cls) -> "FieldSpec":
-        return cls(None)
-
-    @classmethod
-    def prime(cls, p: int) -> "FieldSpec":
-        return cls(p)
-
-    @classmethod
     def parse(cls, text: str) -> "FieldSpec":
         """CLI grammar: ``q`` for the rationals, ``p=<prime>`` for GF(p)."""
         if text == "q":
@@ -92,14 +83,6 @@ class FieldSpec:
                 raise BadParameter(f"bad field spec {text!r}") from None
         raise BadParameter(f"bad field spec {text!r}; use 'q' or 'p=<prime>'")
 
-    @property
-    def is_rationals(self) -> bool:
-        return self.p is None
-
-    @property
-    def characteristic(self) -> int:
-        return 0 if self.p is None else self.p
-
     def __str__(self) -> str:
         return "q" if self.p is None else f"p={self.p}"
 
@@ -110,20 +93,8 @@ GF3 = FieldSpec(3)
 GF5 = FieldSpec(5)
 
 
-def _canon(x, field: FieldSpec):
-    if field.p is not None:
-        if type(x) is int:
-            return x % field.p
-        if isinstance(x, Fraction):
-            if x.denominator % field.p == 0:
-                raise BadParameter(f"{x} has no residue mod {field.p}")
-            return x.numerator * pow(x.denominator, -1, field.p) % field.p
-        return int(x) % field.p
-    if type(x) is int:
-        return x
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    return int(x)
+def _not_int(x):
+    raise BadParameter(f"matrix entries must be ints, got {x!r}")
 
 
 # -- sparse kernels ---------------------------------------------------------------
@@ -207,27 +178,21 @@ def _primitive(row: dict) -> dict:
     return row if g == 1 else {k: v // g for k, v in row.items()}
 
 
-def _integral(row: dict) -> dict:
-    """A rational row scaled by the lcm of its denominators to integers."""
-    denom = lcm(*(x.denominator for x in row.values() if type(x) is not int))
-    return {k: int(x * denom) for k, x in row.items()}
-
-
 # -- matrices -------------------------------------------------------------------------
 
 
 class ExactMatrix:
-    """Exact matrix over a field, held as sparse rows in kernel form: int
-    bitsets over GF(2), otherwise dicts {column: nonzero entry} holding
-    canonical residues mod p, or rationals stored as int when integral and
-    as a reduced Fraction otherwise.  It is built from dense rows or from
-    dict rows {column: entry}.  ``entries`` is the dense view."""
+    """Exact matrix over a field with int entries, held as sparse rows in
+    kernel form: int bitsets over GF(2), otherwise dicts {column: nonzero
+    entry} holding canonical residues mod p, or the ints themselves over Q.
+    It is built from dense rows or from dict rows {column: int}."""
 
-    __slots__ = ("field", "rows", "cols", "sparse_rows", "all_int")
+    __slots__ = ("field", "rows", "cols", "sparse_rows")
 
     def __init__(self, field: FieldSpec, entries: Sequence, shape=None):
-        """Matrix from rows of ints or Fractions, reduced to canonical form.
-        A row is either dense (a sequence of ``cols`` entries) or a dict
+        """Matrix from rows of ints, reduced to canonical form; any other
+        entry (a Fraction, a float, a bool) raises ``BadParameter``.  A row
+        is either dense (a sequence of ``cols`` entries) or a dict
         {column: entry}; dict rows need ``shape``, and entries that reduce
         to zero are dropped.  With ``shape`` given, empty ``entries`` mean
         the zero matrix."""
@@ -254,100 +219,36 @@ class ExactMatrix:
                 items.append(enumerate(row))
         p = field.p
         if p is None:
-            rows = [
-                {j: x if type(x) is int else _canon(x, field) for j, x in row if x}
-                for row in items
-            ]
+            rows = [{j: x for j, x in row if (x if type(x) is int else _not_int(x))} for row in items]
         else:
             rows = [
-                {j: y for j, x in row if (y := x % p if type(x) is int else _canon(x, field))}
+                {j: y for j, x in row if (y := x % p if type(x) is int else _not_int(x))}
                 for row in items
             ]
         if p == 2:
             rows = [sum(1 << j for j in row) for row in rows]
         self.field, self.rows, self.cols, self.sparse_rows = field, r, c, rows
-        self.all_int = p is not None or all(type(x) is int for row in rows for x in row.values())
 
     @classmethod
-    def from_sparse(cls, field: FieldSpec, rows: list, cols: int, all_int: bool = True) -> "ExactMatrix":
+    def from_sparse(cls, field: FieldSpec, rows: list, cols: int) -> "ExactMatrix":
         """Matrix whose rows are already in kernel form with canonical
-        entries; the list is kept, not copied.  Rational rows holding a
-        Fraction need ``all_int=False``."""
+        entries; the list is kept, not copied."""
         self = cls.__new__(cls)
         self.field, self.rows, self.cols, self.sparse_rows = field, len(rows), cols, rows
-        self.all_int = field.p is not None or all_int
         return self
-
-    @classmethod
-    def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "ExactMatrix":
-        return cls(field, [], shape=(rows, cols))
-
-    @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "ExactMatrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    @property
-    def entries(self) -> tuple[tuple, ...]:
-        if self.field.p == 2:
-            return tuple(
-                tuple(row >> j & 1 for j in range(self.cols)) for row in self.sparse_rows
-            )
-        return tuple(tuple(row.get(j, 0) for j in range(self.cols)) for row in self.sparse_rows)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExactMatrix)
-            and self.field == other.field
-            and self.shape == other.shape
-            and self.sparse_rows == other.sparse_rows
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.shape, self.entries))
-
     def __repr__(self):
         return f"ExactMatrix({self.field}, {self.rows}x{self.cols})"
 
-    def transpose(self) -> "ExactMatrix":
-        if self.field.p == 2:
-            out = [0] * self.cols
-            for i, row in enumerate(self.sparse_rows):
-                while row:
-                    b = row & -row
-                    row ^= b
-                    out[b.bit_length() - 1] |= 1 << i
-        else:
-            out = [{} for _ in range(self.cols)]
-            for i, row in enumerate(self.sparse_rows):
-                for j, x in row.items():
-                    out[j][i] = x
-        return ExactMatrix.from_sparse(self.field, out, self.rows, self.all_int)
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.field != other.field or self.cols != other.rows:
-            raise BadParameter("incompatible matmul")
-        p = self.field.p
-        out = [_compose(row, other.sparse_rows, p) for row in self.sparse_rows]
-        if p != 2:
-            out = [{j: c for j, x in acc.items() if (c := _canon(x, self.field))} for acc in out]
-        return ExactMatrix.from_sparse(self.field, out, other.cols, self.all_int and other.all_int)
-
-    def is_zero(self) -> bool:
-        return not any(self.sparse_rows)
-
     def rank(self) -> int:
-        rows = self.sparse_rows if self.all_int else [_integral(row) for row in self.sparse_rows]
-        return sparse_rank(rows, self.field.p)
+        return sparse_rank(self.sparse_rows, self.field.p)
 
     def kernel_dim(self) -> int:
         return self.cols - self.rank()
-
-    def cokernel_dim(self) -> int:
-        return self.rows - self.rank()
 
 
 def _compose(row, rows, p: Optional[int]):

@@ -1,7 +1,7 @@
 """Independent reference computations used only by the test suite."""
 
 from srdepth import depth_reisner, join
-from srdepth.limits import _functor_matrix, _nonempty_faces, _require_vertex
+from srdepth.limits import _functor_matrix, _nonempty_faces, _require_vertex, _star_index
 from srdepth.linalg import cohomology_dims
 
 
@@ -27,8 +27,9 @@ def unnormalized_h01(K, field, d):
     c1 = [(a,) for a in objs]
     c2 = [(a, b) for a in objs for b in leq[a]]
     c3 = [(a, b, c) for a in objs for b in leq[a] for c in leq[b]]
-    d0 = _functor_matrix(K, field, d, c1, c2)
-    d1 = _functor_matrix(K, field, d, c2, c3)
+    index = _star_index(K, d)
+    d0 = _functor_matrix(field, index, c1, c2)
+    d1 = _functor_matrix(field, index, c2, c3)
     dims = cohomology_dims([d0, d1])
     return dims[0], dims[1]
 

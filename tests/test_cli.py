@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -102,6 +103,14 @@ def test_unused_vertex_exits_2(capsys, tmp_path):
     path.write_text("m 3\n1 3\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "depth", str(path))
     assert code == 2
+    # a huge declared vertex count is refused in time linear in the input,
+    # with a short message, not by a mask of m bits
+    for text in ("m 1000000\n1\n", "m 100000000000000000000\n100000000000000000000\n"):
+        path.write_text(text, encoding="utf-8")
+        start = time.process_time()
+        code, out, err = run_cli(capsys, "depth", str(path))
+        assert time.process_time() - start < 0.5
+        assert code == 2 and out == "" and err.startswith("error: ") and len(err) < 200
 
 
 def test_bad_field_exits_2(capsys, rp2_file):
@@ -141,6 +150,13 @@ def test_corpus_random_deterministic(capsys, tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
     manifest = json.loads((out_a / "manifest.json").read_text())
     assert manifest["count"] == 5 and len(manifest["entries"]) == 5
+
+
+def test_corpus_random_bad_arguments_exit_2(capsys, tmp_path):
+    for args in (["--m", "3"], ["--m", "-1"], ["--count", "-1"]):
+        code, out, err = run_cli(capsys, "corpus", "random", str(tmp_path / "out"), *args)
+        assert code == 2, args
+        assert out == "" and err.startswith("error: ")
 
 
 def test_corpus_random_seed_changes_bytes(capsys, tmp_path):

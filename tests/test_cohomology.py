@@ -66,7 +66,7 @@ def test_euler_characteristic_consistency():
 def test_cone_is_acyclic():
     for base in [cycle(4), rp2_minimal(), disjoint_points(3)]:
         for field in (GF2, QQ):
-            assert reduced_cohomology(cone(base), field).total() == 0
+            assert not any(reduced_cohomology(cone(base), field).dims.values())
 
 
 def test_relative_equal_complexes_vanish():

@@ -17,7 +17,6 @@ from srdepth import (
     local_cohomology,
     parse_facet_text,
     random_complex,
-    restriction_map,
     rp2_minimal,
     simplex,
     suspension,
@@ -26,7 +25,7 @@ from srdepth import (
     validate,
 )
 from srdepth.complexes import complex_from_json
-from srdepth.errors import BadParameter, EmptyFace
+from srdepth.errors import BadParameter, EmptyFace, InputError
 
 
 def faces_set(K):
@@ -127,7 +126,6 @@ def test_face_not_in_complex():
         lambda: cycle(4).has_face((0,)),
         lambda: cycle(4).star((0,)),
         lambda: cycle(4).link((-1,)),
-        lambda: restriction_map(cycle(4), (), (0,), 2, QQ),
         lambda: local_cohomology(cycle(4), (0,), QQ),
     ):
         with pytest.raises(VertexOutOfRange):
@@ -166,7 +164,7 @@ def test_contrastar_is_downward_closed_and_misses_face():
 
 def test_cycle_generator():
     C4 = cycle(4)
-    assert C4.m == 4 and C4.num_faces(2) == 4
+    assert C4.m == 4 and C4.f_vector[2] == 4
     assert C4.euler_characteristic() == 0
     with pytest.raises(BadParameter):
         cycle(2)
@@ -310,6 +308,31 @@ def test_text_header_and_comments():
 def test_json_roundtrip():
     for K in [cycle(5), validate([[]], 0)]:
         assert complex_from_json(to_json_obj(K)) == K
+
+
+def parses_or_refuses(parse, arg):
+    try:
+        K = parse(arg)
+    except InputError:
+        return
+    assert isinstance(K, SimplicialComplex)
+
+
+labels = st.one_of(st.integers(-2, 12), st.integers(0, 10**20))
+tokens = st.one_of(labels.map(str), st.sampled_from(["m", "#", "-", "--1", "1#2"]))
+facet_lines = st.lists(st.lists(tokens, max_size=6).map(" ".join), max_size=5).map("\n".join)
+
+
+@given(st.one_of(st.text(alphabet="0123456789m#- \n", max_size=40), facet_lines))
+@settings(max_examples=300, deadline=None)
+def test_facet_text_parses_or_raises_input_error(text):
+    parses_or_refuses(parse_facet_text, text)
+
+
+@given(labels, st.lists(st.lists(labels, max_size=5), max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_json_complex_parses_or_raises_input_error(m, facets):
+    parses_or_refuses(complex_from_json, {"m": m, "facets": facets})
 
 
 def quadratic_maximal(masks):

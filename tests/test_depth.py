@@ -1,7 +1,10 @@
 import importlib
+import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srdepth import (
     GF2,
@@ -30,7 +33,12 @@ from srdepth import (
     verify_limit_depth_criterion,
     verify_star_link,
 )
-from srdepth.depth import _hochster_walk_estimate, link_condition, local_condition
+from srdepth.depth import (
+    _check_face_pairs,
+    _hochster_walk_estimate,
+    link_condition,
+    local_condition,
+)
 from srdepth.errors import BadParameter, EngineDisagreement, TooLarge
 
 from oracles import join_additivity_observations
@@ -183,6 +191,19 @@ def test_depth_ab_too_large_fails_before_any_work(monkeypatch):
         depth(K, GF2)
 
 
+def test_link_engines_too_large_fail_before_any_walk(monkeypatch):
+    # the Hochster walk admits the boundary of the 13-simplex (16,369
+    # subsets), but its links and face filters hold 3^14 - 2^14 faces
+    K = boundary_simplex(13)
+    monkeypatch.setattr(SimplicialComplex, "link_by_mask", refuse)
+    monkeypatch.setattr(DEPTH_MODULE, "_relative_dims", refuse)
+    with pytest.raises(TooLarge, match="4766585"):
+        depth(K, GF2)  # refused in depth_reisner
+    with pytest.raises(TooLarge, match="4766585"):
+        depth_topological(K, GF2)
+    _check_face_pairs(boundary_simplex(12))  # 1,586,131 pairs: admitted
+
+
 def test_depth_raises_when_engines_disagree(monkeypatch):
     monkeypatch.setattr(DEPTH_MODULE, "depth_ab", lambda K, field: 0)
     with pytest.raises(EngineDisagreement):
@@ -233,7 +254,7 @@ def test_field_monotonicity_on_sample():
     for K in [rp2_minimal(), cone(rp2_minimal()), random_complex(7, 2, 0.5, 55)]:
         dq = depth_reisner(K, QQ)
         for p in (2, 3, 5):
-            assert dq >= depth_reisner(K, FieldSpec.prime(p))
+            assert dq >= depth_reisner(K, FieldSpec(p))
 
 
 def test_star_link_full_simplex():
@@ -307,7 +328,7 @@ def test_moore_space_depth_drops_only_in_characteristic_three():
     from srdepth import reduced_cohomology
 
     assert reduced_cohomology(M, GF3).dims == {-1: 0, 0: 0, 1: 1, 2: 1}
-    assert reduced_cohomology(M, GF2).total() == 0
+    assert not any(reduced_cohomology(M, GF2).dims.values())
     rep3 = depth(M, GF3)
     assert rep3.reisner == 2 and not rep3.cohen_macaulay
     for field in (GF2, QQ):
@@ -357,3 +378,31 @@ def test_depth_report_fields():
     assert rep.krull_dim == 2
     assert rep.depth == rep.reisner == 2
     assert rep.field == GF3
+
+
+# -- properties on seeded random complexes ----------------------------------------
+
+small_complexes = st.builds(
+    random_complex,
+    st.integers(1, 8),
+    st.integers(0, 3),
+    st.sampled_from([0.2, 0.4, 0.6]),
+    st.integers(0, 10**6),
+)
+three_fields = st.sampled_from([GF2, GF3, QQ])
+
+
+@given(small_complexes, three_fields)
+@settings(max_examples=40, deadline=None)
+def test_cone_adds_one_to_depth(K, field):
+    assert depth(cone(K), field).reisner == depth(K, field).reisner + 1
+
+
+@given(small_complexes, three_fields, st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_engines_invariant_under_relabeling(K, field, seed):
+    perm = list(range(1, K.m + 1))
+    random.Random(seed).shuffle(perm)
+    L = validate([[perm[v - 1] for v in f] for f in K.facets], K.m)
+    for engine in (depth_reisner, depth_topological, depth_ab):
+        assert engine(L, field) == engine(K, field), engine.__name__

@@ -4,21 +4,21 @@ from math import comb
 import pytest
 
 from srdepth import (
-    GF2,
     QQ,
     cycle,
     disjoint_points,
     graded_dim,
     hilbert_series,
+    limits_complex,
     monomial_basis,
     random_complex,
-    restriction_map,
     rp2_minimal,
     simplex,
     validate,
 )
-from srdepth.errors import NotNested, OddDegree
+from srdepth.errors import OddDegree
 from srdepth.face_ring import star_basis
+from srdepth.limits import flag_chains
 
 
 def brute_monomials(K, d):
@@ -97,53 +97,67 @@ def test_hilbert_expansion_matches_graded_dim():
         assert all(exp[d] == 0 for d in range(1, bound + 1, 2))
 
 
+def supported_on_star(K, basis, tau):
+    """The monomials of ``basis`` whose support stays a face of star(tau):
+    what the restriction onto the ring of star(tau) keeps, in order."""
+    return tuple(
+        e for e in basis if K.has_face_mask(tau | sum(1 << (v - 1) for v, x in zip(K.vertices, e) if x))
+    )
+
+
 def test_restriction_identity_when_faces_equal():
-    K = cycle(4)
-    m = restriction_map(K, (1,), (1,), 4, QQ)
-    assert m.rows == m.cols and m.rank() == m.rows
-    assert all(m.entries[i][i] == 1 for i in range(m.rows))
+    # a flag (a, b) gets +identity on the (b) block (deleting a leaves b,
+    # whose star is unchanged) and -restriction from the star of a
+    for K, d in [(cycle(4), 4), (rp2_minimal(), 2)]:
+        (d0, *_) = limits_complex(K, QQ, d)
+        flags = flag_chains(K)
+        offset, cols = {}, 0
+        for (f,) in flags[0]:
+            offset[f] = cols
+            cols += len(star_basis(K, f, d))
+        rows = iter(d0.sparse_rows)
+        for a, b in flags[1]:
+            src = {e: j for j, e in enumerate(star_basis(K, a, d))}
+            for i, e in enumerate(star_basis(K, b, d)):
+                assert next(rows) == {offset[b] + i: 1, offset[a] + src[e]: -1}
+        assert next(rows, None) is None
 
 
 def test_restriction_two_glued_triangles():
     # two triangles sharing vertex 3; restriction to the star of vertex 1
     # kills the generators outside that triangle
     K = validate([[1, 2, 3], [3, 4, 5]], 5)
-    m = restriction_map(K, (), (1,), 2, QQ)
-    assert m.shape == (3, 5)
     src = star_basis(K, 0, 2)
     tgt = star_basis(K, 1, 2)  # mask 1 = vertex 1
     assert len(src) == 5 and len(tgt) == 3
-    killed = [j for j in range(5) if all(m.entries[i][j] == 0 for i in range(3))]
-    killed_vars = {K.vertices[src[j].index(1)] for j in killed}
+    assert tgt == supported_on_star(K, src, 1)
+    killed_vars = {K.vertices[e.index(1)] for e in src if e not in tgt}
     assert killed_vars == {4, 5}
 
 
 def test_restriction_degree_zero_is_one_by_one_identity():
     K = rp2_minimal()
-    m = restriction_map(K, (1,), (1, 2), 0, GF2)
-    assert m.shape == (1, 1) and m.entries[0][0] == 1
-
-
-def test_restriction_requires_nested_faces():
-    with pytest.raises(NotNested):
-        restriction_map(cycle(4), (2,), (1,), 2, QQ)
+    for mask in K.face_masks:
+        assert star_basis(K, mask, 0) == ((0,) * K.m,)
 
 
 def test_restriction_functoriality():
+    # restriction keeps or kills each monomial, so restricting along s <= t
+    # and then t <= u is restricting along s <= u
     for K in [simplex(4), rp2_minimal(), random_complex(6, 2, 0.5, 21)]:
         chains = []
-        faces = list(K.faces())
+        faces = K.face_masks
         for s in faces:
             for t in faces:
-                if set(s) <= set(t) and s != t:
+                if s & t == s and s != t:
                     for u in faces:
-                        if set(t) <= set(u) and t != u:
+                        if t & u == t and t != u:
                             chains.append((s, t, u))
         for s, t, u in chains[:40]:
             for d in (2, 4, 6):
-                direct = restriction_map(K, s, u, d, GF2)
-                composed = restriction_map(K, t, u, d, GF2) @ restriction_map(K, s, t, d, GF2)
-                assert direct == composed, (s, t, u, d)
+                bs, bt, bu = (star_basis(K, f, d) for f in (s, t, u))
+                assert bt == supported_on_star(K, bs, t), (s, t, d)
+                assert bu == supported_on_star(K, bt, u) == supported_on_star(K, bs, u), (s, t, u, d)
 
 
 def test_star_ring_is_polynomial_times_link_ring():

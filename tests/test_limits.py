@@ -26,11 +26,16 @@ from srdepth.cohomology import _cochain_dims, _levels
 from srdepth.complexes import _popcount
 from srdepth.errors import BadParameter
 from srdepth.limits import _nonempty_faces, _star_block, _whole_block, flag_chains
-from srdepth.linalg import cohomology_dims
+from srdepth.linalg import _product_is_zero, cohomology_dims
 
 from oracles import unnormalized_h01
 
 EDGE = validate([[1, 2]], 2)
+
+
+def dense(mat):
+    """The rows of a matrix over Q or GF(p > 2) as tuples."""
+    return tuple(tuple(row.get(j, 0) for j in range(mat.cols)) for row in mat.sparse_rows)
 
 
 def test_flag_enumeration_single_edge():
@@ -49,14 +54,14 @@ def test_single_edge_degree_zero_matrix():
     mats = limits_complex(EDGE, QQ, 0)
     assert [m.shape for m in mats] == [(2, 3)]
     # rows: flags 1 < 12 and 2 < 12; columns: flags (1), (2), (12)
-    assert mats[0].entries == ((-1, 0, 1), (0, -1, 1))
+    assert dense(mats[0]) == ((-1, 0, 1), (0, -1, 1))
     assert mats[0].rank() == 2
     assert cohomology_dims(mats) == [1, 0]
     # degree 2 has real restriction blocks: every star of the edge is the
     # edge, with basis x1, x2 inside each flag's block, rows and columns alike
     (mat,) = limits_complex(EDGE, QQ, 2)
     assert mat.shape == (4, 6)
-    assert mat.entries == (
+    assert dense(mat) == (
         (-1, 0, 0, 0, 1, 0),
         (0, -1, 0, 0, 0, 1),
         (0, 0, -1, 0, 1, 0),
@@ -75,7 +80,7 @@ def test_differentials_compose_to_zero():
         for d in (0, 2, 4):
             mats = limits_complex(K, GF3, d)
             for later, earlier in zip(mats[1:], mats[:-1]):
-                assert (later @ earlier).is_zero()
+                assert _product_is_zero(later, earlier)
 
 
 def test_requires_a_vertex():
@@ -156,7 +161,7 @@ def test_decomposition_full_simplex():
     report = verify_limit_decomposition(simplex(4), QQ, 16)
     assert report.passed
     for i in range(1, 4):
-        assert report.profile.l_is_zero(i)
+        assert report.profile.l_total(i) == 0
 
 
 def test_decomposition_two_points_cokernel():
@@ -405,4 +410,3 @@ def test_profile_l_totals():
     assert profile.l_total(-1) == 0
     assert profile.l_total(0) == 0
     assert profile.l_total(1) == 1
-    assert not profile.l_is_zero(1)

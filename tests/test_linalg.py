@@ -52,12 +52,20 @@ def brute_rank(rows, p=None):
     return 0
 
 
+def zeros(field, rows, cols):
+    return ExactMatrix(field, [], shape=(rows, cols))
+
+
+def identity(field, n):
+    return ExactMatrix(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
 # -- field spec -------------------------------------------------------------------
 
 
 def test_fieldspec_parse():
     assert FieldSpec.parse("q") == QQ
-    assert FieldSpec.parse("p=7") == FieldSpec.prime(7)
+    assert FieldSpec.parse("p=7") == FieldSpec(7)
     with pytest.raises(BadParameter):
         FieldSpec.parse("p=6")
     with pytest.raises(BadParameter):
@@ -67,10 +75,10 @@ def test_fieldspec_parse():
 
 def test_fieldspec_rejects_nonprime():
     with pytest.raises(BadParameter):
-        FieldSpec.prime(1)
+        FieldSpec(1)
     with pytest.raises(BadParameter):
-        FieldSpec.prime(2**31 + 11)
-    assert FieldSpec.prime(2147483647).characteristic == 2147483647
+        FieldSpec(2**31 + 11)
+    assert FieldSpec(2147483647).p == 2147483647
     for bad in (2.0, True, "3", Fraction(5)):
         with pytest.raises(BadParameter):
             FieldSpec(bad)
@@ -81,7 +89,7 @@ def test_fieldspec_rejects_nonprime():
 
 def test_rank_identity():
     for field in (QQ, GF2, GF5):
-        assert ExactMatrix.identity(field, 3).rank() == 3
+        assert identity(field, 3).rank() == 3
 
 
 def test_rank_proportional_rows():
@@ -99,21 +107,27 @@ def test_rank_reduction_changes_rank():
 
 
 def test_kernel_cokernel_examples():
-    assert ExactMatrix.zeros(QQ, 2, 3).kernel_dim() == 3
-    eye = ExactMatrix.identity(GF3, 4)
-    assert eye.kernel_dim() == 0 and eye.cokernel_dim() == 0
+    assert zeros(QQ, 2, 3).kernel_dim() == 3
+    eye = identity(GF3, 4)
+    assert eye.kernel_dim() == 0 and eye.rows - eye.rank() == 0
     assert ExactMatrix(GF2, [[1, 1]]).kernel_dim() == 1
 
 
 def test_fraction_entries():
-    a = ExactMatrix(QQ, [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]])
-    assert a.rank() == 1
+    # every matrix the program builds has int entries; anything else is
+    # refused, zero values and dict rows included, never coerced
+    for field in (QQ, GF2, GF3):
+        for bad in (Fraction(1, 2), Fraction(0), 0.5, 0.0, True):
+            with pytest.raises(BadParameter):
+                ExactMatrix(field, [[1, bad]])
+            with pytest.raises(BadParameter):
+                ExactMatrix(field, [{1: bad}], shape=(1, 2))
 
 
 def test_empty_shapes():
-    assert ExactMatrix.zeros(QQ, 0, 5).rank() == 0
-    assert ExactMatrix.zeros(GF2, 5, 0).rank() == 0
-    assert ExactMatrix.zeros(GF3, 2, 3).shape == (2, 3)
+    assert zeros(QQ, 0, 5).rank() == 0
+    assert zeros(GF2, 5, 0).rank() == 0
+    assert zeros(GF3, 2, 3).shape == (2, 3)
     with pytest.raises(BadParameter):
         ExactMatrix(QQ, [{0: 1}, {3: 1}], shape=(2, 3))  # column >= cols
     with pytest.raises(BadParameter):
@@ -121,8 +135,6 @@ def test_empty_shapes():
     for shape in ((-1, 2), (2, -1), (1.5, 2)):
         with pytest.raises(BadParameter):
             ExactMatrix(QQ, [], shape=shape)
-    with pytest.raises(BadParameter):
-        ExactMatrix.zeros(GF3, -1, 0)
 
 
 def test_big_entries_go_through_object_path():
@@ -154,21 +166,21 @@ def test_rank_matches_brute_force_over_q(rows):
 @given(int_matrix(), st.sampled_from([2, 3, 5]))
 @settings(max_examples=80, deadline=None)
 def test_rank_matches_brute_force_mod_p(rows, p):
-    assert ExactMatrix(FieldSpec.prime(p), rows).rank() == brute_rank(rows, p)
+    assert ExactMatrix(FieldSpec(p), rows).rank() == brute_rank(rows, p)
 
 
 @given(int_matrix(max_dim=5))
 @settings(max_examples=60, deadline=None)
 def test_rank_equals_transpose_rank(rows):
     for field in (QQ, GF2, GF5):
-        a = ExactMatrix(field, rows)
-        assert a.rank() == a.transpose().rank()
+        transposed = [list(col) for col in zip(*rows)]
+        assert ExactMatrix(field, rows).rank() == ExactMatrix(field, transposed).rank()
 
 
 @given(int_matrix(max_dim=5), st.sampled_from([2, 3, 5]))
 @settings(max_examples=60, deadline=None)
 def test_rank_over_q_at_least_rank_mod_p(rows, p):
-    assert ExactMatrix(QQ, rows).rank() >= ExactMatrix(FieldSpec.prime(p), rows).rank()
+    assert ExactMatrix(QQ, rows).rank() >= ExactMatrix(FieldSpec(p), rows).rank()
 
 
 @given(int_matrix())
@@ -182,13 +194,13 @@ def test_rank_plus_kernel_is_cols(rows):
 
 
 def test_cohomology_zero_differentials():
-    d0 = ExactMatrix.zeros(QQ, 3, 2)
-    d1 = ExactMatrix.zeros(QQ, 1, 3)
+    d0 = zeros(QQ, 3, 2)
+    d1 = zeros(QQ, 1, 3)
     assert cohomology_dims([d0, d1]) == [2, 3, 1]
 
 
 def test_cohomology_identity_complex():
-    assert cohomology_dims([ExactMatrix.identity(GF2, 1)]) == [0, 0]
+    assert cohomology_dims([identity(GF2, 1)]) == [0, 0]
 
 
 def test_cohomology_three_cycle_reduced():
@@ -211,14 +223,8 @@ def test_cohomology_rejects_non_complex():
 def test_cohomology_basis_permutation_invariance():
     d0 = ExactMatrix(GF2, [[1, 1, 0], [0, 1, 1]])
     d0_perm = ExactMatrix(GF2, [[0, 1, 1], [1, 1, 0]])
-    z = ExactMatrix.zeros(GF2, 0, 2)
+    z = zeros(GF2, 0, 2)
     assert cohomology_dims([d0, z]) == cohomology_dims([d0_perm, z])
-
-
-def test_matmul_exact():
-    a = ExactMatrix(QQ, [[1, 2], [3, 4]])
-    b = ExactMatrix(QQ, [[0, 1], [1, 0]])
-    assert (a @ b).entries == ((2, 1), (4, 3))
 
 
 # -- sparse kernels against the dense references ------------------------------------
@@ -274,14 +280,14 @@ def test_sparse_ranks_match_brute_force(rows):
     assert sparse_rank(kernel_rows(rows, None), None) == expected_q
     assert rank_bareiss(rows) == expected_q
     assert ExactMatrix(QQ, rows).rank() == expected_q
-    assert ExactMatrix(QQ, dict_rows, shape=shape) == ExactMatrix(QQ, rows)
+    assert ExactMatrix(QQ, dict_rows, shape=shape).sparse_rows == ExactMatrix(QQ, rows).sparse_rows
     assert ExactMatrix(QQ, dict_rows, shape=shape).rank() == expected_q
     for p in (2, 3, 2147483647):
-        field = FieldSpec.prime(p)
+        field = FieldSpec(p)
         expected = brute_rank(rows, p)
         assert sparse_rank(kernel_rows(rows, p), p) == expected
         assert ExactMatrix(field, rows).rank() == expected
-        assert ExactMatrix(field, dict_rows, shape=shape) == ExactMatrix(field, rows)
+        assert ExactMatrix(field, dict_rows, shape=shape).sparse_rows == ExactMatrix(field, rows).sparse_rows
         assert ExactMatrix(field, dict_rows, shape=shape).rank() == expected
 
 
@@ -291,21 +297,6 @@ def test_sparse_ranks_match_dense_elimination(rows):
     assert sparse_rank(kernel_rows(rows, None), None) == rank_bareiss(rows)
     for p in (2, 5, 2147483647):
         assert sparse_rank(kernel_rows(rows, p), p) == dense_rank_mod_p(rows, p)
-
-
-fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
-
-
-@given(st.integers(1, 4), st.integers(1, 4), st.data())
-@settings(max_examples=60, deadline=None)
-def test_fraction_ranks_match_brute_force(r, c, data):
-    rows = [[data.draw(fractions) for _ in range(c)] for _ in range(r)]
-    assert ExactMatrix(QQ, rows).rank() == brute_rank(rows)
-    assert ExactMatrix(QQ, rows).transpose().rank() == brute_rank(rows)
-    # denominators 1..5 are units mod 7
-    assert ExactMatrix(FieldSpec.prime(7), rows).rank() == brute_rank(rows, 7)
-    scaled = [[int(x * 60) for x in row] for row in rows]
-    assert rank_bareiss(scaled) == brute_rank(rows)
 
 
 def test_d_squared_check_depends_on_the_field():
