@@ -183,43 +183,27 @@ def cmd_verify(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest_entries = []
+    # every complex is built before OUT is made, so bad arguments leave no trace
     if args.kind == "named":
-        for name, K in corpus_mod.named_corpus():
-            path = out / f"{name}.facets"
-            path.write_text(to_facet_text(K), encoding="utf-8")
-            manifest_entries.append({
-                "name": name,
-                "file": path.name,
-                "m": K.m,
-                "dim": K.dim,
-            })
-        manifest = {"kind": "named", "entries": manifest_entries}
+        entries = [(name, None, K) for name, K in corpus_mod.named_corpus()]
+        manifest = {"kind": "named"}
     else:
         entries = corpus_mod.random_corpus(args.count, args.seed, args.m)
-        for name, params, K in entries:
-            path = out / f"{name}.facets"
-            path.write_text(to_facet_text(K), encoding="utf-8")
-            manifest_entries.append({
-                "name": name,
-                "file": path.name,
-                "params": params,
-                "m": K.m,
-                "dim": K.dim,
-            })
-        manifest = {
-            "kind": "random",
-            "seed": args.seed,
-            "count": args.count,
-            "max_m": args.m,
-            "entries": manifest_entries,
-        }
+        manifest = {"kind": "random", "seed": args.seed, "count": args.count, "max_m": args.m}
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest["entries"] = []
+    for name, params, K in entries:
+        path = out / f"{name}.facets"
+        path.write_text(to_facet_text(K), encoding="utf-8")
+        entry = {"name": name, "file": path.name, "m": K.m, "dim": K.dim}
+        if params is not None:
+            entry["params"] = params
+        manifest["entries"].append(entry)
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    print(f"wrote {len(manifest_entries)} complexes to {out}")
+    print(f"wrote {len(entries)} complexes to {out}")
     return EXIT_OK
 
 

@@ -1,10 +1,15 @@
 """Finite abstract simplicial complexes and face-level combinatorics.
 
-A complex is stored by its full face index (bitmasks over vertex labels,
-bit v-1 for label v) plus the inclusion-maximal facets.  The empty set is a
-face of every represented complex; the minimal complex is ``{-}`` consisting
-of the empty face alone (no vertices).  The void complex (no faces at all)
-is not representable.
+A complex is stored as its face list alone: bitmasks over vertex labels
+(bit v-1 for label v) in canonical (cardinality, lex) order.  Facets are the
+input syntax; the inclusion-maximal faces are recomputed from the face list
+when asked for.  The empty set is a face of every represented complex; the
+minimal complex is ``{-}`` consisting of the empty face alone (no vertices).
+The void complex (no faces at all) is not representable.
+
+Building from generators enumerates every subset of every distinct
+generator, so the count ``sum 2^|F|`` is checked against ``2**FACE_BOUND``
+before any face is built.
 
 Vertex labels of a complex built by :func:`validate` are exactly ``1..m``.
 Subcomplex constructors (star, link, induced, contrastar) keep the ambient
@@ -18,6 +23,7 @@ import json
 import random
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -26,11 +32,15 @@ from .errors import (
     EmptyInput,
     FaceNotInComplex,
     RepeatedVertex,
+    TooLarge,
     UnusedVertex,
     VertexOutOfRange,
 )
 
 Face = tuple[int, ...]
+
+FACE_BOUND = 18  # log2 of the most generator subsets one complex may enumerate
+RANDOM_SUBSET_BOUND = 20  # log2 of the most candidate facets random_complex may draw
 
 
 def _mask_of(vertices: Iterable[int]) -> int:
@@ -57,32 +67,27 @@ _popcount = int.bit_count
 class SimplicialComplex:
     """Immutable simplicial complex with an eagerly materialized face index."""
 
-    __slots__ = ("_vmask", "_facets", "_faces", "_face_set", "_hash")
+    __slots__ = ("_vmask", "_faces", "_face_set", "_hash")
 
-    def __init__(self, facet_masks: Iterable[int], _closed_faces=None):
-        """Complex generated by ``facet_masks``.  The subcomplex constructors
-        pass ``_closed_faces``, a face list of another complex filtered in
-        canonical order, with ``facet_masks`` its maximal faces in the same
-        order; both are then taken as they are."""
-        if _closed_faces is None:
-            facets = set(facet_masks)
-            facets = {f for f in facets if not any(f != g and f & g == f for g in facets)}
-            if not facets:
-                facets = {0}
-            faces = set()
-            for f in facets:
-                vs = _verts_of(f)
-                for k in range(len(vs) + 1):
-                    for c in combinations(vs, k):
-                        faces.add(_mask_of(c))
-            key = lambda m: (_popcount(m), _verts_of(m))
-            self._facets = tuple(sorted(facets, key=key))
-            self._faces = tuple(sorted(faces, key=key))
-        else:
-            self._facets = tuple(facet_masks)
-            self._faces = tuple(_closed_faces)
+    def __init__(self, masks: Iterable[int], _closed: bool = False):
+        """Complex generated by ``masks``: their subsets are its faces.  The
+        subcomplex constructors pass ``_closed=True`` with a face list of
+        another complex filtered in canonical order, taken as it is."""
+        if not _closed:
+            generators = set(masks) or {0}
+            count = sum(1 << _popcount(g) for g in generators)
+            if count > 2**FACE_BOUND:
+                raise TooLarge(f"the facets have {count} subsets; more than 2^{FACE_BOUND}")
+            faces = {0}
+            for g in generators:
+                sub = g
+                while sub:
+                    faces.add(sub)
+                    sub = (sub - 1) & g
+            masks = sorted(faces, key=lambda m: (_popcount(m), _verts_of(m)))
+        self._faces = tuple(masks)
         self._vmask = 0
-        for f in self._facets:
+        for f in self._faces:
             self._vmask |= f
         self._face_set = frozenset(self._faces)
         self._hash = hash(self._faces)
@@ -111,7 +116,7 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        return _popcount(self._facets[-1]) - 1
+        return _popcount(self._faces[-1]) - 1
 
     @property
     def krull_dim(self) -> int:
@@ -119,11 +124,12 @@ class SimplicialComplex:
 
     @property
     def facets(self) -> tuple[Face, ...]:
-        return tuple(_verts_of(f) for f in self._facets)
+        return tuple(_verts_of(f) for f in self.facet_masks)
 
     @property
     def facet_masks(self) -> tuple[int, ...]:
-        return self._facets
+        """The inclusion-maximal faces, in canonical order."""
+        return tuple(_maximal(self._faces))
 
     @property
     def face_masks(self) -> tuple[int, ...]:
@@ -228,27 +234,26 @@ def _maximal(faces: Sequence[int]) -> list[int]:
 
 @lru_cache(maxsize=200_000)
 def _star(K: "SimplicialComplex", s: int) -> "SimplicialComplex":
-    kept = [f for f in K._faces if (f | s) in K._face_set]
-    return SimplicialComplex(_maximal(kept), _closed_faces=kept)
+    return SimplicialComplex([f for f in K._faces if (f | s) in K._face_set], _closed=True)
 
 
 @lru_cache(maxsize=200_000)
 def _link(K: "SimplicialComplex", s: int) -> "SimplicialComplex":
-    kept = [f for f in K._faces if f & s == 0 and (f | s) in K._face_set]
-    return SimplicialComplex(_maximal(kept), _closed_faces=kept)
+    # tau -> sigma | tau is a bijection onto the faces containing sigma, and
+    # dropping sigma keeps the canonical order: two equal-size faces compare
+    # by the least vertex of their symmetric difference, which sigma misses
+    return SimplicialComplex([f ^ s for f in K._faces if f & s == s], _closed=True)
 
 
 @lru_cache(maxsize=200_000)
 def _induced(K: "SimplicialComplex", w: int) -> "SimplicialComplex":
-    kept = [f for f in K._faces if f & ~w == 0]
-    return SimplicialComplex(_maximal(kept), _closed_faces=kept)
+    return SimplicialComplex([f for f in K._faces if f & ~w == 0], _closed=True)
 
 
 def _contrastar(K: "SimplicialComplex", s: int) -> "SimplicialComplex":
     if not s:
         raise EmptyFace("the contrastar of the empty face has no faces")
-    kept = [f for f in K._faces if f & s != s]
-    return SimplicialComplex(_maximal(kept), _closed_faces=kept)
+    return SimplicialComplex([f for f in K._faces if f & s != s], _closed=True)
 
 
 # -- validated construction ---------------------------------------------------
@@ -257,10 +262,11 @@ def _contrastar(K: "SimplicialComplex", s: int) -> "SimplicialComplex":
 def validate(raw_facets: Sequence[Sequence[int]], m: int) -> SimplicialComplex:
     """Canonicalize raw facet input into a complex on vertex set {1..m}.
 
-    Deduplicates and drops contained facets, builds the full face index, and
-    rejects declared vertices that occur in no facet and non-integer
-    (including boolean) m or vertices.  The complex {-} is
-    declared via m=0, facets=[[]]; an empty facet list is invalid input.
+    Builds the face list generated by the facets, so repeated and contained
+    facets leave no trace, and rejects declared vertices that occur in no
+    facet and non-integer (including boolean) m or vertices.  The complex
+    {-} is declared via m=0, facets=[[]]; an empty facet list is invalid
+    input.  The face-count bound of :class:`SimplicialComplex` applies.
     Every label 1..m must occur, so m is checked against the number of
     distinct labels before any bitmask is built: a huge declared m costs
     time linear in the input, not in m.
@@ -360,7 +366,9 @@ def random_complex(m: int, d: int, density: float, seed: int) -> SimplicialCompl
 
     Each (d+1)-subset of {1..m} is kept as a facet with probability
     ``density``; uncovered vertices are added as isolated points so the
-    result is canonical.  Deterministic for a fixed seed.
+    result is canonical.  Deterministic for a fixed seed.  More than
+    ``2**RANDOM_SUBSET_BOUND`` candidate subsets raise ``TooLarge`` before
+    any draw.
     """
     if m < 1:
         raise BadParameter("m must be >= 1")
@@ -368,6 +376,12 @@ def random_complex(m: int, d: int, density: float, seed: int) -> SimplicialCompl
         raise BadParameter("d must be >= 0")
     if not 0.0 <= density <= 1.0:
         raise BadParameter("density must be in [0, 1]")
+    candidates = comb(m, d + 1)
+    if candidates > 2**RANDOM_SUBSET_BOUND:
+        raise TooLarge(
+            f"random_complex draws from C({m}, {d + 1}) = {candidates} subsets; "
+            f"more than 2^{RANDOM_SUBSET_BOUND}"
+        )
     rng = random.Random(seed)
     facets = [
         _mask_of(c)

@@ -113,6 +113,16 @@ def test_unused_vertex_exits_2(capsys, tmp_path):
         assert code == 2 and out == "" and err.startswith("error: ") and len(err) < 200
 
 
+def test_huge_facet_exits_2_before_building_faces(capsys, tmp_path):
+    # one facet of 20 vertices would build 2^20 faces
+    path = tmp_path / "simplex_20.facets"
+    path.write_text(" ".join(str(v) for v in range(1, 21)) + "\n", encoding="utf-8")
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "depth", str(path))
+    assert time.process_time() - start < 0.5
+    assert code == 2 and out == "" and err.startswith("error: ") and "1048576" in err
+
+
 def test_bad_field_exits_2(capsys, rp2_file):
     code, _, _ = run_cli(capsys, "depth", rp2_file, "--field", "p=4")
     assert code == 2
@@ -157,6 +167,7 @@ def test_corpus_random_bad_arguments_exit_2(capsys, tmp_path):
         code, out, err = run_cli(capsys, "corpus", "random", str(tmp_path / "out"), *args)
         assert code == 2, args
         assert out == "" and err.startswith("error: ")
+        assert not (tmp_path / "out").exists(), args
 
 
 def test_corpus_random_seed_changes_bytes(capsys, tmp_path):

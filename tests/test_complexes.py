@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,12 +26,17 @@ from srdepth import (
     to_json_obj,
     validate,
 )
+from srdepth import complexes as complexes_module
 from srdepth.complexes import complex_from_json
-from srdepth.errors import BadParameter, EmptyFace, InputError
+from srdepth.errors import BadParameter, EmptyFace, InputError, TooLarge
 
 
 def faces_set(K):
     return set(K.faces())
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("work started before the size check")
 
 
 def test_validate_dedups_and_closes():
@@ -226,6 +233,23 @@ def test_random_complex_bad_parameters():
         random_complex(5, 2, 1.5, 1)
 
 
+def test_random_complex_too_many_subsets_fails_before_any_draw(monkeypatch):
+    # C(72, 4) = 1,028,790 candidates are drawn; C(73, 4) = 1,088,430 > 2^20
+    assert random_complex(72, 3, 0.0, 1).m == 72
+    monkeypatch.setattr(complexes_module.random, "Random", refuse)
+    with pytest.raises(TooLarge, match="1088430"):
+        random_complex(73, 3, 0.5, 1)
+
+
+def test_face_index_bound_counts_subsets_of_distinct_generators():
+    # 2^18 subsets build; one more vertex beside them is refused at once
+    assert SimplicialComplex([(1 << 18) - 1, (1 << 18) - 1]).f_vector[18] == 1
+    start = time.process_time()
+    with pytest.raises(TooLarge, match="262146"):
+        SimplicialComplex([(1 << 18) - 1, 1 << 18])
+    assert time.process_time() - start < 0.5
+
+
 @given(
     st.lists(
         st.lists(st.integers(1, 6), min_size=1, max_size=4),
@@ -291,6 +315,10 @@ def test_invariants_after_every_constructor():
         derived.append(K.induced(K.vertices[: max(K.m - 1, 0)]))
     for K in built + derived:
         _assert_canonical(K)
+        # the facets generate the same face list, in the same canonical order
+        rebuilt = SimplicialComplex(K.facet_masks)
+        assert rebuilt.face_masks == K.face_masks
+        assert (rebuilt.dim, rebuilt.vertices) == (K.dim, K.vertices)
 
 
 def test_text_roundtrip():
@@ -355,6 +383,11 @@ def test_maximal_matches_quadratic_definition_on_named_subcomplexes():
                 subs.append(K.contrastar_by_mask(mask))
         for k in range(K.m + 1):
             subs += [K.induced(w) for w in combinations(K.vertices, k)]
+        face_set = set(K.face_masks)
+        for mask in K.face_masks:
+            # the link as it was first defined: disjoint faces whose union is a face
+            expected = [f for f in K.face_masks if f & mask == 0 and f | mask in face_set]
+            assert list(K.link_by_mask(mask).face_masks) == expected, name
         for sub in subs:
             expected = quadratic_maximal(sub.face_masks)
             assert _maximal(sub.face_masks) == expected, name
