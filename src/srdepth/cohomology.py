@@ -5,6 +5,13 @@ every matrix is reproducible bit for bit.  The augmented cochain complex
 includes the empty face in degree -1; H^{-1} is one-dimensional exactly for
 the complex {-}.
 
+Each coboundary is assembled with one row per lower face and handed,
+degree by degree, to the cochain kernel of ``linalg``, which checks
+d^2 = 0, clears the rows named by the previous degree's pivots and ranks
+the rest.  ``reduced_cohomology`` and ``_relative_dims`` take an optional
+``until``: they then stop at the lowest nonzero degree or at ``until``,
+build no higher coboundary, and list only the degrees they computed.
+
 Local cohomology at an inner point of a nonempty face sigma is *defined*
 through the degree shift by the link and *verified* against the independent
 relative computation for the pair (K, contrastar sigma), whose cochains
@@ -20,7 +27,7 @@ from typing import Mapping
 
 from .complexes import SimplicialComplex, _popcount
 from .errors import EmptyFace, NotASubcomplex
-from .linalg import ExactMatrix, FieldSpec, cohomology_dims
+from .linalg import ExactMatrix, FieldSpec, _cohomology
 
 
 def _levels(masks, top: int) -> list[list[int]]:
@@ -33,49 +40,49 @@ def _levels(masks, top: int) -> list[list[int]]:
 
 def _coboundary_rows(lower: list[int], upper: list[int], p) -> list:
     """Sparse rows of the coboundary from the faces ``lower`` to the faces
-    ``upper``, one row per upper face; faces missing from ``lower`` (the
-    subcomplex of a pair) get no column.  The entry at tau minus its k-th
-    vertex is (-1)^k, in the kernel row form of ``ExactMatrix``."""
-    index = {f: j for j, f in enumerate(lower)}.get
-    rows = []
+    ``upper``, one row per lower face: the row of sigma has (-1)^k at each
+    tau in ``upper`` whose k-th vertex completes sigma to tau.  A face of
+    ``upper`` with a facet missing from ``lower`` (the subcomplex of a pair)
+    gets no entry from it.  Rows are in the kernel form of ``ExactMatrix``."""
+    index = {f: i for i, f in enumerate(lower)}.get
     if p == 2:
-        for tau in upper:
-            row = 0
+        rows = [0] * len(lower)
+        for j, tau in enumerate(upper):
+            bit = 1 << j
             m = tau
             while m:
                 b = m & -m
                 m ^= b
-                j = index(tau ^ b)
-                if j is not None:
-                    row |= 1 << j
-            rows.append(row)
+                i = index(tau ^ b)
+                if i is not None:
+                    rows[i] |= bit
         return rows
     minus = -1 if p is None else p - 1
-    for tau in upper:
-        row = {}
+    rows = [{} for _ in lower]
+    for j, tau in enumerate(upper):
         sign = 1
         m = tau
         while m:
             b = m & -m
             m ^= b
-            j = index(tau ^ b)
-            if j is not None:
-                row[j] = sign
+            i = index(tau ^ b)
+            if i is not None:
+                rows[i][j] = sign
             sign = minus if sign == 1 else 1
-        rows.append(row)
     return rows
 
 
-def _cochain_dims(levels: list[list[int]], field: FieldSpec) -> list[int]:
+def _cochain_dims(
+    levels: list[list[int]], field: FieldSpec, until: int | None = None
+) -> list[int]:
     """Cohomology dimensions of the cochain complex with bases ``levels``
-    (consecutive cardinalities) and the simplicial coboundary."""
-    if len(levels) == 1:
-        return [len(levels[0])]
-    mats = [
-        ExactMatrix.from_sparse(field, _coboundary_rows(lower, upper, field.p), len(lower))
-        for lower, upper in zip(levels, levels[1:])
-    ]
-    return cohomology_dims(mats)
+    (consecutive cardinalities) and the simplicial coboundary; with
+    ``until``, the prefix through the first nonzero one or index ``until``."""
+    mats = (
+        ExactMatrix.from_sparse(field, _coboundary_rows(lower, upper, field.p), len(upper))
+        for lower, upper in zip(levels, levels[1:] + [[]])
+    )
+    return _cohomology(mats, until)
 
 
 @dataclass
@@ -94,11 +101,14 @@ class CohomologyProfile:
 
 
 @lru_cache(maxsize=200_000)
-def reduced_cohomology(K: SimplicialComplex, field: FieldSpec) -> CohomologyProfile:
-    """Reduced cohomology of K via the augmented simplicial cochain complex."""
-    if K.is_irrelevant:
-        return CohomologyProfile(field, {-1: 1})
-    dims = _cochain_dims(_levels(K.face_masks, K.dim + 1), field)
+def reduced_cohomology(
+    K: SimplicialComplex, field: FieldSpec, until: int | None = None
+) -> CohomologyProfile:
+    """Reduced cohomology of K via the augmented simplicial cochain complex.
+    With ``until``, only degrees -1 through the lowest nonzero one or
+    ``until``, whichever comes first, are computed and listed."""
+    stop = None if until is None else until + 1
+    dims = _cochain_dims(_levels(K.face_masks, K.dim + 1), field, stop)
     return CohomologyProfile(field, {i - 1: h for i, h in enumerate(dims)})
 
 
@@ -110,13 +120,14 @@ def relative_cohomology(K: SimplicialComplex, L: SimplicialComplex, field: Field
     return _relative_dims(K, [f for f in K.face_masks if not L.has_face_mask(f)], field)
 
 
-def _relative_dims(K: SimplicialComplex, rel: list[int], field: FieldSpec) -> dict[int, int]:
+def _relative_dims(
+    K: SimplicialComplex, rel: list[int], field: FieldSpec, until: int | None = None
+) -> dict[int, int]:
     """Cohomology in degrees 0..dim K of the cochains on the faces ``rel``
-    of K (listed in K's order, closed upward in K), with K's coboundary."""
-    out = {i: 0 for i in range(max(K.dim, 0) + 1)}
-    if rel:
-        out.update(enumerate(_cochain_dims(_levels(rel, K.dim + 1)[1:], field)))
-    return out
+    of K (listed in K's order, closed upward in K), with K's coboundary;
+    with ``until``, only through the lowest nonzero degree or ``until``."""
+    levels = _levels(rel, max(K.dim, 0) + 1)[1:]
+    return dict(enumerate(_cochain_dims(levels, field, until)))
 
 
 def local_cohomology(K: SimplicialComplex, sigma, field: FieldSpec) -> dict[int, int]:

@@ -18,12 +18,18 @@ verification harnesses for the structural identities they are built on.
   checked up front against ``2**HOCHSTER_VERTEX_BOUND``.  The engine reads
   induced subcomplexes only, never links or face filters.
 
+Each engine only needs the lowest nonvanishing degree below a bound, and
+asks for no more: the link and face-filter walks cap every cohomology call
+at the degree that could still lower their own running bound, and the
+Hochster walk at the degree that could still raise pd (j - 2 - pd at size
+j).  The cochain kernel then stops there.  No engine reads another's bound.
+
 The three must agree (the equivalence is a theorem); disagreement raises
 ``EngineDisagreement`` as a bug signal, never as a legitimate outcome.
-``link_condition`` and ``local_condition`` (depth >= r) read the same
-per-face bounds as the first two engines.  Those per-face walks visit one
-face per pair sigma <= tau, sum of f_k 2^k; that count is checked up front
-against ``2**FACE_PAIR_BOUND``.
+``link_condition`` and ``local_condition`` (depth >= r) run the same walks
+as the first two engines, capped at r, and hold when no face falls below
+it.  Those per-face walks visit at most one face per pair sigma <= tau, sum
+of f_k 2^k; that count is checked up front against ``2**FACE_PAIR_BOUND``.
 
 Depth is always computed through these criteria, never by searching for
 explicit regular sequences: over small finite fields low-degree regular
@@ -63,47 +69,62 @@ def _check_face_pairs(K: SimplicialComplex) -> None:
 # -- engine 1: link criterion ---------------------------------------------------
 
 
-def _link_bounds(K: SimplicialComplex, field: FieldSpec):
-    """c + card(sigma) + 1 for each face sigma whose link has reduced
-    cohomology in lowest degree c."""
+def _link_bounds(K: SimplicialComplex, field: FieldSpec, cap: int):
+    """The falling bounds c + card(sigma) + 1 below ``cap``, for the faces
+    sigma whose link has reduced cohomology in lowest degree c.  The running
+    bound caps the walk: a link is computed only through the degree that
+    could still lower it, and as c >= -1 and the faces come by cardinality,
+    the walk ends at the first face with card(sigma) >= the bound."""
     _check_face_pairs(K)
     for mask in K.face_masks:
-        c = reduced_cohomology(K.link_by_mask(mask), field).first_nonzero()
+        s = _popcount(mask)
+        if s >= cap:
+            return
+        c = reduced_cohomology(K.link_by_mask(mask), field, cap - s - 2).first_nonzero()
         if c is not None:
-            yield c + _popcount(mask) + 1
+            cap = c + s + 1
+            yield cap
 
 
 @lru_cache(maxsize=200_000)
 def depth_reisner(K: SimplicialComplex, field: FieldSpec) -> int:
     """Largest r in [0, dim K + 1] such that for every face sigma the link
     has vanishing reduced cohomology in degrees <= r - card(sigma) - 2."""
-    return max(min([K.krull_dim, *_link_bounds(K, field)]), 0)
+    return max(min([K.krull_dim, *_link_bounds(K, field, K.krull_dim)]), 0)
 
 
 def link_condition(K: SimplicialComplex, field: FieldSpec, r: int) -> bool:
     """Condition (links): reduced link cohomology vanishes through degree
     r - card - 2 at every face."""
-    return all(b >= r for b in _link_bounds(K, field))
+    return next(_link_bounds(K, field, r), None) is None
 
 
 # -- engine 2: topological criterion via relative pairs -------------------------
 
 
-def _point_bounds(K: SimplicialComplex, field: FieldSpec):
-    """c + 1 for the lowest nonvanishing degree c of ~H*(K) and of
-    H*(K, contrastar sigma) for each nonempty sigma, whose relative
-    cochains are the faces containing sigma."""
+def _point_bounds(K: SimplicialComplex, field: FieldSpec, cap: int):
+    """The falling bounds c + 1 below ``cap``, for the lowest nonvanishing
+    degree c of ~H*(K) and of H*(K, contrastar sigma) for each nonempty
+    sigma, whose relative cochains are the faces containing sigma.  Each
+    group is computed only through degree (running bound) - 2.  Those
+    cochains start in degree card(sigma) - 1, so, as the faces come by
+    cardinality, the walk ends at the first sigma with card(sigma) >= the
+    bound."""
     _check_face_pairs(K)
-    c = reduced_cohomology(K, field).first_nonzero()
+    c = reduced_cohomology(K, field, cap - 2).first_nonzero()
     if c is not None:
-        yield c + 1
+        cap = c + 1
+        yield cap
     for mask in K.face_masks:
         if not mask:
             continue
-        rel = _relative_dims(K, [f for f in K.face_masks if f & mask == mask], field)
+        if _popcount(mask) >= cap:
+            return
+        rel = _relative_dims(K, [f for f in K.face_masks if f & mask == mask], field, cap - 2)
         c = next((i for i, h in rel.items() if h), None)
         if c is not None:
-            yield c + 1
+            cap = c + 1
+            yield cap
 
 
 @lru_cache(maxsize=200_000)
@@ -111,13 +132,13 @@ def depth_topological(K: SimplicialComplex, field: FieldSpec) -> int:
     """Largest r in [0, dim K + 1] such that reduced cohomology of K and the
     relative cohomology of (K, contrastar sigma) for every nonempty sigma
     vanish in degrees <= r - 2."""
-    return max(min([K.krull_dim, *_point_bounds(K, field)]), 0)
+    return max(min([K.krull_dim, *_point_bounds(K, field, K.krull_dim)]), 0)
 
 
 def local_condition(K: SimplicialComplex, field: FieldSpec, r: int) -> bool:
     """Condition (points): reduced cohomology of K and all relative-pair
     local cohomology vanish through degree r - 2."""
-    return all(b >= r for b in _point_bounds(K, field))
+    return next(_point_bounds(K, field, r), None) is None
 
 
 # -- engine 3: Betti table and the Auslander-Buchsbaum count --------------------
@@ -184,8 +205,9 @@ def depth_ab(K: SimplicialComplex, field: FieldSpec) -> int:
         for subset in combinations(verts, j):
             if K.has_face(subset):  # K_W is a simplex: acyclic
                 continue
-            c = reduced_cohomology(K.induced(subset), field).first_nonzero()
-            if c is not None and j - c - 1 > pd:
+            # only a degree c <= j - 2 - pd can raise pd
+            c = reduced_cohomology(K.induced(subset), field, j - 2 - pd).first_nonzero()
+            if c is not None:
                 pd = j - c - 1
                 if pd == j - 1:
                     break

@@ -3,10 +3,10 @@
 Everything is exact and pure Python.  Every matrix the program builds has
 int entries (coboundaries, star-functor differentials, the comparison map),
 so ``ExactMatrix`` takes ints only.  The matrices met here are mostly
-coboundary matrices of small complexes, whose rows hold at most dim+1
-nonzeros, so the kernels work on sparse rows.  Each incoming row is reduced
-against a table of pivot rows keyed by their leading column until it either
-vanishes or becomes a new pivot:
+coboundary matrices of small complexes, with a few nonzeros per row, so the
+kernels work on sparse rows.  Each incoming row is reduced against a table
+of pivot rows keyed by their leading column until it either vanishes or
+becomes a new pivot, and a kernel returns those leading columns:
 
 * GF(2): a row is an int bitset (bit j for column j); the pivot table is an
   XOR basis keyed by the top bit.
@@ -19,8 +19,15 @@ The rank does not depend on the pivot order, so every result equals that of
 dense Gaussian elimination.  ``ExactMatrix`` holds its rows in the same
 sparse form, whether it was built from dense rows, from dict rows
 {column: int} that list only the entries that may be nonzero, or from rows
-already in kernel form (``ExactMatrix.from_sparse``); ``cohomology_dims``
-checks d_{n+1} d_n = 0 by sparse composition before taking ranks.
+already in kernel form (``ExactMatrix.from_sparse``); ``rank`` keeps the
+leading columns.
+
+One cochain kernel, ``_cohomology``, serves every cohomology computation.
+It takes the differentials lazily with one row per basis vector of the
+source, goes up the degrees, checks d_n d_{n-1} = 0 by sparse composition,
+drops the rows of d_n named by the leading columns of d_{n-1} (clearing),
+and can stop at the first nonzero degree.  ``cohomology_dims`` is its public
+form for matrices in the usual (target rows) shape: it transposes them.
 """
 
 from __future__ import annotations
@@ -100,30 +107,31 @@ def _not_int(x):
 # -- sparse kernels ---------------------------------------------------------------
 
 
-def sparse_rank(rows, p: Optional[int]) -> int:
-    """Rank of a matrix given by sparse rows: int bitsets when p == 2, else
-    dicts {column: value} with int values (residues need not be canonical)."""
+def _pivot_columns(rows, p: Optional[int]):
+    """The leading columns of the reduced rows of a matrix given by sparse
+    rows, one per unit of rank: int bitsets when p == 2, else dicts
+    {column: value} with int values (residues need not be canonical)."""
     if p == 2:
-        return _rank_gf2(rows)
+        return _pivots_gf2(rows)
     if p is None:
-        return _rank_q(rows)
-    return _rank_modp(rows, p)
+        return _pivots_q(rows)
+    return _pivots_modp(rows, p)
 
 
-def _rank_gf2(rows) -> int:
+def _pivots_gf2(rows):
     basis = {}
     for row in rows:
         while row:
-            top = row.bit_length()
+            top = row.bit_length() - 1
             pivot = basis.get(top)
             if pivot is None:
                 basis[top] = row
                 break
             row ^= pivot
-    return len(basis)
+    return basis.keys()
 
 
-def _rank_modp(rows, p: int) -> int:
+def _pivots_modp(rows, p: int):
     pivots = {}
     for row in rows:
         row = {c: r for c, v in row.items() if (r := v % p)}
@@ -143,10 +151,10 @@ def _rank_modp(rows, p: int) -> int:
                     row[k] = x
                 else:
                     del row[k]
-    return len(pivots)
+    return pivots.keys()
 
 
-def _rank_q(rows) -> int:
+def _pivots_q(rows):
     pivots = {}
     for row in rows:
         row = {c: v for c, v in row.items() if v}
@@ -169,7 +177,7 @@ def _rank_q(rows) -> int:
                     del row[k]
             if a not in (1, -1) and row:
                 row = _primitive(row)
-    return len(pivots)
+    return pivots.keys()
 
 
 def _primitive(row: dict) -> dict:
@@ -187,7 +195,7 @@ class ExactMatrix:
     entry} holding canonical residues mod p, or the ints themselves over Q.
     It is built from dense rows or from dict rows {column: int}."""
 
-    __slots__ = ("field", "rows", "cols", "sparse_rows")
+    __slots__ = ("field", "rows", "cols", "sparse_rows", "pivots")
 
     def __init__(self, field: FieldSpec, entries: Sequence, shape=None):
         """Matrix from rows of ints, reduced to canonical form; any other
@@ -245,7 +253,10 @@ class ExactMatrix:
         return f"ExactMatrix({self.field}, {self.rows}x{self.cols})"
 
     def rank(self) -> int:
-        return sparse_rank(self.sparse_rows, self.field.p)
+        """The rank; the leading columns of the reduced rows are kept as
+        ``pivots``."""
+        self.pivots = _pivot_columns(self.sparse_rows, self.field.p)
+        return len(self.pivots)
 
     def kernel_dim(self) -> int:
         return self.cols - self.rank()
@@ -268,10 +279,10 @@ def _compose(row, rows, p: Optional[int]):
     return acc
 
 
-def _product_is_zero(later: ExactMatrix, earlier: ExactMatrix) -> bool:
-    """Exact check that later @ earlier == 0 (shapes already validated)."""
-    p, rows = later.field.p, earlier.sparse_rows
-    for row in later.sparse_rows:
+def _product_is_zero(left: ExactMatrix, right: ExactMatrix) -> bool:
+    """Exact check that left @ right == 0 (shapes already validated)."""
+    p, rows = left.field.p, right.sparse_rows
+    for row in left.sparse_rows:
         acc = _compose(row, rows, p)
         if p == 2:
             nonzero = acc != 0
@@ -284,6 +295,24 @@ def _product_is_zero(later: ExactMatrix, earlier: ExactMatrix) -> bool:
     return True
 
 
+def _transpose(m: ExactMatrix) -> ExactMatrix:
+    """The transpose, with the rows in kernel form."""
+    if m.field.p == 2:
+        rows = [0] * m.cols
+        for i, row in enumerate(m.sparse_rows):
+            bit = 1 << i
+            while row:
+                b = row & -row
+                row ^= b
+                rows[b.bit_length() - 1] |= bit
+    else:
+        rows = [{} for _ in range(m.cols)]
+        for i, row in enumerate(m.sparse_rows):
+            for j, v in row.items():
+                rows[j][i] = v
+    return ExactMatrix.from_sparse(m.field, rows, m.rows)
+
+
 def cohomology_dims(differentials: Sequence[ExactMatrix]) -> list[int]:
     """Cohomology dimensions of 0 -> C^0 -d0-> C^1 -> ... -> C^{N+1} -> 0.
 
@@ -293,11 +322,47 @@ def cohomology_dims(differentials: Sequence[ExactMatrix]) -> list[int]:
     mats = list(differentials)
     if not mats:
         raise BadParameter("need at least one differential (possibly with zero rows)")
-    for n in range(len(mats) - 1):
-        if mats[n + 1].cols != mats[n].rows:
-            raise BadParameter(f"shape mismatch between d_{n} and d_{n + 1}")
-        if not _product_is_zero(mats[n + 1], mats[n]):
-            raise NotAComplex(n)
-    ranks = [m.rank() for m in mats] + [0]
-    spaces = [m.cols for m in mats] + [mats[-1].rows]
-    return [spaces[n] - ranks[n] - (ranks[n - 1] if n else 0) for n in range(len(spaces))]
+
+    def source_rows():
+        for n, m in enumerate(mats):
+            if n and m.cols != mats[n - 1].rows:
+                raise BadParameter(f"shape mismatch between d_{n - 1} and d_{n}")
+            yield _transpose(m)
+        last = mats[-1]
+        yield ExactMatrix.from_sparse(last.field, [0 if last.field.p == 2 else {}] * last.rows, 0)
+
+    return _cohomology(source_rows())
+
+
+def _cohomology(differentials, until: Optional[int] = None) -> list[int]:
+    """Cohomology dimensions H^0, H^1, ... of the cochain complex whose
+    differentials arrive one at a time in source-row orientation: the n-th
+    has one row per basis vector of C^n and one column per basis vector of
+    C^{n+1}, and the last one has no columns.
+
+    Degrees are reduced in increasing order.  Before d_n is ranked,
+    d_n d_{n-1} = 0 is checked on every row (it holds trivially when d_n has
+    no columns), and only then are the rows named by the pivot columns of
+    d_{n-1} dropped (clearing): the reduced rows of d_{n-1} span im d_{n-1}
+    with distinct leading columns P, so C^n is im d_{n-1} plus the
+    coordinate vectors outside P, and as d_n kills im d_{n-1} the rows
+    outside P have the rank of all of them.  With ``until``, the walk stops
+    after the first nonzero H^n or at degree ``until`` and builds no later
+    differential, so the result is a prefix of the full list."""
+    if until is not None and until < 0:
+        return []
+    dims: list[int] = []
+    prev, cleared, prev_rank = None, (), 0
+    for n, mat in enumerate(differentials):
+        if prev is not None and mat.cols and not _product_is_zero(prev, mat):
+            raise NotAComplex(n - 1)
+        rows = mat.sparse_rows
+        if cleared:
+            rows = [row for i, row in enumerate(rows) if i not in cleared]
+        kept = ExactMatrix.from_sparse(mat.field, rows, mat.cols)
+        rank = kept.rank()
+        dims.append(mat.rows - rank - prev_rank)
+        if until is not None and (dims[-1] or n >= until):
+            break
+        prev, cleared, prev_rank = mat, kept.pivots, rank
+    return dims

@@ -1,6 +1,9 @@
-"""Independent reference computations used only by the test suite."""
+"""Independent reference computations and shared input strategies used
+only by the test suite."""
 
-from srdepth import depth_reisner, join
+from hypothesis import strategies as st
+
+from srdepth import GF2, GF3, QQ, depth_reisner, join, random_complex
 from srdepth.limits import _functor_matrix, _nonempty_faces, _require_vertex, _star_index
 from srdepth.linalg import cohomology_dims
 
@@ -65,3 +68,59 @@ def rank_bareiss(rows_in) -> int:
         prev = piv
         r += 1
     return r
+
+
+def dense_rank_mod_p(rows, p):
+    """Textbook Gaussian elimination mod p on a dense copy."""
+    a = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = pow(a[rank][c], -1, p)
+        for i in range(len(a)):
+            if i != rank and a[i][c]:
+                f = a[i][c] * inv
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def dense_cochain_dims(levels, field):
+    """Cohomology dims of the cochain complex on ``levels``, lists of faces
+    as sorted vertex tuples of consecutive cardinalities, from dense
+    coboundaries with one row per upper face (the entry at tau minus its
+    k-th vertex is (-1)^k; faces absent from the lower level get no column)
+    and dense ranks: Bareiss over Q, elimination mod p otherwise."""
+    ranks = [0]
+    for lower, upper in zip(levels, levels[1:]):
+        col = {f: j for j, f in enumerate(lower)}
+        rows = []
+        for tau in upper:
+            row = [0] * len(lower)
+            for k in range(len(tau)):
+                j = col.get(tau[:k] + tau[k + 1 :])
+                if j is not None:
+                    row[j] = (-1) ** k
+            rows.append(row)
+        if not rows or not lower:
+            ranks.append(0)
+        elif field.p is None:
+            ranks.append(rank_bareiss(rows))
+        else:
+            ranks.append(dense_rank_mod_p(rows, field.p))
+    ranks.append(0)
+    return [len(level) - ranks[n] - ranks[n + 1] for n, level in enumerate(levels)]
+
+
+# seeded random complexes with up to 8 vertices and dimension up to 3
+small_complexes = st.builds(
+    random_complex,
+    st.integers(1, 8),
+    st.integers(0, 3),
+    st.sampled_from([0.2, 0.4, 0.6]),
+    st.integers(0, 10**6),
+)
+three_fields = st.sampled_from([GF2, GF3, QQ])

@@ -1,4 +1,8 @@
+import importlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srdepth import (
     GF2,
@@ -19,6 +23,8 @@ from srdepth import (
 )
 from srdepth.cohomology import _relative_dims
 from srdepth.errors import EmptyFace, FaceNotInComplex, NotASubcomplex, RepeatedVertex
+
+from oracles import dense_cochain_dims, small_complexes, three_fields
 
 FIELDS = (GF2, GF3, QQ)
 
@@ -147,3 +153,61 @@ def test_munkres_shift_small_corpus():
                     assert relative_cohomology(K, K.contrastar_by_mask(s), field) == _relative_dims(
                         K, faces_above, field
                     )
+
+
+# -- the cochain kernel against dense ranks in the upper-face orientation --------
+
+
+def _mask(face):
+    return sum(1 << (v - 1) for v in face)
+
+
+def _face_filters(K):
+    """(sigma, the faces containing sigma as tuples, the same as masks) for
+    every nonempty face sigma."""
+    faces = list(K.faces())
+    for sigma in faces[1:]:
+        s = _mask(sigma)
+        above = [f for f in faces if set(sigma) <= set(f)]
+        yield sigma, above, [f for f in K.face_masks if f & s == s]
+
+
+@given(small_complexes, three_fields)
+@settings(max_examples=40, deadline=None)
+def test_cohomology_matches_dense_ranks(K, field):
+    faces = list(K.faces())
+    levels = [[f for f in faces if len(f) == k] for k in range(K.dim + 2)]
+    dense = dense_cochain_dims(levels, field)
+    assert reduced_cohomology(K, field).dims == {i - 1: h for i, h in enumerate(dense)}
+    for sigma, above, rel in _face_filters(K):
+        rel_levels = [[f for f in above if len(f) == k] for k in range(1, K.dim + 2)]
+        dense = dict(enumerate(dense_cochain_dims(rel_levels, field)))
+        assert _relative_dims(K, rel, field) == dense, sigma
+
+
+@given(small_complexes, three_fields, st.integers(-2, 4))
+@settings(max_examples=40, deadline=None)
+def test_until_gives_the_prefix_through_the_first_nonzero_degree(K, field, t):
+    def prefix(full):
+        c = next((i for i, h in sorted(full.items()) if h), None)
+        stop = t if c is None else min(t, c)
+        return {i: h for i, h in full.items() if i <= stop}
+
+    assert reduced_cohomology(K, field, t).dims == prefix(reduced_cohomology(K, field).dims)
+    for _, _, rel in _face_filters(K):
+        assert _relative_dims(K, rel, field, t) == prefix(_relative_dims(K, rel, field))
+
+
+def test_until_builds_no_later_coboundary(monkeypatch):
+    module = importlib.import_module("srdepth.cohomology")
+    built = []
+    rows = module._coboundary_rows
+    monkeypatch.setattr(module, "_coboundary_rows", lambda *a: built.append(a) or rows(*a))
+    reduced_cohomology.cache_clear()  # a cached profile would build nothing
+    # the 4-sphere, asked through degree 1: coboundaries out of degrees -1, 0, 1
+    assert reduced_cohomology(boundary_simplex(5), QQ, 1).dims == {-1: 0, 0: 0, 1: 0}
+    assert len(built) == 3
+    # three points: H^0 != 0 ends the walk whatever the cap
+    built.clear()
+    assert reduced_cohomology(disjoint_points(3), GF3, 5).dims == {-1: 0, 0: 2}
+    assert len(built) == 2

@@ -41,7 +41,7 @@ from srdepth.depth import (
 )
 from srdepth.errors import BadParameter, EngineDisagreement, TooLarge
 
-from oracles import join_additivity_observations
+from oracles import join_additivity_observations, small_complexes, three_fields
 
 ALL_FIELDS = (GF2, GF3, GF5, QQ)
 DEPTH_MODULE = importlib.import_module("srdepth.depth")  # srdepth.depth is also the function
@@ -382,14 +382,14 @@ def test_depth_report_fields():
 
 # -- properties on seeded random complexes ----------------------------------------
 
-small_complexes = st.builds(
-    random_complex,
-    st.integers(1, 8),
-    st.integers(0, 3),
-    st.sampled_from([0.2, 0.4, 0.6]),
-    st.integers(0, 10**6),
-)
-three_fields = st.sampled_from([GF2, GF3, QQ])
+@given(small_complexes, three_fields)
+@settings(max_examples=40, deadline=None)
+def test_condition_twins_flip_at_their_engines_depth(K, field):
+    # each condition walks with its own cap r, its engine with the krull dimension
+    reisner, topological = depth_reisner(K, field), depth_topological(K, field)
+    for r in range(K.krull_dim + 2):
+        assert link_condition(K, field, r) == (reisner >= r), r
+        assert local_condition(K, field, r) == (topological >= r), r
 
 
 @given(small_complexes, three_fields)

@@ -1,6 +1,8 @@
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srdepth import (
     GF2,
@@ -28,7 +30,7 @@ from srdepth.errors import BadParameter
 from srdepth.limits import _nonempty_faces, _star_block, _whole_block, flag_chains
 from srdepth.linalg import _product_is_zero, cohomology_dims
 
-from oracles import unnormalized_h01
+from oracles import three_fields, unnormalized_h01
 
 EDGE = validate([[1, 2]], 2)
 
@@ -125,6 +127,25 @@ def test_grouped_equals_direct():
             assert direct.lim == grouped.lim, (K, str(field))
             assert direct.rho_kernel == grouped.rho_kernel
             assert direct.rho_cokernel == grouped.rho_cokernel
+
+
+complexes_m6_d2 = st.builds(
+    random_complex,
+    st.integers(1, 6),
+    st.integers(0, 2),
+    st.sampled_from([0.2, 0.4, 0.6]),
+    st.integers(0, 10**6),
+)
+
+
+@given(complexes_m6_d2, st.integers(0, 4), three_fields)
+@settings(max_examples=40, deadline=None)
+def test_grouped_equals_direct_on_random_complexes(K, d_max, field):
+    direct = derived_limit_dims(K, field, d_max, method="direct")
+    grouped = derived_limit_dims(K, field, d_max, method="grouped")
+    assert direct.lim == grouped.lim
+    assert direct.rho_kernel == grouped.rho_kernel
+    assert direct.rho_cokernel == grouped.rho_cokernel
 
 
 def test_higher_limits_vanish_above_dimension():

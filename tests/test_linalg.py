@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from srdepth import GF2, GF3, GF5, QQ, ExactMatrix, FieldSpec, cohomology_dims
 from srdepth.errors import BadParameter, NotAComplex
-from srdepth.linalg import sparse_rank
+from srdepth.linalg import _pivot_columns
 
-from oracles import rank_bareiss
+from oracles import dense_rank_mod_p, rank_bareiss
 
 
 # -- independent oracles --------------------------------------------------------
@@ -230,24 +230,6 @@ def test_cohomology_basis_permutation_invariance():
 # -- sparse kernels against the dense references ------------------------------------
 
 
-def dense_rank_mod_p(rows, p):
-    """Textbook Gaussian elimination mod p on a dense copy."""
-    a = [[x % p for x in row] for row in rows]
-    rank = 0
-    for c in range(len(a[0]) if a else 0):
-        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = pow(a[rank][c], -1, p)
-        for i in range(len(a)):
-            if i != rank and a[i][c]:
-                f = a[i][c] * inv
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank
-
-
 def kernel_rows(rows, p):
     """Raw kernel input: bitsets over GF(2), otherwise dicts whose values are
     left uncanonicalized (negative, >= p) for the kernel to reduce."""
@@ -277,7 +259,7 @@ def test_sparse_ranks_match_brute_force(rows):
     # dict rows, zeros and uncanonical residues included, build the same matrix
     dict_rows, shape = [dict(enumerate(row)) for row in rows], (len(rows), len(rows[0]))
     expected_q = brute_rank(rows)
-    assert sparse_rank(kernel_rows(rows, None), None) == expected_q
+    assert len(_pivot_columns(kernel_rows(rows, None), None)) == expected_q
     assert rank_bareiss(rows) == expected_q
     assert ExactMatrix(QQ, rows).rank() == expected_q
     assert ExactMatrix(QQ, dict_rows, shape=shape).sparse_rows == ExactMatrix(QQ, rows).sparse_rows
@@ -285,7 +267,7 @@ def test_sparse_ranks_match_brute_force(rows):
     for p in (2, 3, 2147483647):
         field = FieldSpec(p)
         expected = brute_rank(rows, p)
-        assert sparse_rank(kernel_rows(rows, p), p) == expected
+        assert len(_pivot_columns(kernel_rows(rows, p), p)) == expected
         assert ExactMatrix(field, rows).rank() == expected
         assert ExactMatrix(field, dict_rows, shape=shape).sparse_rows == ExactMatrix(field, rows).sparse_rows
         assert ExactMatrix(field, dict_rows, shape=shape).rank() == expected
@@ -294,9 +276,22 @@ def test_sparse_ranks_match_brute_force(rows):
 @given(mixed_matrix(max_dim=9))
 @settings(max_examples=60, deadline=None)
 def test_sparse_ranks_match_dense_elimination(rows):
-    assert sparse_rank(kernel_rows(rows, None), None) == rank_bareiss(rows)
+    assert len(_pivot_columns(kernel_rows(rows, None), None)) == rank_bareiss(rows)
     for p in (2, 5, 2147483647):
-        assert sparse_rank(kernel_rows(rows, p), p) == dense_rank_mod_p(rows, p)
+        assert len(_pivot_columns(kernel_rows(rows, p), p)) == dense_rank_mod_p(rows, p)
+
+
+@given(mixed_matrix(max_dim=6))
+@settings(max_examples=60, deadline=None)
+def test_pivot_columns_carry_the_rank(rows):
+    # clearing relies on it: the row space maps onto its pivot columns
+    # one to one, so those columns alone have the full rank
+    for field in (QQ, GF2, GF3):
+        m = ExactMatrix(field, rows)
+        r = m.rank()
+        sub = [[row[j] for j in sorted(m.pivots)] for row in rows]
+        assert len(m.pivots) == r
+        assert (rank_bareiss(sub) if field.p is None else dense_rank_mod_p(sub, field.p)) == r
 
 
 def test_d_squared_check_depends_on_the_field():
