@@ -21,9 +21,9 @@ to ``_relative_dims`` and builds no contrastar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .complexes import SimplicialComplex, _popcount
 from .errors import EmptyFace, NotASubcomplex
@@ -85,9 +85,9 @@ def _cochain_dims(
     return _cohomology(mats, until)
 
 
-@dataclass
-class CohomologyProfile:
-    """Dimensions of reduced cohomology, degree -1 through dim K."""
+class CohomologyProfile(NamedTuple):
+    """Dimensions of reduced cohomology, degree -1 through dim K; ``dims``
+    is read-only, as cached profiles are shared."""
 
     field: FieldSpec
     dims: Mapping[int, int]
@@ -109,7 +109,7 @@ def reduced_cohomology(
     ``until``, whichever comes first, are computed and listed."""
     stop = None if until is None else until + 1
     dims = _cochain_dims(_levels(K.face_masks, K.dim + 1), field, stop)
-    return CohomologyProfile(field, {i - 1: h for i, h in enumerate(dims)})
+    return CohomologyProfile(field, MappingProxyType({i - 1: h for i, h in enumerate(dims)}))
 
 
 def relative_cohomology(K: SimplicialComplex, L: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
@@ -144,18 +144,19 @@ def local_cohomology(K: SimplicialComplex, sigma, field: FieldSpec) -> dict[int,
     }
 
 
-@dataclass
-class MunkresReport:
-    """Result of checking the shift against the relative-pair computation."""
+class HarnessReport(NamedTuple):
+    """Verdict of a verification harness; a failing one names a witness,
+    whose shape each harness states."""
 
     field: FieldSpec
     passed: bool
-    witness: tuple | None = None  # (face, degree, shifted_dim, relative_dim)
+    witness: tuple | None = None
 
 
-def verify_munkres_shift(K: SimplicialComplex, field: FieldSpec) -> MunkresReport:
+def verify_munkres_shift(K: SimplicialComplex, field: FieldSpec) -> HarnessReport:
     """Compare, for every nonempty face, the link-shift local cohomology with
-    the independently computed cohomology of (K, contrastar sigma)."""
+    the independently computed cohomology of (K, contrastar sigma).  The
+    witness is (face, degree, shifted_dim, relative_dim)."""
     for face in K.faces():
         if not face:
             continue
@@ -163,7 +164,7 @@ def verify_munkres_shift(K: SimplicialComplex, field: FieldSpec) -> MunkresRepor
         relative = relative_cohomology(K, K.contrastar(face), field)
         for i in range(max(K.dim, 0) + 1):
             if shifted.get(i, 0) != relative.get(i, 0):
-                return MunkresReport(
+                return HarnessReport(
                     field, False, (face, i, shifted.get(i, 0), relative.get(i, 0))
                 )
-    return MunkresReport(field, True)
+    return HarnessReport(field, True)

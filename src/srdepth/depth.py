@@ -39,12 +39,12 @@ exact and depend only on the characteristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
-from .cohomology import _relative_dims, reduced_cohomology
+from .cohomology import HarnessReport, _relative_dims, reduced_cohomology
 from .complexes import SimplicialComplex, _popcount
 from .errors import BadParameter, EngineDisagreement, TooLarge
 from .limits import LimitsProfile, derived_limit_dims
@@ -144,8 +144,7 @@ def local_condition(K: SimplicialComplex, field: FieldSpec, r: int) -> bool:
 # -- engine 3: Betti table and the Auslander-Buchsbaum count --------------------
 
 
-@dataclass
-class BettiTable:
+class BettiTable(NamedTuple):
     """Graded Betti numbers beta(i, j) of the face ring over the polynomial
     ring, from induced-subcomplex cohomology (Hochster's formula)."""
 
@@ -217,8 +216,7 @@ def depth_ab(K: SimplicialComplex, field: FieldSpec) -> int:
 # -- the aggregate report --------------------------------------------------------
 
 
-@dataclass
-class DepthReport:
+class DepthReport(NamedTuple):
     field: FieldSpec
     reisner: int
     topological: int
@@ -255,27 +253,19 @@ def depth(K: SimplicialComplex, field: FieldSpec) -> DepthReport:
 # -- harnesses --------------------------------------------------------------------
 
 
-@dataclass
-class StarLinkReport:
-    """Check of: depth(link) + card = depth(star) >= depth(K) at every face."""
-
-    field: FieldSpec
-    passed: bool
-    witness: tuple | None = None  # (face, depth_link, depth_star, depth_K)
-
-
-def verify_star_link(K: SimplicialComplex, field: FieldSpec) -> StarLinkReport:
+def verify_star_link(K: SimplicialComplex, field: FieldSpec) -> HarnessReport:
+    """Check depth(link) + card = depth(star) >= depth(K) at every face.
+    The witness is (face, depth_link, depth_star, depth_K)."""
     d_k = depth_reisner(K, field)
     for face in K.faces():
         d_link = depth_reisner(K.link(face), field)
         d_star = depth_reisner(K.star(face), field)
         if d_link + len(face) != d_star or d_star < d_k:
-            return StarLinkReport(field, False, (face, d_link, d_star, d_k))
-    return StarLinkReport(field, True)
+            return HarnessReport(field, False, (face, d_link, d_star, d_k))
+    return HarnessReport(field, True)
 
 
-@dataclass
-class LimitDepthReport:
+class LimitDepthReport(NamedTuple):
     """Instance check of the vanishing criterion: with every star ring of
     depth >= r, depth of the face ring is >= r exactly when the modules
     L^{-1}..L^{r-2} (comparison kernel, cokernel, higher limits) vanish.
@@ -288,7 +278,7 @@ class LimitDepthReport:
     l_totals: dict[int, int]
     almost_trivial: bool
     corollary_checked: bool
-    witness: tuple | None = None  # (r, depth_side, vanishing_side)
+    witness: tuple | None = None
 
 
 def verify_limit_depth_criterion(
@@ -300,7 +290,9 @@ def verify_limit_depth_criterion(
 ) -> LimitDepthReport:
     """Check the vanishing criterion against depth; ``profile``, when given,
     is K's limits profile over ``field`` and is used instead of computing
-    one up to ``d_max``."""
+    one up to ``d_max``.  The witness is (r, depth_side, vanishing_side),
+    or ("corollary", depth, min_star_depth) when every L^i vanishes but
+    the depth is below the minimum star depth."""
     if profile is None:
         profile = derived_limit_dims(K, field, d_max)
     elif profile.field != field:

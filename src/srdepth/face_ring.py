@@ -9,9 +9,8 @@ vectors over the complex's vertex tuple, listed in lexicographic order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .complexes import SimplicialComplex, _popcount
 from .errors import OddDegree
@@ -79,8 +78,7 @@ def monomial_basis(K: SimplicialComplex, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_monomials(K.vertices, K.face_masks, t))
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
+class HilbertSeries(NamedTuple):
     """Rational form numerator(t) / (1 - t^2)^denominator_exponent with the
     denominator exponent equal to the Krull dimension."""
 

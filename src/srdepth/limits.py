@@ -30,8 +30,8 @@ Both paths are cross-checked in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .cohomology import _cochain_dims, reduced_cohomology
 from .complexes import SimplicialComplex, _popcount
@@ -186,8 +186,7 @@ def _star_block(K: SimplicialComplex, f: int, field: FieldSpec) -> tuple[int, ..
     return tuple(out)
 
 
-@dataclass
-class LimitsProfile:
+class LimitsProfile(NamedTuple):
     """Degreewise dimensions of the derived limits and of the comparison
     map's kernel/cokernel (the modules indexed -1 and 0 in the vanishing
     criterion)."""
@@ -264,15 +263,13 @@ def derived_limit_dims(
     return LimitsProfile(field, d_max, lim, rker, rcok)
 
 
-@dataclass
-class LimitDecompositionReport:
+class LimitDecompositionReport(NamedTuple):
     """Outcome of checking the computed limits against the face ring plus
     cohomology decomposition: lim^0 is the graded ring with an extra H^0
     summand in degree 0, higher limits are the complex's cohomology
-    concentrated in degree 0."""
+    concentrated in degree 0.  The field and degree bound are the
+    profile's."""
 
-    field: FieldSpec
-    d_max: int
     passed: bool
     first_failure: tuple | None  # (i, degree, got, expected)
     profile: LimitsProfile
@@ -299,4 +296,4 @@ def verify_limit_decomposition(
                 break
         if failure:
             break
-    return LimitDecompositionReport(field, profile.d_max, failure is None, failure, profile)
+    return LimitDecompositionReport(failure is None, failure, profile)

@@ -32,51 +32,32 @@ form for matrices in the usual (target rows) shape: it transposes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd
+from collections import namedtuple
+from math import gcd, isqrt
 from typing import Optional, Sequence
 
 from .errors import BadParameter, NotAComplex
 
 
 def _is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin; bases 2,3,5,7 are exact below 3.2e9 > 2^31
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    # trial division: at most 46,340 divisions below 2^31
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(namedtuple("FieldSpec", "p")):
     """Coefficient field: a prime p (arithmetic mod p) or None for the rationals."""
 
-    p: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p is not None:
-            if type(self.p) is not int:
-                raise BadParameter(f"the characteristic must be an int, got {self.p!r}")
-            if not (2 <= self.p < 2**31):
-                raise BadParameter(f"prime must satisfy 2 <= p < 2^31, got {self.p}")
-            if not _is_prime(self.p):
-                raise BadParameter(f"{self.p} is not prime")
+    def __new__(cls, p: Optional[int] = None):
+        if p is not None:
+            if type(p) is not int:
+                raise BadParameter(f"the characteristic must be an int, got {p!r}")
+            if not (2 <= p < 2**31):
+                raise BadParameter(f"prime must satisfy 2 <= p < 2^31, got {p}")
+            if not _is_prime(p):
+                raise BadParameter(f"{p} is not prime")
+        return super().__new__(cls, p)
 
     @classmethod
     def parse(cls, text: str) -> "FieldSpec":

@@ -236,7 +236,8 @@ def test_malformed_input_exits_2(capsys, tmp_path, name, text):
     assert out == "" and err.startswith("error: ")
 
 
-def test_cli_import_does_not_load_numpy():
+def _modules_after_cli_import(names):
+    """Which of ``names`` a fresh interpreter has loaded after ``import srdepth.cli``."""
     import os
     import subprocess
     import sys
@@ -245,12 +246,20 @@ def test_cli_import_does_not_load_numpy():
 
     src = os.path.dirname(os.path.dirname(srdepth.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, srdepth.cli; print('numpy' in sys.modules)"
+    probe = f"import sys, srdepth.cli; print(sorted(set({names!r}) & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def test_cli_import_does_not_load_numpy():
+    assert _modules_after_cli_import(["numpy"]) == "[]"
+
+
+def test_cli_import_does_not_load_dataclasses_or_inspect():
+    assert _modules_after_cli_import(["dataclasses", "inspect"]) == "[]"
 
 
 @pytest.mark.parametrize("command, d_max", [("limits", "-5"), ("verify", "-1")])

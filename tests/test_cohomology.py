@@ -11,6 +11,7 @@ from srdepth import (
     boundary_simplex,
     cone,
     cycle,
+    depth,
     disjoint_points,
     local_cohomology,
     random_complex,
@@ -137,6 +138,18 @@ def test_local_cohomology_errors():
     ):
         with pytest.raises(RepeatedVertex):
             call()
+
+
+def test_cached_cohomology_is_read_only():
+    # the profile is shared through the cache: editing it would make the
+    # link engine disagree with the other two on the same complex
+    K = boundary_simplex(3)
+    dims = reduced_cohomology(K.link([1]), GF2, 0).dims
+    with pytest.raises(TypeError):
+        dims[0] = 1
+    assert dims == {-1: 0, 0: 0}
+    rep = depth(K, GF2)
+    assert rep.reisner == 3 and rep.agree
 
 
 def test_munkres_shift_small_corpus():

@@ -380,6 +380,13 @@ def test_depth_report_fields():
     assert rep.field == GF3
 
 
+def test_depth_report_is_immutable():
+    rep = depth(cycle(4), GF3)
+    with pytest.raises(AttributeError):
+        rep.reisner = 3
+    assert rep.reisner == 2
+
+
 # -- properties on seeded random complexes ----------------------------------------
 
 @given(small_complexes, three_fields)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from srdepth import GF2, GF3, GF5, QQ, ExactMatrix, FieldSpec, cohomology_dims
 from srdepth.errors import BadParameter, NotAComplex
-from srdepth.linalg import _pivot_columns
+from srdepth.linalg import _is_prime, _pivot_columns
 
 from oracles import dense_rank_mod_p, rank_bareiss
 
@@ -82,6 +82,33 @@ def test_fieldspec_rejects_nonprime():
     for bad in (2.0, True, "3", Fraction(5)):
         with pytest.raises(BadParameter):
             FieldSpec(bad)
+
+
+def _sieve(n):
+    """is_prime[k] for 0 <= k <= n, by the sieve of Eratosthenes."""
+    is_prime = [False, False] + [True] * (n - 1)
+    for d in range(2, int(n**0.5) + 1):
+        if is_prime[d]:
+            is_prime[d * d :: d] = [False] * len(range(d * d, n + 1, d))
+    return is_prime
+
+
+def test_is_prime_matches_a_sieve():
+    sieve = _sieve(46_341)  # 46341^2 > 2^31
+    assert [_is_prime(n) for n in range(20_001)] == sieve[:20_001]
+    primes = [d for d, q in enumerate(sieve) if q]
+    for n in (2147483647, 2147483629, 2147483646, 46337**2):
+        expected = all(n % d for d in primes if d * d <= n)
+        assert _is_prime(n) == expected, n
+    assert _is_prime(2147483647) and not _is_prime(46337**2)
+
+
+def test_fieldspec_is_a_hashable_value():
+    assert repr(GF2) == "FieldSpec(p=2)" and repr(QQ) == "FieldSpec(p=None)"
+    assert {GF2: "gf2"}[FieldSpec(2)] == "gf2"
+    assert FieldSpec() == QQ
+    with pytest.raises(AttributeError):
+        GF2.p = 3
 
 
 # -- rank examples ------------------------------------------------------------------
