@@ -25,17 +25,9 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .complexes import SimplicialComplex, _popcount
+from .complexes import SimplicialComplex
 from .errors import EmptyFace, NotASubcomplex
 from .linalg import ExactMatrix, FieldSpec, _cohomology
-
-
-def _levels(masks, top: int) -> list[list[int]]:
-    """Face masks grouped by cardinality 0..top, each group in input order."""
-    out: list[list[int]] = [[] for _ in range(top + 1)]
-    for f in masks:
-        out[_popcount(f)].append(f)
-    return out
 
 
 def _coboundary_rows(lower: list[int], upper: list[int], p) -> list:
@@ -72,9 +64,7 @@ def _coboundary_rows(lower: list[int], upper: list[int], p) -> list:
     return rows
 
 
-def _cochain_dims(
-    levels: list[list[int]], field: FieldSpec, until: int | None = None
-) -> list[int]:
+def _cochain_dims(levels: list, field: FieldSpec, until: int | None = None) -> list[int]:
     """Cohomology dimensions of the cochain complex with bases ``levels``
     (consecutive cardinalities) and the simplicial coboundary; with
     ``until``, the prefix through the first nonzero one or index ``until``."""
@@ -108,7 +98,7 @@ def reduced_cohomology(
     With ``until``, only degrees -1 through the lowest nonzero one or
     ``until``, whichever comes first, are computed and listed."""
     stop = None if until is None else until + 1
-    dims = _cochain_dims(_levels(K.face_masks, K.dim + 1), field, stop)
+    dims = _cochain_dims(K.levels(), field, stop)
     return CohomologyProfile(field, MappingProxyType({i - 1: h for i, h in enumerate(dims)}))
 
 
@@ -117,17 +107,16 @@ def relative_cohomology(K: SimplicialComplex, L: SimplicialComplex, field: Field
     in L, with the coboundary inherited from K."""
     if not L.is_subcomplex_of(K):
         raise NotASubcomplex(f"{L!r} is not a subcomplex of {K!r}")
-    return _relative_dims(K, [f for f in K.face_masks if not L.has_face_mask(f)], field)
+    levels = [[f for f in level if not L.has_face_mask(f)] for level in K.levels()[1:]]
+    return _relative_dims(levels, field)
 
 
-def _relative_dims(
-    K: SimplicialComplex, rel: list[int], field: FieldSpec, until: int | None = None
-) -> dict[int, int]:
-    """Cohomology in degrees 0..dim K of the cochains on the faces ``rel``
-    of K (listed in K's order, closed upward in K), with K's coboundary;
-    with ``until``, only through the lowest nonzero degree or ``until``."""
-    levels = _levels(rel, max(K.dim, 0) + 1)[1:]
-    return dict(enumerate(_cochain_dims(levels, field, until)))
+def _relative_dims(levels: list, field: FieldSpec, until: int | None = None) -> dict[int, int]:
+    """Cohomology in degrees 0..max(dim K, 0) of the cochains on faces of K
+    closed upward in K, given by cardinality 1..dim K + 1 in ``levels``, with
+    K's coboundary; with ``until``, only through the lowest nonzero degree
+    or ``until``."""
+    return dict(enumerate(_cochain_dims(levels or [[]], field, until)))
 
 
 def local_cohomology(K: SimplicialComplex, sigma, field: FieldSpec) -> dict[int, int]:
@@ -137,11 +126,8 @@ def local_cohomology(K: SimplicialComplex, sigma, field: FieldSpec) -> dict[int,
     if not sigma:
         raise EmptyFace("local cohomology needs a nonempty face")
     mask = K._require_face(sigma)
-    shifted = reduced_cohomology(K.link_by_mask(mask), field)
-    s = _popcount(mask)
-    return {
-        i: shifted.dims.get(i - s, 0) for i in range(max(K.dim, 0) + 1)
-    }
+    shifted = reduced_cohomology(K.link_by_mask(mask), field).dims
+    return {i: shifted.get(i - len(sigma), 0) for i in range(max(K.dim, 0) + 1)}
 
 
 class HarnessReport(NamedTuple):

@@ -3,9 +3,10 @@
 A complex is stored as its face list alone: bitmasks over vertex labels
 (bit v-1 for label v) in canonical (cardinality, lex) order.  Facets are the
 input syntax; the inclusion-maximal faces are recomputed from the face list
-when asked for.  The empty set is a face of every represented complex; the
-minimal complex is ``{-}`` consisting of the empty face alone (no vertices).
-The void complex (no faces at all) is not representable.
+when asked for, and ``levels()`` cuts the list into its cardinalities
+0..dim+1 by binary search.  The empty set is a face of every represented
+complex; the minimal complex is ``{-}`` consisting of the empty face alone
+(no vertices).  The void complex (no faces at all) is not representable.
 
 Building from generators enumerates every subset of every distinct
 generator, so the count ``sum 2^|F|`` is checked against ``2**FACE_BOUND``
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -85,12 +87,11 @@ class SimplicialComplex:
                     faces.add(sub)
                     sub = (sub - 1) & g
             masks = sorted(faces, key=lambda m: (_popcount(m), _verts_of(m)))
-        self._faces = tuple(masks)
-        self._vmask = 0
-        for f in self._faces:
-            self._vmask |= f
-        self._face_set = frozenset(self._faces)
-        self._hash = hash(self._faces)
+        self._faces = faces = tuple(masks)
+        # a face list is closed downward: its vertices are its one-vertex faces
+        self._vmask = sum(faces[1 : bisect_left(faces, 2, 1, key=_popcount)])
+        self._face_set = frozenset(faces)
+        self._hash = hash(faces)
 
     # -- identity ---------------------------------------------------------
 
@@ -135,19 +136,30 @@ class SimplicialComplex:
     def face_masks(self) -> tuple[int, ...]:
         return self._faces
 
+    def levels(self) -> list[tuple[int, ...]]:
+        """The face masks of cardinality 0..dim+1, each a slice of the
+        canonical order cut where the cardinality steps up."""
+        faces, out, lo = self._faces, [], 0
+        for k in range(1, _popcount(faces[-1]) + 1):
+            hi = bisect_left(faces, k, lo, key=_popcount)
+            out.append(faces[lo:hi])
+            lo = hi
+        out.append(faces[lo:])
+        return out
+
     def faces(self, card: int | None = None) -> Iterator[Face]:
-        """All faces as sorted vertex tuples, ordered by (cardinality, lex)."""
-        for f in self._faces:
-            if card is None or _popcount(f) == card:
-                yield _verts_of(f)
+        """All faces as sorted vertex tuples, ordered by (cardinality, lex);
+        with ``card``, those of that cardinality only."""
+        faces = self._faces
+        if card is not None:
+            lo = bisect_left(faces, card, key=_popcount)
+            faces = faces[lo : bisect_left(faces, card + 1, lo, key=_popcount)]
+        yield from map(_verts_of, faces)
 
     @property
     def f_vector(self) -> tuple[int, ...]:
         """(f_-1, f_0, ..., f_dim) with f_-1 = 1 for the empty face."""
-        counts = [0] * (self.dim + 2)
-        for f in self._faces:
-            counts[_popcount(f)] += 1
-        return tuple(counts)
+        return tuple(map(len, self.levels()))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** i * fi for i, fi in enumerate(self.f_vector[1:]))
@@ -453,13 +465,17 @@ def to_json_obj(K: SimplicialComplex):
 
 
 def load_complex(path) -> SimplicialComplex:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise EmptyInput(f"{path} is not UTF-8 text: {exc}") from None
+    if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a decode error, or an integer past the digit limit
             raise EmptyInput(f"bad JSON in {path}: {exc}") from None
+        except RecursionError:
+            raise EmptyInput(f"the JSON in {path} is nested too deeply") from None
         return complex_from_json(obj)
     return parse_facet_text(text)

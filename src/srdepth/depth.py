@@ -26,10 +26,10 @@ j).  The cochain kernel then stops there.  No engine reads another's bound.
 
 The three must agree (the equivalence is a theorem); disagreement raises
 ``EngineDisagreement`` as a bug signal, never as a legitimate outcome.
-``link_condition`` and ``local_condition`` (depth >= r) run the same walks
-as the first two engines, capped at r, and hold when no face falls below
-it.  Those per-face walks visit at most one face per pair sigma <= tau, sum
-of f_k 2^k; that count is checked up front against ``2**FACE_PAIR_BOUND``.
+The first two engines visit at most one face per pair sigma <= tau, sum of
+f_k 2^k, checked up front against ``2**FACE_PAIR_BOUND``.  As each condition
+only weakens as r falls, ``link_condition`` and ``local_condition`` at r are
+the depth comparisons depth_reisner >= r and depth_topological >= r.
 
 Depth is always computed through these criteria, never by searching for
 explicit regular sequences: over small finite fields low-degree regular
@@ -69,76 +69,63 @@ def _check_face_pairs(K: SimplicialComplex) -> None:
 # -- engine 1: link criterion ---------------------------------------------------
 
 
-def _link_bounds(K: SimplicialComplex, field: FieldSpec, cap: int):
-    """The falling bounds c + card(sigma) + 1 below ``cap``, for the faces
-    sigma whose link has reduced cohomology in lowest degree c.  The running
-    bound caps the walk: a link is computed only through the degree that
-    could still lower it, and as c >= -1 and the faces come by cardinality,
-    the walk ends at the first face with card(sigma) >= the bound."""
-    _check_face_pairs(K)
-    for mask in K.face_masks:
-        s = _popcount(mask)
-        if s >= cap:
-            return
-        c = reduced_cohomology(K.link_by_mask(mask), field, cap - s - 2).first_nonzero()
-        if c is not None:
-            cap = c + s + 1
-            yield cap
-
-
 @lru_cache(maxsize=200_000)
 def depth_reisner(K: SimplicialComplex, field: FieldSpec) -> int:
     """Largest r in [0, dim K + 1] such that for every face sigma the link
-    has vanishing reduced cohomology in degrees <= r - card(sigma) - 2."""
-    return max(min([K.krull_dim, *_link_bounds(K, field, K.krull_dim)]), 0)
+    has vanishing reduced cohomology in degrees <= r - card(sigma) - 2.
+    A link with lowest nonzero degree c lowers the running bound r to
+    c + card(sigma) + 1 >= 0, and is computed only through degree
+    r - card(sigma) - 2; the walk ends at the first card(sigma) >= r."""
+    _check_face_pairs(K)
+    r = K.krull_dim
+    for mask in K.face_masks:
+        s = _popcount(mask)
+        if s >= r:
+            break
+        c = reduced_cohomology(K.link_by_mask(mask), field, r - s - 2).first_nonzero()
+        if c is not None:
+            r = c + s + 1
+    return r
 
 
 def link_condition(K: SimplicialComplex, field: FieldSpec, r: int) -> bool:
     """Condition (links): reduced link cohomology vanishes through degree
     r - card - 2 at every face."""
-    return next(_link_bounds(K, field, r), None) is None
+    return depth_reisner(K, field) >= r
 
 
 # -- engine 2: topological criterion via relative pairs -------------------------
-
-
-def _point_bounds(K: SimplicialComplex, field: FieldSpec, cap: int):
-    """The falling bounds c + 1 below ``cap``, for the lowest nonvanishing
-    degree c of ~H*(K) and of H*(K, contrastar sigma) for each nonempty
-    sigma, whose relative cochains are the faces containing sigma.  Each
-    group is computed only through degree (running bound) - 2.  Those
-    cochains start in degree card(sigma) - 1, so, as the faces come by
-    cardinality, the walk ends at the first sigma with card(sigma) >= the
-    bound."""
-    _check_face_pairs(K)
-    c = reduced_cohomology(K, field, cap - 2).first_nonzero()
-    if c is not None:
-        cap = c + 1
-        yield cap
-    for mask in K.face_masks:
-        if not mask:
-            continue
-        if _popcount(mask) >= cap:
-            return
-        rel = _relative_dims(K, [f for f in K.face_masks if f & mask == mask], field, cap - 2)
-        c = next((i for i, h in rel.items() if h), None)
-        if c is not None:
-            cap = c + 1
-            yield cap
 
 
 @lru_cache(maxsize=200_000)
 def depth_topological(K: SimplicialComplex, field: FieldSpec) -> int:
     """Largest r in [0, dim K + 1] such that reduced cohomology of K and the
     relative cohomology of (K, contrastar sigma) for every nonempty sigma
-    vanish in degrees <= r - 2."""
-    return max(min([K.krull_dim, *_point_bounds(K, field, K.krull_dim)]), 0)
+    vanish in degrees <= r - 2.  A group with lowest nonzero degree c lowers
+    the running bound r to c + 1 and is computed only through degree r - 2.
+    The cochains at sigma, K's levels filtered to the faces containing
+    sigma, start in degree card(sigma) - 1: the walk ends at the first
+    card(sigma) >= r."""
+    _check_face_pairs(K)
+    r = K.krull_dim
+    c = reduced_cohomology(K, field, r - 2).first_nonzero()
+    if c is not None:
+        r = c + 1
+    levels = K.levels()[1:]
+    for mask in K.face_masks[1:]:
+        if _popcount(mask) >= r:
+            break
+        rel = [[f for f in level if f & mask == mask] for level in levels]
+        c = next((i for i, h in _relative_dims(rel, field, r - 2).items() if h), None)
+        if c is not None:
+            r = c + 1
+    return r
 
 
 def local_condition(K: SimplicialComplex, field: FieldSpec, r: int) -> bool:
     """Condition (points): reduced cohomology of K and all relative-pair
     local cohomology vanish through degree r - 2."""
-    return next(_point_bounds(K, field, r), None) is None
+    return depth_topological(K, field) >= r
 
 
 # -- engine 3: Betti table and the Auslander-Buchsbaum count --------------------

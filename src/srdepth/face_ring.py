@@ -29,7 +29,7 @@ def graded_dim(K: SimplicialComplex, d: int) -> int:
     if t == 0:
         return 1
     # a face of cardinality c supports comb(t-1, c-1) monomials of degree t
-    return sum(comb(t - 1, _popcount(f) - 1) for f in K.face_masks if f)
+    return sum(comb(t - 1, c - 1) * f for c, f in enumerate(K.f_vector) if c)
 
 
 def _compositions(total: int, parts: int):
@@ -109,19 +109,16 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
 
 def hilbert_series(K: SimplicialComplex) -> HilbertSeries:
     """Sum over faces of t^(2 card) / (1-t^2)^card, cleared to the common
-    denominator (1-t^2)^(dim K + 1)."""
+    denominator (1-t^2)^(dim K + 1): f_c times the term of cardinality c."""
     n = K.krull_dim
     # (1 - t^2)^k expanded once per needed power
     powers = {0: [1]}
     for k in range(1, n + 1):
         powers[k] = _poly_mul(powers[k - 1], [1, 0, -1])
     numerator = [0] * (2 * n + 1) if n else [0]
-    for f in K.face_masks:
-        c = _popcount(f)
-        term = powers[n - c]
-        for j, coeff in enumerate(term):
-            if coeff:
-                numerator[2 * c + j] += coeff
+    for c, f in enumerate(K.f_vector):
+        for j, coeff in enumerate(powers[n - c]):
+            numerator[2 * c + j] += f * coeff
     while len(numerator) > 1 and numerator[-1] == 0:
         numerator.pop()
     return HilbertSeries(tuple(numerator), n)

@@ -34,13 +34,13 @@ from math import comb
 from typing import NamedTuple
 
 from .cohomology import _cochain_dims, reduced_cohomology
-from .complexes import SimplicialComplex, _popcount
+from .complexes import SimplicialComplex
 from .errors import BadParameter, InternalInvariantError, TooLarge
 from .face_ring import graded_dim, monomial_basis, star_basis
 from .linalg import ExactMatrix, FieldSpec, _product_is_zero, cohomology_dims
 
 
-FLAG_BOUND = 100_000  # flags of the order complex that flag_chains may list
+FLAG_BOUND = 100_000  # most flags flag_chains may list, and most values a limits report may list
 
 
 def _nonempty_faces(K: SimplicialComplex) -> list[int]:
@@ -175,13 +175,13 @@ def _whole_block(K: SimplicialComplex, field: FieldSpec) -> tuple[int, ...]:
 
 
 def _star_block(K: SimplicialComplex, f: int, field: FieldSpec) -> tuple[int, ...]:
-    """Unreduced cohomology dims (degrees 0, 1, ...) of the order complex of
-    the nonempty-face poset of star(f).  That order complex is the
+    """Unreduced cohomology dims (degrees 0..max(dim K, 0)) of the order
+    complex of the nonempty-face poset of star(f).  That order complex is the
     barycentric subdivision of the star, so the star's own cochains give it."""
     dims = reduced_cohomology(K.star_by_mask(f), field).dims
     if dims.get(-1, 0):
         raise InternalInvariantError("augmentation survived on a nonempty star")
-    out = [dims.get(i, 0) for i in range(max(dims) + 1)]
+    out = [dims.get(i, 0) for i in range(max(K.dim, 0) + 1)]
     out[0] += 1
     return tuple(out)
 
@@ -219,15 +219,19 @@ def derived_limit_dims(
 
     ``grouped`` (default) evaluates the monomial-block decomposition of the
     assembled complex; ``direct`` runs on the literal matrices and is meant
-    for small inputs and cross-checks.
+    for small inputs and cross-checks.  Both refuse, before any work, a
+    profile of more than ``FLAG_BOUND`` values (even degrees times lim^i).
     """
     _require_vertex(K)
     if d_max is None:
         d_max = default_degree_bound(K)
     if d_max < 0:
         raise BadParameter(f"the top degree must be nonnegative, got {d_max}")
-    degrees = list(range(0, d_max + 1, 2))
     top = max(K.dim, 0)
+    values = (d_max // 2 + 1) * (top + 1)
+    if values > FLAG_BOUND:
+        raise TooLarge(f"the limits report would list {values} values; more than {FLAG_BOUND}")
+    degrees = list(range(0, d_max + 1, 2))
     if method == "direct":
         lim = {i: {} for i in range(top + 1)}
         rker, rcok = {}, {}
@@ -242,7 +246,12 @@ def derived_limit_dims(
         raise BadParameter(f"unknown method {method!r}")
 
     whole = _whole_block(K, field)
-    star_h = {f: _star_block(K, f, field) for f in _nonempty_faces(K)}
+    # level_h[c][i]: H^i summed over the stars of the faces on c + 1 vertices,
+    # each of which supports comb(t - 1, c) monomials of degree t
+    level_h = [
+        [sum(h) for h in zip(*(_star_block(K, f, field) for f in level))]
+        for level in K.levels()[1:]
+    ]
     lim = {i: {} for i in range(top + 1)}
     rker, rcok = {}, {}
     for d in degrees:
@@ -251,11 +260,7 @@ def derived_limit_dims(
             if d == 0:
                 lim[i][d] = whole[i] if i < len(whole) else 0
             else:
-                lim[i][d] = sum(
-                    comb(t - 1, _popcount(f) - 1) * (h[i] if i < len(h) else 0)
-                    for f, h in star_h.items()
-                    if _popcount(f) <= t
-                )
+                lim[i][d] = sum(comb(t - 1, c) * h[i] for c, h in enumerate(level_h))
         # every monomial block carries the nonzero constant family, so the
         # comparison map has full column rank
         rker[d] = 0

@@ -1,6 +1,8 @@
 """Independent reference computations and shared input strategies used
 only by the test suite."""
 
+from math import comb
+
 from hypothesis import strategies as st
 
 from srdepth import GF2, GF3, QQ, depth_reisner, join, random_complex
@@ -35,6 +37,29 @@ def unnormalized_h01(K, field, d):
     d1 = _functor_matrix(field, index, c2, c3)
     dims = cohomology_dims([d0, d1])
     return dims[0], dims[1]
+
+
+def graded_dim_by_faces(K, d):
+    """Dimension of the degree-d piece of the face ring, face by face: a
+    face on c >= 1 vertices supports C(t - 1, c - 1) monomials of degree
+    t = d/2, and degree 0 holds the constants."""
+    t = d // 2
+    return 1 if t == 0 else sum(comb(t - 1, len(f) - 1) for f in K.faces() if f)
+
+
+def hilbert_expansion_by_faces(K, d_max):
+    """Coefficients in degrees 0..d_max of the sum over faces of
+    t^(2c) / (1 - t^2)^c, c the face's cardinality, expanded face by face:
+    the coefficient of t^(2c + 2k) is C(k + c - 1, c - 1)."""
+    out = [0] * (d_max + 1)
+    for f in K.faces():
+        c = len(f)
+        if c == 0:
+            out[0] += 1
+            continue
+        for k in range(0, d_max - 2 * c + 1, 2):
+            out[2 * c + k] += comb(k // 2 + c - 1, c - 1)
+    return out
 
 
 def rank_bareiss(rows_in) -> int:

@@ -236,6 +236,58 @@ def test_malformed_input_exits_2(capsys, tmp_path, name, text):
     assert out == "" and err.startswith("error: ")
 
 
+def _cli_process(*argv):
+    """Run the CLI in a fresh interpreter, so an uncaught exception would
+    show its traceback on stderr."""
+    import os
+    import subprocess
+    import sys
+
+    import srdepth
+
+    src = os.path.dirname(os.path.dirname(srdepth.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "srdepth.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, data",
+    [
+        ("utf16.facets", "1 2\n".encode("utf-16")),
+        ("deep.json", b'{"m": 1, "facets": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"),
+        ("long_int.json", b'{"m": ' + b"9" * 5000 + b', "facets": [[1]]}'),
+    ],
+    ids=["not_utf8", "json_nested_100000_deep", "json_int_of_5000_digits"],
+)
+def test_unreadable_file_exits_2_without_traceback(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    result = _cli_process("depth", str(path))
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+    assert str(path) in result.stderr
+
+
+@pytest.mark.parametrize("command", ["limits", "verify"])
+@pytest.mark.parametrize(
+    "d_max, values",
+    [("100000000", "150000003"), ("99999999999999999999", "150000000000000000000")],
+    ids=["1e8", "past_ssize_t"],
+)
+def test_huge_d_max_exits_2_before_any_work(capsys, tmp_path, command, d_max, values):
+    # one triangle: d_max // 2 + 1 even degrees times lim^0..lim^2
+    path = tmp_path / "triangle.facets"
+    path.write_text("1 2 3\n", encoding="utf-8")
+    start = time.process_time()
+    code, out, err = run_cli(capsys, command, str(path), "--d-max", d_max)
+    assert time.process_time() - start < 0.5
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert f"list {values} values" in err
+
+
 def _modules_after_cli_import(names):
     """Which of ``names`` a fresh interpreter has loaded after ``import srdepth.cli``."""
     import os

@@ -1,4 +1,5 @@
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,8 @@ from srdepth import (
 from srdepth import complexes as complexes_module
 from srdepth.complexes import complex_from_json
 from srdepth.errors import BadParameter, EmptyFace, InputError, TooLarge
+
+from oracles import small_complexes
 
 
 def faces_set(K):
@@ -368,21 +371,26 @@ def quadratic_maximal(masks):
     return [f for f in masks if not any(f != g and f & g == f for g in masks)]
 
 
-def test_maximal_matches_quadratic_definition_on_named_subcomplexes():
-    from itertools import combinations
+def _subcomplexes(K):
+    """K with every star, link and contrastar of a face and every induced
+    subcomplex of it."""
+    subs = [K]
+    for mask in K.face_masks:
+        subs += [K.star_by_mask(mask), K.link_by_mask(mask)]
+        if mask:  # the empty face has no contrastar
+            subs.append(K.contrastar_by_mask(mask))
+    for k in range(K.m + 1):
+        subs += [K.induced(w) for w in combinations(K.vertices, k)]
+    return subs
 
+
+def test_maximal_matches_quadratic_definition_on_named_subcomplexes():
     from srdepth import named_corpus
     from srdepth.complexes import _maximal
 
     checked = 0
     for name, K in named_corpus():
-        subs = [K]
-        for mask in K.face_masks:
-            subs += [K.star_by_mask(mask), K.link_by_mask(mask)]
-            if mask:  # the empty face has no contrastar
-                subs.append(K.contrastar_by_mask(mask))
-        for k in range(K.m + 1):
-            subs += [K.induced(w) for w in combinations(K.vertices, k)]
+        subs = _subcomplexes(K)
         face_set = set(K.face_masks)
         for mask in K.face_masks:
             # the link as it was first defined: disjoint faces whose union is a face
@@ -394,3 +402,22 @@ def test_maximal_matches_quadratic_definition_on_named_subcomplexes():
             assert list(sub.facet_masks) == expected, name
             checked += 1
     assert checked > 2000
+
+
+@given(small_complexes)
+@settings(max_examples=30, deadline=None)
+def test_levels_cut_the_canonical_order_by_cardinality(K):
+    for sub in _subcomplexes(K):
+        faces = sub.face_masks
+        levels = sub.levels()
+        assert len(levels) == sub.dim + 2
+        assert [f for level in levels for f in level] == list(faces)
+        assert all(f.bit_count() == k for k, level in enumerate(levels) for f in level)
+        assert sub.f_vector == tuple(len(level) for level in levels)
+        vmask = 0
+        for f in faces:
+            vmask |= f
+        assert sub.vertices == tuple(i + 1 for i in range(vmask.bit_length()) if vmask >> i & 1)
+        for c in range(-2, sub.dim + 4):
+            expected = [f for f in sub.faces() if len(f) == c]
+            assert list(sub.faces(c)) == expected, c

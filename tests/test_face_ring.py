@@ -2,6 +2,8 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srdepth import (
     QQ,
@@ -19,6 +21,8 @@ from srdepth import (
 from srdepth.errors import OddDegree
 from srdepth.face_ring import star_basis
 from srdepth.limits import flag_chains
+
+from oracles import graded_dim_by_faces, hilbert_expansion_by_faces, small_complexes
 
 
 def brute_monomials(K, d):
@@ -49,6 +53,14 @@ def test_graded_dim_matches_brute_enumeration():
             mons = brute_monomials(K, d)
             assert graded_dim(K, d) == len(mons)
             assert list(monomial_basis(K, d)) == mons
+
+
+@given(small_complexes, st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_graded_dim_and_hilbert_series_match_per_face_sums(K, t):
+    # both are read off the f-vector; the oracles visit every face
+    assert graded_dim(K, 2 * t) == graded_dim_by_faces(K, 2 * t)
+    assert hilbert_series(K).expansion(2 * t) == hilbert_expansion_by_faces(K, 2 * t)
 
 
 def test_graded_dim_rejects_odd_degree():

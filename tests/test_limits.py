@@ -1,3 +1,4 @@
+import importlib
 from collections import deque
 
 import pytest
@@ -24,9 +25,9 @@ from srdepth import (
     validate,
     verify_limit_decomposition,
 )
-from srdepth.cohomology import _cochain_dims, _levels
+from srdepth.cohomology import _cochain_dims
 from srdepth.complexes import _popcount
-from srdepth.errors import BadParameter
+from srdepth.errors import BadParameter, TooLarge
 from srdepth.limits import _nonempty_faces, _star_block, _whole_block, flag_chains
 from srdepth.linalg import _product_is_zero, cohomology_dims
 
@@ -95,6 +96,23 @@ def test_requires_a_vertex():
 def test_negative_degree_bound_rejected():
     with pytest.raises(BadParameter):
         derived_limit_dims(cycle(3), QQ, -2)
+
+
+@pytest.mark.parametrize("method", ["grouped", "direct"])
+def test_degree_bound_past_the_report_guard_fails_before_any_work(monkeypatch, method):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the size check")
+
+    module = importlib.import_module("srdepth.limits")
+    monkeypatch.setattr(module, "_star_block", refuse)
+    monkeypatch.setattr(module, "flag_chains", refuse)
+    K = simplex(3)  # a triangle: lim^0..lim^2 in each even degree
+    for d_max, values in [(10**8, 150_000_003), (10**20 - 1, 15 * 10**19), (66_666, 100_002)]:
+        with pytest.raises(TooLarge, match=f"list {values} values"):
+            derived_limit_dims(K, GF2, d_max, method)
+    # 33,333 degrees of 3 values each are admitted, and the work starts
+    with pytest.raises(AssertionError, match="work started"):
+        derived_limit_dims(K, GF2, 66_665, method)
 
 
 def test_rho_examples():
@@ -333,7 +351,8 @@ def _remainder_reduced_dims(alive, field):
     if not alive:
         return {}
     lo = min(_popcount(c) for c in alive)
-    levels = _levels(sorted(alive), max(_popcount(c) for c in alive))[lo:]
+    hi = max(_popcount(c) for c in alive)
+    levels = [[c for c in sorted(alive) if _popcount(c) == k] for k in range(lo, hi + 1)]
     dims = _cochain_dims(levels, field)
     return {lo - 1 + i: h for i, h in enumerate(dims) if h}
 
