@@ -15,13 +15,12 @@ build no higher coboundary, and list only the degrees they computed.
 Local cohomology at an inner point of a nonempty face sigma is *defined*
 through the degree shift by the link and *verified* against the independent
 relative computation for the pair (K, contrastar sigma), whose cochains
-live on the faces containing sigma; the depth engine hands that face filter
-to ``_relative_dims`` and builds no contrastar.
+live on the faces containing sigma; the depth engine ranks their rows of
+K's own coboundary and builds no contrastar.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -90,16 +89,36 @@ class CohomologyProfile(NamedTuple):
         return None
 
 
-@lru_cache(maxsize=200_000)
+_PREFIXES: dict = {}  # (K, field) -> longest profile computed, least recently used first
+
+
 def reduced_cohomology(
     K: SimplicialComplex, field: FieldSpec, until: int | None = None
 ) -> CohomologyProfile:
     """Reduced cohomology of K via the augmented simplicial cochain complex.
     With ``until``, only degrees -1 through the lowest nonzero one or
-    ``until``, whichever comes first, are computed and listed."""
-    stop = None if until is None else until + 1
-    dims = _cochain_dims(K.levels(), field, stop)
-    return CohomologyProfile(field, MappingProxyType({i - 1: h for i, h in enumerate(dims)}))
+    ``until``, whichever comes first, are computed and listed.  A memo keeps
+    the longest prefix per (K, field) and answers each cap it decides (it is
+    complete, holds a nonzero degree, or reaches the cap); ``cache_clear``
+    empties it."""
+    got = _PREFIXES.pop((K, field), None)
+    if got is None or not (
+        len(got.dims) == K.dim + 2
+        or until is not None and (len(got.dims) - 2 >= until or got.first_nonzero() is not None)
+    ):
+        dims = _cochain_dims(K.levels(), field, None if until is None else until + 1)
+        got = CohomologyProfile(field, MappingProxyType({i - 1: h for i, h in enumerate(dims)}))
+    _PREFIXES[K, field] = got
+    if len(_PREFIXES) > 200_000:
+        del _PREFIXES[next(iter(_PREFIXES))]
+    c = got.first_nonzero()
+    stop = until if c is None or until is not None and until < c else c
+    if until is None or stop >= len(got.dims) - 2:
+        return got
+    return CohomologyProfile(field, MappingProxyType({i: h for i, h in got.dims.items() if i <= stop}))
+
+
+reduced_cohomology.cache_clear = _PREFIXES.clear
 
 
 def relative_cohomology(K: SimplicialComplex, L: SimplicialComplex, field: FieldSpec) -> dict[int, int]:

@@ -45,11 +45,17 @@ FACE_BOUND = 18  # log2 of the most generator subsets one complex may enumerate
 RANDOM_SUBSET_BOUND = 20  # log2 of the most candidate facets random_complex may draw
 
 
+def _quote(value, limit: int = 30) -> str:
+    """``repr(value)`` for an error message, cut to a prefix and its length."""
+    text = repr(value)
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+
+
 def _mask_of(vertices: Iterable[int]) -> int:
     m = 0
     for v in vertices:
         if v < 1:
-            raise VertexOutOfRange(f"vertex {v!r} is not a label >= 1")
+            raise VertexOutOfRange(f"vertex {_quote(v)} is not a label >= 1")
         m |= 1 << (v - 1)
     return m
 
@@ -284,19 +290,21 @@ def validate(raw_facets: Sequence[Sequence[int]], m: int) -> SimplicialComplex:
     time linear in the input, not in m.
     """
     if type(m) is not int or m < 0:
-        raise BadParameter(f"m must be an integer >= 0, got {m!r}")
+        raise BadParameter(f"m must be an integer >= 0, got {_quote(m)}")
     if not raw_facets:
         raise EmptyInput("no facets given; the complex {-} is declared as [[]] with m=0")
     labels = set()
     for facet in raw_facets:
         for v in facet:
             if type(v) is not int or v < 1 or v > m:
-                raise VertexOutOfRange(f"vertex {v!r} outside 1..{m}")
+                raise VertexOutOfRange(f"vertex {_quote(v)} outside 1..{_quote(m)}")
         labels.update(facet)
     if len(labels) != m:
         # at most len(labels) of 1..len(labels)+5 occur: the first gaps lie there
         missing = [v for v in range(1, min(m, len(labels) + 5) + 1) if v not in labels][:5]
-        raise UnusedVertex(f"{m - len(labels)} of the vertices 1..{m} occur in no facet, first {missing}")
+        raise UnusedVertex(
+            f"{_quote(m - len(labels))} of the vertices 1..{_quote(m)} occur in no facet, first {missing}"
+        )
     return SimplicialComplex([_mask_of(facet) for facet in raw_facets])
 
 
@@ -306,7 +314,7 @@ def _validate_input(raw_facets, m: int) -> SimplicialComplex:
     K = validate(raw_facets, m)
     for facet in raw_facets:
         if len(set(facet)) != len(facet):
-            raise RepeatedVertex(f"facet {list(facet)} repeats a vertex")
+            raise RepeatedVertex(f"facet {_quote(list(facet))} repeats a vertex")
     return K
 
 
@@ -425,16 +433,16 @@ def parse_facet_text(text: str) -> SimplicialComplex:
         parts = line.split()
         if parts[0] == "m" and m is None and not facets:
             if len(parts) != 2:
-                raise EmptyInput(f"bad header line: {raw_line!r}")
+                raise EmptyInput(f"bad header line: {_quote(raw_line)}")
             try:
                 m = int(parts[1])
             except ValueError:
-                raise EmptyInput(f"bad header line: {raw_line!r}") from None
+                raise EmptyInput(f"bad header line: {_quote(raw_line)}") from None
             continue
         try:
             facets.append([int(p) for p in parts])
         except ValueError:
-            raise EmptyInput(f"bad facet line: {raw_line!r}") from None
+            raise EmptyInput(f"bad facet line: {_quote(raw_line)}") from None
     if m is None:
         m = max((v for f in facets for v in f), default=0)
     return _validate_input(facets, m)

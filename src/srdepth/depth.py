@@ -7,7 +7,8 @@ verification harnesses for the structural identities they are built on.
 * ``depth_topological``: the largest r such that the complex itself and all
   local cohomology groups at inner points vanish in degrees <= r - 2; the
   local group at sigma is H*(K, contrastar sigma), computed on its relative
-  cochains (the faces containing sigma), not through the link shift.
+  cochains, the face filter of sigma, not through the link shift.  Those
+  are rows of K's own coboundary, assembled and checked once per call.
 * ``depth_ab``: number of ring generators minus the projective dimension,
   a third, resolution-theoretic route.  By Hochster's formula pd is the
   largest |W| - c - 1 over vertex subsets W, with c the lowest degree of
@@ -44,11 +45,11 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .cohomology import HarnessReport, _relative_dims, reduced_cohomology
-from .complexes import SimplicialComplex, _popcount
+from .cohomology import HarnessReport, _coboundary_rows, reduced_cohomology
+from .complexes import SimplicialComplex, _popcount, _verts_of
 from .errors import BadParameter, EngineDisagreement, TooLarge
 from .limits import LimitsProfile, derived_limit_dims
-from .linalg import FieldSpec
+from .linalg import ExactMatrix, FieldSpec, _check_square_zero, _cohomology
 
 HOCHSTER_VERTEX_BOUND = 14  # log2 of the most induced subcomplexes one call may visit
 FACE_PAIR_BOUND = 21  # log2 of the most face pairs one link or face-filter walk may visit
@@ -103,20 +104,41 @@ def depth_topological(K: SimplicialComplex, field: FieldSpec) -> int:
     relative cohomology of (K, contrastar sigma) for every nonempty sigma
     vanish in degrees <= r - 2.  A group with lowest nonzero degree c lowers
     the running bound r to c + 1 and is computed only through degree r - 2.
-    The cochains at sigma, K's levels filtered to the faces containing
-    sigma, start in degree card(sigma) - 1: the walk ends at the first
-    card(sigma) >= r."""
+    The cochains at sigma, the faces containing sigma, start in degree
+    card(sigma) - 1: the walk ends at the first card(sigma) >= r.  They are
+    the rows of K's coboundary matrices that hold every vertex of sigma,
+    found by ANDing per-vertex position bitsets of each level."""
     _check_face_pairs(K)
     r = K.krull_dim
     c = reduced_cohomology(K, field, r - 2).first_nonzero()
     if c is not None:
         r = c + 1
-    levels = K.levels()[1:]
+    # the walk ranks d_n for n <= r - 2 only: cardinality n + 1 to n + 2
+    levels = K.levels()[1 : r + 1]
+    mats = [
+        ExactMatrix.from_sparse(field, _coboundary_rows(lower, upper, field.p), len(upper))
+        for lower, upper in zip(levels, levels[1:])
+    ]
+    for n in range(1, len(mats)):
+        _check_square_zero(mats[n - 1], mats[n], n - 1)
+    # bit i of at[n][v] is set when face i of cardinality n + 1 holds vertex v
+    at = [[0] * (K.vertices[-1] + 1) for _ in levels[1:]]
+    for bits, level in zip(at, levels):
+        for i, f in enumerate(level):
+            for v in _verts_of(f):
+                bits[v] |= 1 << i
     for mask in K.face_masks[1:]:
-        if _popcount(mask) >= r:
+        s = _popcount(mask)
+        if s >= r:
             break
-        rel = [[f for f in level if f & mask == mask] for level in levels]
-        c = next((i for i, h in _relative_dims(rel, field, r - 2).items() if h), None)
+        verts = _verts_of(mask)
+        rows = [()] * (s - 1)
+        for bits in at[s - 1 : r - 1]:
+            x = -1
+            for v in verts:
+                x &= bits[v]
+            rows.append([i - 1 for i in _verts_of(x)])
+        c = next((i for i, h in enumerate(_cohomology(mats, r - 2, rows)) if h), None)
         if c is not None:
             r = c + 1
     return r

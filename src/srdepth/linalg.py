@@ -24,10 +24,12 @@ leading columns.
 
 One cochain kernel, ``_cohomology``, serves every cohomology computation.
 It takes the differentials lazily with one row per basis vector of the
-source, goes up the degrees, checks d_n d_{n-1} = 0 by sparse composition,
-drops the rows of d_n named by the leading columns of d_{n-1} (clearing),
-and can stop at the first nonzero degree.  ``cohomology_dims`` is its public
-form for matrices in the usual (target rows) shape: it transposes them.
+source, goes up the degrees, checks d_n d_{n-1} = 0 by sparse composition
+(``_check_square_zero``), drops the rows of d_n named by the leading columns
+of d_{n-1} (clearing), and can stop at the first nonzero degree.  Given row
+ids (a face filter in K's coboundary), it ranks only those rows, and the
+caller checks d^2 = 0 once.  ``cohomology_dims`` is its public form for
+matrices in the usual (target rows) shape: it transposes them.
 """
 
 from __future__ import annotations
@@ -315,7 +317,14 @@ def cohomology_dims(differentials: Sequence[ExactMatrix]) -> list[int]:
     return _cohomology(source_rows())
 
 
-def _cohomology(differentials, until: Optional[int] = None) -> list[int]:
+def _check_square_zero(prev: ExactMatrix, mat: ExactMatrix, n: int) -> None:
+    """Raise ``NotAComplex(n)`` unless d_{n+1} d_n = 0 for d_n = ``prev`` and
+    d_{n+1} = ``mat`` in source-row orientation."""
+    if mat.cols and not _product_is_zero(prev, mat):
+        raise NotAComplex(n)
+
+
+def _cohomology(differentials, until: Optional[int] = None, rows=None) -> list[int]:
     """Cohomology dimensions H^0, H^1, ... of the cochain complex whose
     differentials arrive one at a time in source-row orientation: the n-th
     has one row per basis vector of C^n and one column per basis vector of
@@ -329,20 +338,24 @@ def _cohomology(differentials, until: Optional[int] = None) -> list[int]:
     coordinate vectors outside P, and as d_n kills im d_{n-1} the rows
     outside P have the rank of all of them.  With ``until``, the walk stops
     after the first nonzero H^n or at degree ``until`` and builds no later
-    differential, so the result is a prefix of the full list."""
+    differential, so the result is a prefix of the full list.
+
+    With ``rows``, C^n is spanned by the rows ``rows[n]`` of the n-th matrix
+    alone, a cochain subcomplex closed upward, whose pivot columns are row
+    ids of the next matrix.  The caller has checked d^2 = 0 on the whole
+    matrices, which covers the restriction, so none is composed here."""
     if until is not None and until < 0:
         return []
     dims: list[int] = []
     prev, cleared, prev_rank = None, (), 0
     for n, mat in enumerate(differentials):
-        if prev is not None and mat.cols and not _product_is_zero(prev, mat):
-            raise NotAComplex(n - 1)
-        rows = mat.sparse_rows
-        if cleared:
-            rows = [row for i, row in enumerate(rows) if i not in cleared]
-        kept = ExactMatrix.from_sparse(mat.field, rows, mat.cols)
+        if rows is None and prev is not None:
+            _check_square_zero(prev, mat, n - 1)
+        ids = range(mat.rows) if rows is None else rows[n]
+        src = mat.sparse_rows
+        kept = ExactMatrix.from_sparse(mat.field, [src[i] for i in ids if i not in cleared], mat.cols)
         rank = kept.rank()
-        dims.append(mat.rows - rank - prev_rank)
+        dims.append(len(ids) - rank - prev_rank)
         if until is not None and (dims[-1] or n >= until):
             break
         prev, cleared, prev_rank = mat, kept.pivots, rank

@@ -5,7 +5,8 @@ from math import comb
 
 from hypothesis import strategies as st
 
-from srdepth import GF2, GF3, QQ, depth_reisner, join, random_complex
+from srdepth import GF2, GF3, QQ, depth_reisner, join, random_complex, reduced_cohomology
+from srdepth.cohomology import _relative_dims
 from srdepth.limits import _functor_matrix, _nonempty_faces, _require_vertex, _star_index
 from srdepth.linalg import cohomology_dims
 
@@ -20,6 +21,19 @@ def join_additivity_observations(pairs, field):
         if got != expected:
             mismatches.append(((name_a, name_b), got, expected))
     return mismatches
+
+
+def depth_by_face_filters(K, field):
+    """The point criterion without caps or an early end: dim K + 1, or less
+    if H~*(K) or the cohomology of some face filter {f >= sigma} (K's levels
+    filtered per face, ranked on their own by ``_relative_dims``) has a
+    lowest nonzero degree c, which bounds the depth by c + 1."""
+    firsts = [reduced_cohomology(K, field).first_nonzero()]
+    levels = K.levels()[1:]
+    for s in K.face_masks[1:]:
+        rel = [[f for f in level if f & s == s] for level in levels]
+        firsts.append(next((i for i, h in _relative_dims(rel, field).items() if h), None))
+    return min([K.krull_dim] + [c + 1 for c in firsts if c is not None])
 
 
 def unnormalized_h01(K, field, d):

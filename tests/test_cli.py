@@ -104,8 +104,16 @@ def test_unused_vertex_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "depth", str(path))
     assert code == 2
     # a huge declared vertex count is refused in time linear in the input,
-    # with a short message, not by a mask of m bits
-    for text in ("m 1000000\n1\n", "m 100000000000000000000\n100000000000000000000\n"):
+    # with a short message, not by a mask of m bits; a huge line, vertex or
+    # header is quoted by a short prefix and its length
+    for text in (
+        "m 1000000\n1\n",
+        "m 100000000000000000000\n100000000000000000000\n",
+        "1" * 200_000 + "x\n",
+        "1" + "0" * 3999 + "\n",
+        "m " + "1" * 5000 + "\n1\n",
+        '{"m": 1, "facets": [[' + "1" * 4000 + "]]}",
+    ):
         path.write_text(text, encoding="utf-8")
         start = time.process_time()
         code, out, err = run_cli(capsys, "depth", str(path))

@@ -1,4 +1,5 @@
 import importlib
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +23,9 @@ from srdepth import (
     validate,
     verify_munkres_shift,
 )
-from srdepth.cohomology import _relative_dims
+from srdepth.cohomology import _coboundary_rows, _relative_dims
 from srdepth.errors import EmptyFace, FaceNotInComplex, NotASubcomplex, RepeatedVertex
+from srdepth.linalg import ExactMatrix, _cohomology
 
 from oracles import dense_cochain_dims, small_complexes, three_fields
 
@@ -191,6 +193,24 @@ def _face_filters(K):
         yield sigma, above, rel
 
 
+def _filter_rows(K, field):
+    """The face filters as the depth engine ranks them: a function of
+    (sigma, until) that ranks the rows of the faces containing sigma in K's
+    own coboundary matrices, one per cardinality 1..dim K + 1."""
+    levels = K.levels()[1:]
+    mats = [
+        ExactMatrix.from_sparse(field, _coboundary_rows(lower, upper, field.p), len(upper))
+        for lower, upper in zip(levels, levels[1:] + [[]])
+    ]
+
+    def dims(sigma, until=None):
+        s = _mask(sigma)
+        rows = [[i for i, f in enumerate(level) if f & s == s] for level in levels]
+        return dict(enumerate(_cohomology(mats, until, rows)))
+
+    return dims
+
+
 @given(small_complexes, three_fields)
 @settings(max_examples=40, deadline=None)
 def test_cohomology_matches_dense_ranks(K, field):
@@ -198,10 +218,12 @@ def test_cohomology_matches_dense_ranks(K, field):
     levels = [[f for f in faces if len(f) == k] for k in range(K.dim + 2)]
     dense = dense_cochain_dims(levels, field)
     assert reduced_cohomology(K, field).dims == {i - 1: h for i, h in enumerate(dense)}
+    filter_rows = _filter_rows(K, field)
     for sigma, above, rel in _face_filters(K):
         rel_levels = [[f for f in above if len(f) == k] for k in range(1, K.dim + 2)]
         dense = dict(enumerate(dense_cochain_dims(rel_levels, field)))
         assert _relative_dims(rel, field) == dense, sigma
+        assert filter_rows(sigma) == dense, sigma
 
 
 @given(small_complexes, three_fields, st.integers(-2, 4))
@@ -213,8 +235,10 @@ def test_until_gives_the_prefix_through_the_first_nonzero_degree(K, field, t):
         return {i: h for i, h in full.items() if i <= stop}
 
     assert reduced_cohomology(K, field, t).dims == prefix(reduced_cohomology(K, field).dims)
-    for _, _, rel in _face_filters(K):
+    filter_rows = _filter_rows(K, field)
+    for sigma, _, rel in _face_filters(K):
         assert _relative_dims(rel, field, t) == prefix(_relative_dims(rel, field))
+        assert filter_rows(sigma, t) == prefix(_relative_dims(rel, field)), sigma
 
 
 def test_until_builds_no_later_coboundary(monkeypatch):
@@ -230,3 +254,40 @@ def test_until_builds_no_later_coboundary(monkeypatch):
     built.clear()
     assert reduced_cohomology(disjoint_points(3), GF3, 5).dims == {-1: 0, 0: 2}
     assert len(built) == 2
+
+
+def test_memo_answers_the_caps_its_prefix_decides(monkeypatch):
+    module = importlib.import_module("srdepth.cohomology")
+    built = []
+    rows = module._coboundary_rows
+    monkeypatch.setattr(module, "_coboundary_rows", lambda *a: built.append(a) or rows(*a))
+    point_and_circle = validate([[1], [2, 3], [3, 4], [2, 4]], 4)  # nonzero in degrees 0 and 1
+    cases = [boundary_simplex(3), rp2_minimal(), point_and_circle, cone(cycle(5))]
+    for K in cases:
+        for field in (GF2, GF3, QQ):
+            fresh = {}
+            for cap in (-2, -1, 0, 1, 2, None):
+                reduced_cohomology.cache_clear()
+                fresh[cap] = dict(reduced_cohomology(K, field, cap).dims)
+            for order in ((0, None, 1), (None, 0), (1, 0, -1, 2, None)):
+                reduced_cohomology.cache_clear()
+                held = None  # the prefix a decided cap is answered from
+                for cap in order:
+                    built.clear()
+                    dims = reduced_cohomology(K, field, cap).dims
+                    assert dims == fresh[cap], (K, field, order, cap)
+                    assert isinstance(dims, MappingProxyType)
+                    decided = held is not None and (
+                        len(held) == K.dim + 2
+                        or cap is not None
+                        and (any(held.values()) or max(held, default=-2) >= cap)
+                    )
+                    assert (not built) == decided, (K, field, order, cap)
+                    if not decided:
+                        held = dims
+    # a full request after a capped one that stopped at a nonzero degree
+    reduced_cohomology.cache_clear()
+    assert reduced_cohomology(point_and_circle, GF2, 1).dims == {-1: 0, 0: 1}
+    built.clear()
+    assert reduced_cohomology(point_and_circle, GF2).dims == {-1: 0, 0: 1, 1: 1}
+    assert built

@@ -39,9 +39,14 @@ from srdepth.depth import (
     link_condition,
     local_condition,
 )
-from srdepth.errors import BadParameter, EngineDisagreement, TooLarge
+from srdepth.errors import BadParameter, EngineDisagreement, NotAComplex, TooLarge
 
-from oracles import join_additivity_observations, small_complexes, three_fields
+from oracles import (
+    depth_by_face_filters,
+    join_additivity_observations,
+    small_complexes,
+    three_fields,
+)
 
 ALL_FIELDS = (GF2, GF3, GF5, QQ)
 DEPTH_MODULE = importlib.import_module("srdepth.depth")  # srdepth.depth is also the function
@@ -169,7 +174,7 @@ def test_depth_ab_reads_induced_subcomplexes_only(monkeypatch):
     # engines, and visit no more subsets than its up-front estimate
     for name in ("star", "star_by_mask", "link", "link_by_mask", "contrastar", "contrastar_by_mask"):
         monkeypatch.setattr(SimplicialComplex, name, refuse)
-    monkeypatch.setattr(DEPTH_MODULE, "_relative_dims", refuse)
+    monkeypatch.setattr(DEPTH_MODULE, "_coboundary_rows", refuse)
     visits = []
     induced = SimplicialComplex.induced
     monkeypatch.setattr(
@@ -196,12 +201,58 @@ def test_link_engines_too_large_fail_before_any_walk(monkeypatch):
     # subsets), but its links and face filters hold 3^14 - 2^14 faces
     K = boundary_simplex(13)
     monkeypatch.setattr(SimplicialComplex, "link_by_mask", refuse)
-    monkeypatch.setattr(DEPTH_MODULE, "_relative_dims", refuse)
+    monkeypatch.setattr(DEPTH_MODULE, "_coboundary_rows", refuse)
     with pytest.raises(TooLarge, match="4766585"):
         depth(K, GF2)  # refused in depth_reisner
     with pytest.raises(TooLarge, match="4766585"):
         depth_topological(K, GF2)
     _check_face_pairs(boundary_simplex(12))  # 1,586,131 pairs: admitted
+
+
+@given(
+    st.builds(
+        random_complex,
+        st.integers(1, 9),
+        st.integers(0, 3),
+        st.sampled_from([0.3, 0.6, 0.9]),  # dense ones reach deep into the walk
+        st.integers(0, 10**6),
+    ),
+    three_fields,
+)
+@settings(max_examples=80, deadline=None)
+def test_topological_engine_matches_face_filter_oracle(K, field):
+    # the engine ranks the rows of each face filter in K's own coboundary;
+    # the oracle filters K's levels per face and ranks them with no cap
+    assert depth_topological(K, field) == depth_by_face_filters(K, field)
+
+
+def test_topological_engine_matches_face_filter_oracle_on_corpus():
+    corpus = [K for _, K in named_corpus()]
+    corpus += [K for _, _, K in random_corpus(200, 20240101, 8)]
+    for field in (GF2, GF3, QQ):  # 672 (complex, field) cases
+        for K in corpus:
+            assert depth_topological(K, field) == depth_by_face_filters(K, field), (K, str(field))
+
+
+@pytest.mark.parametrize("field", [GF3, QQ], ids=str)
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_topological_engine_checks_its_coboundary(monkeypatch, field, n):
+    # one sign flipped in K's coboundary out of cardinality n + 1 breaks
+    # d^2 = 0 next to it; the engine checks the matrices it ranks once per call
+    rows = DEPTH_MODULE._coboundary_rows
+
+    def flip_one(lower, upper, p):
+        out = rows(lower, upper, p)
+        if lower and lower[0].bit_count() == n + 1:
+            row = out[0]
+            j = min(row)
+            row[j] = -row[j] % p if p else -row[j]
+        return out
+
+    monkeypatch.setattr(DEPTH_MODULE, "_coboundary_rows", flip_one)
+    K = boundary_simplex(4)  # depth 4: the walk ranks out of cardinalities 1..3
+    with pytest.raises(NotAComplex):
+        depth_topological.__wrapped__(K, field)
 
 
 def test_depth_raises_when_engines_disagree(monkeypatch):
