@@ -19,7 +19,7 @@ from . import corpus as corpus_mod
 from .cohomology import reduced_cohomology, verify_munkres_shift
 from .complexes import SimplicialComplex, load_complex, to_facet_text
 from .depth import depth, verify_limit_depth_criterion, verify_star_link
-from .errors import BadParameter, InputError, InternalInvariantError
+from .errors import BadParameter, InputError, InternalInvariantError, _quote
 from .limits import default_degree_bound, verify_limit_decomposition
 from .linalg import FieldSpec
 
@@ -121,7 +121,7 @@ def _d_max(args, K) -> int:
     if args.d_max is None:
         return default_degree_bound(K)
     if args.d_max < 0:
-        raise BadParameter(f"--d-max must be nonnegative, got {args.d_max}")
+        raise BadParameter(f"--d-max must be nonnegative, got {_quote(args.d_max)}")
     return args.d_max
 
 
@@ -207,6 +207,13 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
+def _int_arg(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # argparse's own message would repeat the whole text
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srdepth",
@@ -225,12 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_limits = sub.add_parser("limits", help="derived limit dimensions per degree")
     add_common(p_limits)
-    p_limits.add_argument("--d-max", type=int, default=None, help="top internal degree (default 4m)")
+    p_limits.add_argument("--d-max", type=_int_arg, default=None, help="top internal degree (default 4m)")
     p_limits.set_defaults(func=cmd_limits)
 
     p_verify = sub.add_parser("verify", help="run all verification harnesses")
     add_common(p_verify)
-    p_verify.add_argument("--d-max", type=int, default=None, help="top internal degree (default 4m)")
+    p_verify.add_argument("--d-max", type=_int_arg, default=None, help="top internal degree (default 4m)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_corpus = sub.add_parser("corpus", help="emit a deterministic corpus")
@@ -240,9 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_named.set_defaults(func=cmd_corpus, kind="named")
     p_random = corpus_sub.add_parser("random", help="seeded random complexes")
     p_random.add_argument("out", help="output directory")
-    p_random.add_argument("--m", type=int, default=8, help="max vertex count (default 8)")
-    p_random.add_argument("--count", type=int, default=200)
-    p_random.add_argument("--seed", type=int, default=corpus_mod.DEFAULT_SEED)
+    p_random.add_argument("--m", type=_int_arg, default=8, help="max vertex count (default 8)")
+    p_random.add_argument("--count", type=_int_arg, default=200)
+    p_random.add_argument("--seed", type=_int_arg, default=corpus_mod.DEFAULT_SEED)
     p_random.set_defaults(func=cmd_corpus, kind="random")
 
     return parser

@@ -5,12 +5,12 @@ every matrix is reproducible bit for bit.  The augmented cochain complex
 includes the empty face in degree -1; H^{-1} is one-dimensional exactly for
 the complex {-}.
 
-Each coboundary is assembled with one row per lower face and handed,
-degree by degree, to the cochain kernel of ``linalg``, which checks
-d^2 = 0, clears the rows named by the previous degree's pivots and ranks
-the rest.  ``reduced_cohomology`` and ``_relative_dims`` take an optional
-``until``: they then stop at the lowest nonzero degree or at ``until``,
-build no higher coboundary, and list only the degrees they computed.
+Every coboundary is made by ``_coboundaries``, one row per lower face, and
+d^2 = 0 is checked there as the next one is made; the cochain kernel of
+``linalg`` then clears the rows named by the previous degree's pivots and
+ranks the rest.  ``reduced_cohomology`` and ``_cochain_dims`` take an
+optional ``until``: they then stop at the lowest nonzero degree or at
+``until``, build no higher coboundary, and list only the degrees computed.
 
 Local cohomology at an inner point of a nonempty face sigma is *defined*
 through the degree shift by the link and *verified* against the independent
@@ -26,7 +26,7 @@ from typing import Mapping, NamedTuple
 
 from .complexes import SimplicialComplex
 from .errors import EmptyFace, NotASubcomplex
-from .linalg import ExactMatrix, FieldSpec, _cohomology
+from .linalg import ExactMatrix, FieldSpec, _checked, _cohomology
 
 
 def _coboundary_rows(lower: list[int], upper: list[int], p) -> list:
@@ -63,15 +63,19 @@ def _coboundary_rows(lower: list[int], upper: list[int], p) -> list:
     return rows
 
 
+def _coboundaries(levels: list, field: FieldSpec):
+    """The coboundaries between consecutive ``levels``, each made when pulled."""
+    return _checked(
+        ExactMatrix.from_sparse(field, _coboundary_rows(lower, upper, field.p), len(upper))
+        for lower, upper in zip(levels, levels[1:])
+    )
+
+
 def _cochain_dims(levels: list, field: FieldSpec, until: int | None = None) -> list[int]:
     """Cohomology dimensions of the cochain complex with bases ``levels``
     (consecutive cardinalities) and the simplicial coboundary; with
     ``until``, the prefix through the first nonzero one or index ``until``."""
-    mats = (
-        ExactMatrix.from_sparse(field, _coboundary_rows(lower, upper, field.p), len(upper))
-        for lower, upper in zip(levels, levels[1:] + [[]])
-    )
-    return _cohomology(mats, until)
+    return _cohomology(_coboundaries(levels + [[]], field), until)
 
 
 class CohomologyProfile(NamedTuple):
@@ -122,20 +126,12 @@ reduced_cohomology.cache_clear = _PREFIXES.clear
 
 
 def relative_cohomology(K: SimplicialComplex, L: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
-    """Cohomology of the pair (K, L): the cochain complex on faces of K not
-    in L, with the coboundary inherited from K."""
+    """Cohomology of the pair (K, L) in degrees 0..max(dim K, 0): the
+    cochain complex on faces of K not in L, with K's coboundary."""
     if not L.is_subcomplex_of(K):
         raise NotASubcomplex(f"{L!r} is not a subcomplex of {K!r}")
     levels = [[f for f in level if not L.has_face_mask(f)] for level in K.levels()[1:]]
-    return _relative_dims(levels, field)
-
-
-def _relative_dims(levels: list, field: FieldSpec, until: int | None = None) -> dict[int, int]:
-    """Cohomology in degrees 0..max(dim K, 0) of the cochains on faces of K
-    closed upward in K, given by cardinality 1..dim K + 1 in ``levels``, with
-    K's coboundary; with ``until``, only through the lowest nonzero degree
-    or ``until``."""
-    return dict(enumerate(_cochain_dims(levels or [[]], field, until)))
+    return dict(enumerate(_cochain_dims(levels or [[]], field)))
 
 
 def local_cohomology(K: SimplicialComplex, sigma, field: FieldSpec) -> dict[int, int]:

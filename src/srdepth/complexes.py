@@ -37,6 +37,7 @@ from .errors import (
     TooLarge,
     UnusedVertex,
     VertexOutOfRange,
+    _quote,
 )
 
 Face = tuple[int, ...]
@@ -45,18 +46,14 @@ FACE_BOUND = 18  # log2 of the most generator subsets one complex may enumerate
 RANDOM_SUBSET_BOUND = 20  # log2 of the most candidate facets random_complex may draw
 
 
-def _quote(value, limit: int = 30) -> str:
-    """``repr(value)`` for an error message, cut to a prefix and its length."""
-    text = repr(value)
-    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
-
-
-def _mask_of(vertices: Iterable[int]) -> int:
+def _mask_of(vertices: Iterable[int], top: int | None = None) -> int:
+    """The bitmask of int labels >= 1 (a bool is not); with ``top``, a label
+    above it counts as top + 1: no face of K, and no huge mask."""
     m = 0
     for v in vertices:
-        if v < 1:
-            raise VertexOutOfRange(f"vertex {_quote(v)} is not a label >= 1")
-        m |= 1 << (v - 1)
+        if type(v) is not int or v < 1:
+            raise VertexOutOfRange(f"vertex {_quote(v)} is not an int label >= 1")
+        m |= 1 << (v - 1 if top is None or v <= top else top)
     return m
 
 
@@ -171,7 +168,7 @@ class SimplicialComplex:
         return sum((-1) ** i * fi for i, fi in enumerate(self.f_vector[1:]))
 
     def has_face(self, face: Iterable[int]) -> bool:
-        return _mask_of(face) in self._face_set
+        return _mask_of(face, self._vmask.bit_length()) in self._face_set
 
     def has_face_mask(self, mask: int) -> bool:
         return mask in self._face_set
@@ -185,11 +182,11 @@ class SimplicialComplex:
         """The mask of ``face``, which must be a face of K written without
         a repeated vertex (the mask alone would silently drop the repeat)."""
         face = tuple(face)
-        mask = _mask_of(face)
-        if _popcount(mask) != len(face):
-            raise RepeatedVertex(f"face {face} repeats a vertex")
+        mask = _mask_of(face, self._vmask.bit_length())
         if mask not in self._face_set:
-            raise FaceNotInComplex(f"{tuple(sorted(face))} is not a face")
+            raise FaceNotInComplex(f"{_quote(face)} is not a face")
+        if _popcount(mask) != len(face):
+            raise RepeatedVertex(f"face {_quote(face)} repeats a vertex")
         return mask
 
     # -- subcomplexes --------------------------------------------------------
@@ -219,7 +216,7 @@ class SimplicialComplex:
 
     def induced(self, vertex_subset: Iterable[int]) -> "SimplicialComplex":
         """Full subcomplex on a vertex subset: faces contained in it."""
-        return _induced(self, _mask_of(vertex_subset) & self._vmask)
+        return _induced(self, _mask_of(vertex_subset, self._vmask.bit_length()) & self._vmask)
 
     def contrastar(self, face: Iterable[int]) -> "SimplicialComplex":
         """Faces not containing the nonempty face sigma; the complement of
@@ -390,16 +387,16 @@ def random_complex(m: int, d: int, density: float, seed: int) -> SimplicialCompl
     ``2**RANDOM_SUBSET_BOUND`` candidate subsets raise ``TooLarge`` before
     any draw.
     """
-    if m < 1:
-        raise BadParameter("m must be >= 1")
-    if d < 0:
-        raise BadParameter("d must be >= 0")
+    if type(m) is not int or m < 1:
+        raise BadParameter(f"m must be an int >= 1, got {_quote(m)}")
+    if type(d) is not int or d < 0:
+        raise BadParameter(f"d must be an int >= 0, got {_quote(d)}")
     if not 0.0 <= density <= 1.0:
         raise BadParameter("density must be in [0, 1]")
     candidates = comb(m, d + 1)
     if candidates > 2**RANDOM_SUBSET_BOUND:
         raise TooLarge(
-            f"random_complex draws from C({m}, {d + 1}) = {candidates} subsets; "
+            f"random_complex draws from C({_quote(m)}, {_quote(d + 1)}) = {_quote(candidates)} subsets; "
             f"more than 2^{RANDOM_SUBSET_BOUND}"
         )
     rng = random.Random(seed)

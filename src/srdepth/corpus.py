@@ -15,7 +15,7 @@ from .complexes import (
     simplex,
     suspension,
 )
-from .errors import BadParameter
+from .errors import BadParameter, _quote
 
 DEFAULT_SEED = 20240101
 
@@ -53,18 +53,18 @@ def random_corpus(
     derived seed so single complexes can be regenerated in isolation.
     """
     if max_m < 4:
-        raise BadParameter(f"the vertex bound must be at least 4, got {max_m}")
+        raise BadParameter(f"the vertex bound must be at least 4, got {_quote(max_m)}")
     if count < 0:
-        raise BadParameter(f"the count must be nonnegative, got {count}")
-    ms = list(range(4, max_m + 1))
+        raise BadParameter(f"the count must be nonnegative, got {_quote(count)}")
+    n = max_m - 3  # vertex counts 4..max_m, cycled by arithmetic, never listed
     dims = [1, 2, 3, 2]
     densities = [0.2, 0.35, 0.5, 0.65]
     out = []
     for i in range(count):
         params = {
-            "m": ms[i % len(ms)],
-            "d": dims[(i // len(ms)) % len(dims)],
-            "density": densities[(i // (len(ms) * len(dims))) % len(densities)],
+            "m": 4 + i % n,
+            "d": dims[(i // n) % len(dims)],
+            "density": densities[(i // (n * len(dims))) % len(densities)],
             "seed": seed + i,
         }
         K = random_complex(params["m"], params["d"], params["density"], params["seed"])

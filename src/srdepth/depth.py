@@ -45,11 +45,11 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .cohomology import HarnessReport, _coboundary_rows, reduced_cohomology
+from .cohomology import HarnessReport, _coboundaries, reduced_cohomology
 from .complexes import SimplicialComplex, _popcount, _verts_of
 from .errors import BadParameter, EngineDisagreement, TooLarge
 from .limits import LimitsProfile, derived_limit_dims
-from .linalg import ExactMatrix, FieldSpec, _check_square_zero, _cohomology
+from .linalg import FieldSpec, _cohomology
 
 HOCHSTER_VERTEX_BOUND = 14  # log2 of the most induced subcomplexes one call may visit
 FACE_PAIR_BOUND = 21  # log2 of the most face pairs one link or face-filter walk may visit
@@ -115,12 +115,7 @@ def depth_topological(K: SimplicialComplex, field: FieldSpec) -> int:
         r = c + 1
     # the walk ranks d_n for n <= r - 2 only: cardinality n + 1 to n + 2
     levels = K.levels()[1 : r + 1]
-    mats = [
-        ExactMatrix.from_sparse(field, _coboundary_rows(lower, upper, field.p), len(upper))
-        for lower, upper in zip(levels, levels[1:])
-    ]
-    for n in range(1, len(mats)):
-        _check_square_zero(mats[n - 1], mats[n], n - 1)
+    mats = list(_coboundaries(levels, field))
     # bit i of at[n][v] is set when face i of cardinality n + 1 holds vertex v
     at = [[0] * (K.vertices[-1] + 1) for _ in levels[1:]]
     for bits, level in zip(at, levels):

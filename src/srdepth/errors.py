@@ -5,6 +5,18 @@ invariant violations (bugs, CLI exit code 3).
 """
 
 
+def _quote(value, limit: int = 30) -> str:
+    """``repr(value)`` for an error message, cut to a prefix and its length;
+    an int past 2,000 bits, which Python may refuse to print, by its size."""
+    if type(value) is int and value.bit_length() > 2000:
+        return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+    try:
+        text = repr(value)
+    except ValueError:  # a tuple or list holding such an int
+        text = f"({', '.join(map(_quote, value))})"
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+
+
 class SrdepthError(Exception):
     pass
 

@@ -13,12 +13,12 @@ from math import comb
 from typing import Iterable, NamedTuple
 
 from .complexes import SimplicialComplex, _popcount
-from .errors import OddDegree
+from .errors import OddDegree, _quote
 
 
 def _check_degree(d: int) -> int:
     if d < 0 or d % 2:
-        raise OddDegree(f"internal degrees are even and nonnegative, got {d}")
+        raise OddDegree(f"internal degrees are even and nonnegative, got {_quote(d)}")
     return d // 2
 
 

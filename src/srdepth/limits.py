@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .cohomology import _cochain_dims, reduced_cohomology
 from .complexes import SimplicialComplex
-from .errors import BadParameter, InternalInvariantError, TooLarge
+from .errors import BadParameter, InternalInvariantError, TooLarge, _quote
 from .face_ring import graded_dim, monomial_basis, star_basis
 from .linalg import ExactMatrix, FieldSpec, _product_is_zero, cohomology_dims
 
@@ -226,11 +226,11 @@ def derived_limit_dims(
     if d_max is None:
         d_max = default_degree_bound(K)
     if d_max < 0:
-        raise BadParameter(f"the top degree must be nonnegative, got {d_max}")
+        raise BadParameter(f"the top degree must be nonnegative, got {_quote(d_max)}")
     top = max(K.dim, 0)
     values = (d_max // 2 + 1) * (top + 1)
     if values > FLAG_BOUND:
-        raise TooLarge(f"the limits report would list {values} values; more than {FLAG_BOUND}")
+        raise TooLarge(f"the limits report would list {_quote(values)} values; more than {FLAG_BOUND}")
     degrees = list(range(0, d_max + 1, 2))
     if method == "direct":
         lim = {i: {} for i in range(top + 1)}
@@ -243,7 +243,7 @@ def derived_limit_dims(
             rker[d], rcok[d] = _rho_dims(K, field, d, mats[0], dims[0])
         return LimitsProfile(field, d_max, lim, rker, rcok)
     if method != "grouped":
-        raise BadParameter(f"unknown method {method!r}")
+        raise BadParameter(f"unknown method {_quote(method)}")
 
     whole = _whole_block(K, field)
     # level_h[c][i]: H^i summed over the stars of the faces on c + 1 vertices,

@@ -24,12 +24,13 @@ leading columns.
 
 One cochain kernel, ``_cohomology``, serves every cohomology computation.
 It takes the differentials lazily with one row per basis vector of the
-source, goes up the degrees, checks d_n d_{n-1} = 0 by sparse composition
-(``_check_square_zero``), drops the rows of d_n named by the leading columns
-of d_{n-1} (clearing), and can stop at the first nonzero degree.  Given row
-ids (a face filter in K's coboundary), it ranks only those rows, and the
-caller checks d^2 = 0 once.  ``cohomology_dims`` is its public form for
-matrices in the usual (target rows) shape: it transposes them.
+source, goes up the degrees, drops the rows of d_n named by the leading
+columns of d_{n-1} (clearing), ranks the rest, and can stop at the first
+nonzero degree; given row ids (a face filter in K's coboundary), it ranks
+only those rows.  It checks nothing: the differentials reach it through the
+lazy stream ``_checked``, which checks d_n d_{n-1} = 0 by sparse composition
+as d_n is pulled.  ``cohomology_dims`` is the kernel's public form for
+matrices in the usual (target rows) shape, transposed into the stream.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from collections import namedtuple
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
-from .errors import BadParameter, NotAComplex
+from .errors import BadParameter, NotAComplex, _quote
 
 
 def _is_prime(n: int) -> bool:
@@ -53,10 +54,8 @@ class FieldSpec(namedtuple("FieldSpec", "p")):
 
     def __new__(cls, p: Optional[int] = None):
         if p is not None:
-            if type(p) is not int:
-                raise BadParameter(f"the characteristic must be an int, got {p!r}")
-            if not (2 <= p < 2**31):
-                raise BadParameter(f"prime must satisfy 2 <= p < 2^31, got {p}")
+            if type(p) is not int or not 2 <= p < 2**31:
+                raise BadParameter(f"the characteristic must be an int 2 <= p < 2^31, got {_quote(p)}")
             if not _is_prime(p):
                 raise BadParameter(f"{p} is not prime")
         return super().__new__(cls, p)
@@ -70,8 +69,8 @@ class FieldSpec(namedtuple("FieldSpec", "p")):
             try:
                 return cls(int(text[2:]))
             except ValueError:
-                raise BadParameter(f"bad field spec {text!r}") from None
-        raise BadParameter(f"bad field spec {text!r}; use 'q' or 'p=<prime>'")
+                raise BadParameter(f"bad field spec {_quote(text)}") from None
+        raise BadParameter(f"bad field spec {_quote(text)}; use 'q' or 'p=<prime>'")
 
     def __str__(self) -> str:
         return "q" if self.p is None else f"p={self.p}"
@@ -84,7 +83,7 @@ GF5 = FieldSpec(5)
 
 
 def _not_int(x):
-    raise BadParameter(f"matrix entries must be ints, got {x!r}")
+    raise BadParameter(f"matrix entries must be ints, got {_quote(x)}")
 
 
 # -- sparse kernels ---------------------------------------------------------------
@@ -193,7 +192,7 @@ class ExactMatrix:
         else:
             r, c = shape
             if not all(type(n) is int and n >= 0 for n in (r, c)):
-                raise BadParameter(f"a shape needs two ints >= 0, got {shape}")
+                raise BadParameter(f"a shape needs two ints >= 0, got {_quote(shape)}")
             if entries and len(entries) != r:
                 raise BadParameter("shape disagrees with entries")
         items = []
@@ -245,35 +244,26 @@ class ExactMatrix:
         return self.cols - self.rank()
 
 
-def _compose(row, rows, p: Optional[int]):
-    """The kernel row ``row`` times the matrix with kernel rows ``rows``,
-    as raw sums (not reduced mod p)."""
-    if p == 2:
-        acc = 0
-        while row:
-            b = row & -row
-            row ^= b
-            acc ^= rows[b.bit_length() - 1]
-        return acc
-    acc = {}
-    for c, v in row.items():
-        for k, w in rows[c].items():
-            acc[k] = acc.get(k, 0) + v * w
-    return acc
-
-
 def _product_is_zero(left: ExactMatrix, right: ExactMatrix) -> bool:
     """Exact check that left @ right == 0 (shapes already validated)."""
     p, rows = left.field.p, right.sparse_rows
+    if p == 2:
+        for row in left.sparse_rows:
+            acc = 0
+            while row:
+                b = row & -row
+                row ^= b
+                acc ^= rows[b.bit_length() - 1]
+            if acc:
+                return False
+        return True
+    nonzero = any if p is None else (lambda sums: any(x % p for x in sums))
     for row in left.sparse_rows:
-        acc = _compose(row, rows, p)
-        if p == 2:
-            nonzero = acc != 0
-        elif p is None:
-            nonzero = any(acc.values())
-        else:
-            nonzero = any(x % p for x in acc.values())
-        if nonzero:
+        acc = {}
+        for c, v in row.items():
+            for k, w in rows[c].items():
+                acc[k] = acc.get(k, 0) + v * w
+        if nonzero(acc.values()):
             return False
     return True
 
@@ -296,6 +286,17 @@ def _transpose(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix.from_sparse(m.field, rows, m.rows)
 
 
+def _checked(differentials):
+    """The differentials d_0, d_1, ... (source-row orientation), passed on
+    lazily; pulling d_{n+1} raises ``NotAComplex(n)`` unless d_{n+1} d_n = 0."""
+    prev = None
+    for n, mat in enumerate(differentials):
+        if prev is not None and mat.cols and not _product_is_zero(prev, mat):
+            raise NotAComplex(n - 1)
+        yield mat
+        prev = mat
+
+
 def cohomology_dims(differentials: Sequence[ExactMatrix]) -> list[int]:
     """Cohomology dimensions of 0 -> C^0 -d0-> C^1 -> ... -> C^{N+1} -> 0.
 
@@ -311,46 +312,35 @@ def cohomology_dims(differentials: Sequence[ExactMatrix]) -> list[int]:
             if n and m.cols != mats[n - 1].rows:
                 raise BadParameter(f"shape mismatch between d_{n - 1} and d_{n}")
             yield _transpose(m)
-        last = mats[-1]
-        yield ExactMatrix.from_sparse(last.field, [0 if last.field.p == 2 else {}] * last.rows, 0)
+        yield ExactMatrix.from_sparse(m.field, [0 if m.field.p == 2 else {}] * m.rows, 0)
 
-    return _cohomology(source_rows())
-
-
-def _check_square_zero(prev: ExactMatrix, mat: ExactMatrix, n: int) -> None:
-    """Raise ``NotAComplex(n)`` unless d_{n+1} d_n = 0 for d_n = ``prev`` and
-    d_{n+1} = ``mat`` in source-row orientation."""
-    if mat.cols and not _product_is_zero(prev, mat):
-        raise NotAComplex(n)
+    return _cohomology(_checked(source_rows()))
 
 
 def _cohomology(differentials, until: Optional[int] = None, rows=None) -> list[int]:
     """Cohomology dimensions H^0, H^1, ... of the cochain complex whose
     differentials arrive one at a time in source-row orientation: the n-th
     has one row per basis vector of C^n and one column per basis vector of
-    C^{n+1}, and the last one has no columns.
+    C^{n+1}, and the last one has no columns.  They come through
+    ``_checked``, so d_n d_{n-1} = 0 holds before d_n is ranked here.
 
-    Degrees are reduced in increasing order.  Before d_n is ranked,
-    d_n d_{n-1} = 0 is checked on every row (it holds trivially when d_n has
-    no columns), and only then are the rows named by the pivot columns of
-    d_{n-1} dropped (clearing): the reduced rows of d_{n-1} span im d_{n-1}
-    with distinct leading columns P, so C^n is im d_{n-1} plus the
-    coordinate vectors outside P, and as d_n kills im d_{n-1} the rows
-    outside P have the rank of all of them.  With ``until``, the walk stops
-    after the first nonzero H^n or at degree ``until`` and builds no later
-    differential, so the result is a prefix of the full list.
+    Degrees are reduced in increasing order, and the rows of d_n named by
+    the pivot columns of d_{n-1} are dropped (clearing): the reduced rows of
+    d_{n-1} span im d_{n-1} with distinct leading columns P, so C^n is
+    im d_{n-1} plus the coordinate vectors outside P, and as d_n kills
+    im d_{n-1} the rows outside P have the rank of all of them.  With
+    ``until``, the walk stops after the first nonzero H^n or at degree
+    ``until`` and pulls no later differential, so the result is a prefix of
+    the full list.
 
     With ``rows``, C^n is spanned by the rows ``rows[n]`` of the n-th matrix
     alone, a cochain subcomplex closed upward, whose pivot columns are row
-    ids of the next matrix.  The caller has checked d^2 = 0 on the whole
-    matrices, which covers the restriction, so none is composed here."""
+    ids of the next matrix; d^2 = 0 on the whole matrices covers it."""
     if until is not None and until < 0:
         return []
     dims: list[int] = []
-    prev, cleared, prev_rank = None, (), 0
+    cleared, prev_rank = (), 0
     for n, mat in enumerate(differentials):
-        if rows is None and prev is not None:
-            _check_square_zero(prev, mat, n - 1)
         ids = range(mat.rows) if rows is None else rows[n]
         src = mat.sparse_rows
         kept = ExactMatrix.from_sparse(mat.field, [src[i] for i in ids if i not in cleared], mat.cols)
@@ -358,5 +348,5 @@ def _cohomology(differentials, until: Optional[int] = None, rows=None) -> list[i
         dims.append(len(ids) - rank - prev_rank)
         if until is not None and (dims[-1] or n >= until):
             break
-        prev, cleared, prev_rank = mat, kept.pivots, rank
+        cleared, prev_rank = kept.pivots, rank
     return dims

@@ -1,14 +1,33 @@
-"""Independent reference computations and shared input strategies used
-only by the test suite."""
+"""Independent reference computations, shared input strategies and a
+shared mutation used only by the test suite."""
 
+import importlib
 from math import comb
 
 from hypothesis import strategies as st
 
 from srdepth import GF2, GF3, QQ, depth_reisner, join, random_complex, reduced_cohomology
-from srdepth.cohomology import _relative_dims
+from srdepth.cohomology import _cochain_dims
 from srdepth.limits import _functor_matrix, _nonempty_faces, _require_vertex, _star_index
 from srdepth.linalg import cohomology_dims
+
+
+def flip_one_sign(monkeypatch, card):
+    """Flip the first sign in the first row of every simplicial coboundary
+    out of cardinality ``card``: that breaks d^2 = 0 next to it over GF(3)
+    and Q (the sum at the flipped entry becomes +-2), not over GF(2)."""
+    module = importlib.import_module("srdepth.cohomology")
+    rows = module._coboundary_rows
+
+    def flipped(lower, upper, p):
+        out = rows(lower, upper, p)
+        if lower and lower[0].bit_count() == card:
+            row = out[0]
+            j = min(row)
+            row[j] = -row[j] % p if p else -row[j]
+        return out
+
+    monkeypatch.setattr(module, "_coboundary_rows", flipped)
 
 
 def join_additivity_observations(pairs, field):
@@ -26,13 +45,13 @@ def join_additivity_observations(pairs, field):
 def depth_by_face_filters(K, field):
     """The point criterion without caps or an early end: dim K + 1, or less
     if H~*(K) or the cohomology of some face filter {f >= sigma} (K's levels
-    filtered per face, ranked on their own by ``_relative_dims``) has a
+    filtered per face, ranked on their own by ``_cochain_dims``) has a
     lowest nonzero degree c, which bounds the depth by c + 1."""
     firsts = [reduced_cohomology(K, field).first_nonzero()]
     levels = K.levels()[1:]
     for s in K.face_masks[1:]:
         rel = [[f for f in level if f & s == s] for level in levels]
-        firsts.append(next((i for i, h in _relative_dims(rel, field).items() if h), None))
+        firsts.append(next((i for i, h in enumerate(_cochain_dims(rel, field)) if h), None))
     return min([K.krull_dim] + [c + 1 for c in firsts if c is not None])
 
 

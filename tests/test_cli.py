@@ -121,6 +121,59 @@ def test_unused_vertex_exits_2(capsys, tmp_path):
         assert code == 2 and out == "" and err.startswith("error: ") and len(err) < 200
 
 
+NINES = "9" * 4000  # still parsed by int(); printed whole it fills the message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("depth", "{rp2}", "--field", "p=" + NINES),
+        ("limits", "{rp2}", "--d-max", "-" + NINES),
+        ("limits", "{rp2}", "--d-max", NINES),
+        ("limits", "{rp2}", "--d-max", "9" * 5000),  # past int()'s digit limit
+        ("corpus", "random", "{out}", "--m", "-" + NINES),
+        ("corpus", "random", "{out}", "--count", "-" + NINES),
+    ],
+    ids=["field", "negative_d_max", "huge_d_max", "d_max_past_int_limit", "m", "count"],
+)
+def test_huge_argument_exits_2_with_a_short_message(capsys, rp2_file, tmp_path, argv):
+    argv = [a.format(rp2=rp2_file, out=tmp_path / "out") for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses the text itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and len(captured.err) < 200
+
+
+def test_corpus_random_with_a_huge_vertex_bound(tmp_path):
+    # the vertex counts 4..m are cycled by arithmetic, not listed; the child
+    # gets a 1 GB address space, as a listed range would not fit
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    import srdepth
+
+    src = os.path.dirname(os.path.dirname(srdepth.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    out = tmp_path / "r"
+    result = subprocess.run(
+        [sys.executable, "-m", "srdepth.cli", "corpus", "random", str(out),
+         "--m", "99999999999", "--count", "3"],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+    )
+    assert result.returncode == 0, result.stderr
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert [e["m"] for e in manifest["entries"]] == [4, 5, 6]
+    assert manifest["max_m"] == 99999999999
+
+
 def test_huge_facet_exits_2_before_building_faces(capsys, tmp_path):
     # one facet of 20 vertices would build 2^20 faces
     path = tmp_path / "simplex_20.facets"

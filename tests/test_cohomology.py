@@ -23,11 +23,11 @@ from srdepth import (
     validate,
     verify_munkres_shift,
 )
-from srdepth.cohomology import _coboundary_rows, _relative_dims
-from srdepth.errors import EmptyFace, FaceNotInComplex, NotASubcomplex, RepeatedVertex
-from srdepth.linalg import ExactMatrix, _cohomology
+from srdepth.cohomology import _coboundaries, _cochain_dims
+from srdepth.errors import EmptyFace, FaceNotInComplex, NotAComplex, NotASubcomplex, RepeatedVertex
+from srdepth.linalg import _cohomology
 
-from oracles import dense_cochain_dims, small_complexes, three_fields
+from oracles import dense_cochain_dims, flip_one_sign, small_complexes, three_fields
 
 FIELDS = (GF2, GF3, QQ)
 
@@ -167,8 +167,8 @@ def test_munkres_shift_small_corpus():
             # pair, in K's order: the depth engine's shortcut
             for s in K.face_masks[1:]:
                 faces_above = [[f for f in level if f & s == s] for level in K.levels()[1:]]
-                assert relative_cohomology(K, K.contrastar_by_mask(s), field) == _relative_dims(
-                    faces_above, field
+                assert relative_cohomology(K, K.contrastar_by_mask(s), field) == dict(
+                    enumerate(_cochain_dims(faces_above, field))
                 )
 
 
@@ -198,10 +198,7 @@ def _filter_rows(K, field):
     (sigma, until) that ranks the rows of the faces containing sigma in K's
     own coboundary matrices, one per cardinality 1..dim K + 1."""
     levels = K.levels()[1:]
-    mats = [
-        ExactMatrix.from_sparse(field, _coboundary_rows(lower, upper, field.p), len(upper))
-        for lower, upper in zip(levels, levels[1:] + [[]])
-    ]
+    mats = list(_coboundaries(levels + [[]], field))
 
     def dims(sigma, until=None):
         s = _mask(sigma)
@@ -222,7 +219,7 @@ def test_cohomology_matches_dense_ranks(K, field):
     for sigma, above, rel in _face_filters(K):
         rel_levels = [[f for f in above if len(f) == k] for k in range(1, K.dim + 2)]
         dense = dict(enumerate(dense_cochain_dims(rel_levels, field)))
-        assert _relative_dims(rel, field) == dense, sigma
+        assert dict(enumerate(_cochain_dims(rel, field))) == dense, sigma
         assert filter_rows(sigma) == dense, sigma
 
 
@@ -237,8 +234,31 @@ def test_until_gives_the_prefix_through_the_first_nonzero_degree(K, field, t):
     assert reduced_cohomology(K, field, t).dims == prefix(reduced_cohomology(K, field).dims)
     filter_rows = _filter_rows(K, field)
     for sigma, _, rel in _face_filters(K):
-        assert _relative_dims(rel, field, t) == prefix(_relative_dims(rel, field))
-        assert filter_rows(sigma, t) == prefix(_relative_dims(rel, field)), sigma
+        full = dict(enumerate(_cochain_dims(rel, field)))
+        assert dict(enumerate(_cochain_dims(rel, field, t))) == prefix(full)
+        assert filter_rows(sigma, t) == prefix(full), sigma
+
+
+@pytest.mark.parametrize("field", [GF3, QQ], ids=str)
+@pytest.mark.parametrize("card", [0, 1, 2, 3])
+def test_reduced_cohomology_checks_its_coboundaries(monkeypatch, field, card):
+    # the coboundary out of cardinality card is d_card (degree -1 is
+    # cardinality 0); pulling it checks d_card d_{card-1}
+    flip_one_sign(monkeypatch, card)
+    reduced_cohomology.cache_clear()
+    with pytest.raises(NotAComplex) as err:
+        reduced_cohomology(boundary_simplex(4), field)
+    assert err.value.position == max(card - 1, 0)
+
+
+@pytest.mark.parametrize("field", [GF3, QQ], ids=str)
+@pytest.mark.parametrize("card", [1, 2, 3])
+def test_relative_cohomology_checks_its_coboundaries(monkeypatch, field, card):
+    # relative cochains start at cardinality 1: the flip sits in d_{card-1}
+    flip_one_sign(monkeypatch, card)
+    with pytest.raises(NotAComplex) as err:
+        relative_cohomology(boundary_simplex(4), validate([[]], 0), field)
+    assert err.value.position == max(card - 2, 0)
 
 
 def test_until_builds_no_later_coboundary(monkeypatch):

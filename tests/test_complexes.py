@@ -6,20 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srdepth import (
+    GF2,
     QQ,
     EmptyInput,
     FaceNotInComplex,
+    FieldSpec,
+    OddDegree,
     SimplicialComplex,
     UnusedVertex,
     VertexOutOfRange,
     boundary_simplex,
     cone,
     cycle,
+    derived_limit_dims,
     disjoint_points,
+    graded_dim,
     join,
     local_cohomology,
     parse_facet_text,
     random_complex,
+    random_corpus,
     rp2_minimal,
     simplex,
     suspension,
@@ -142,6 +148,32 @@ def test_face_not_in_complex():
             call()
 
 
+def test_face_arguments_are_checked_like_facets():
+    K = cycle(4)
+    # a label must be an int, so a bool is not vertex 1
+    for label in (True, False, 1.0, "a", None):
+        for call in (K.star, K.link, K.contrastar, K.induced, K.has_face):
+            with pytest.raises(VertexOutOfRange):
+                call([label])
+        with pytest.raises(VertexOutOfRange):
+            local_cohomology(K, [label], QQ)
+    # a label past K's vertices, however large, names no face of K
+    for label in (5, 2**64, 10**5000):
+        for call in (K.star, K.link, K.contrastar):
+            with pytest.raises(FaceNotInComplex):
+                call([1, label])
+        with pytest.raises(FaceNotInComplex):
+            local_cohomology(K, [label], QQ)
+        assert not K.has_face([label]) and not K.has_face([1, label])
+        assert K.induced([1, 2, label]) == K.induced([1, 2])
+    # two labels past the vertices do not read as a repeated vertex
+    with pytest.raises(FaceNotInComplex, match="not a face"):
+        K.star([7, 9])
+    with pytest.raises(FaceNotInComplex) as err:
+        K.star([10**5000])
+    assert len(str(err.value)) < 100
+
+
 def test_induced_examples():
     C4 = cycle(4)
     ind = C4.induced((1, 3))
@@ -234,6 +266,33 @@ def test_random_complex_bad_parameters():
         random_complex(5, -1, 0.5, 1)
     with pytest.raises(BadParameter):
         random_complex(5, 2, 1.5, 1)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: validate([[1]], 10**5000), UnusedVertex),
+        (lambda: random_complex(10**5000, 1, 0.5, 1), TooLarge),
+        (lambda: FieldSpec(10**5000), BadParameter),
+        (lambda: derived_limit_dims(cycle(4), GF2, -(10**5000)), BadParameter),
+        (lambda: graded_dim(cycle(4), 10**5000 + 1), OddDegree),
+        (lambda: random_corpus(-(10**5000)), BadParameter),
+    ],
+    ids=["validate", "random_complex", "FieldSpec", "derived_limit_dims", "graded_dim", "random_corpus"],
+)
+def test_ints_past_the_print_limit_raise_short_input_errors(call, error):
+    # 10**5000 has more digits than Python prints by default: the message
+    # names its bit length instead of raising a bare ValueError
+    with pytest.raises(error) as err:
+        call()
+    assert "<int of 16610 bits>" in str(err.value) and len(str(err.value)) < 200
+
+
+def test_random_corpus_cycles_its_parameters():
+    params = [p for _, p, _ in random_corpus(13, 7, 6)]
+    assert [p["m"] for p in params] == [4, 5, 6] * 4 + [4]
+    assert [p["d"] for p in params] == [1] * 3 + [2] * 3 + [3] * 3 + [2] * 3 + [1]
+    assert [p["seed"] for p in params] == list(range(7, 20))
 
 
 def test_random_complex_too_many_subsets_fails_before_any_draw(monkeypatch):

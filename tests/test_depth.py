@@ -27,6 +27,7 @@ from srdepth import (
     named_corpus,
     random_complex,
     random_corpus,
+    reduced_cohomology,
     rp2_minimal,
     simplex,
     validate,
@@ -43,6 +44,7 @@ from srdepth.errors import BadParameter, EngineDisagreement, NotAComplex, TooLar
 
 from oracles import (
     depth_by_face_filters,
+    flip_one_sign,
     join_additivity_observations,
     small_complexes,
     three_fields,
@@ -174,7 +176,7 @@ def test_depth_ab_reads_induced_subcomplexes_only(monkeypatch):
     # engines, and visit no more subsets than its up-front estimate
     for name in ("star", "star_by_mask", "link", "link_by_mask", "contrastar", "contrastar_by_mask"):
         monkeypatch.setattr(SimplicialComplex, name, refuse)
-    monkeypatch.setattr(DEPTH_MODULE, "_coboundary_rows", refuse)
+    monkeypatch.setattr(DEPTH_MODULE, "_coboundaries", refuse)
     visits = []
     induced = SimplicialComplex.induced
     monkeypatch.setattr(
@@ -201,7 +203,7 @@ def test_link_engines_too_large_fail_before_any_walk(monkeypatch):
     # subsets), but its links and face filters hold 3^14 - 2^14 faces
     K = boundary_simplex(13)
     monkeypatch.setattr(SimplicialComplex, "link_by_mask", refuse)
-    monkeypatch.setattr(DEPTH_MODULE, "_coboundary_rows", refuse)
+    monkeypatch.setattr(DEPTH_MODULE, "_coboundaries", refuse)
     with pytest.raises(TooLarge, match="4766585"):
         depth(K, GF2)  # refused in depth_reisner
     with pytest.raises(TooLarge, match="4766585"):
@@ -238,19 +240,10 @@ def test_topological_engine_matches_face_filter_oracle_on_corpus():
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_topological_engine_checks_its_coboundary(monkeypatch, field, n):
     # one sign flipped in K's coboundary out of cardinality n + 1 breaks
-    # d^2 = 0 next to it; the engine checks the matrices it ranks once per call
-    rows = DEPTH_MODULE._coboundary_rows
-
-    def flip_one(lower, upper, p):
-        out = rows(lower, upper, p)
-        if lower and lower[0].bit_count() == n + 1:
-            row = out[0]
-            j = min(row)
-            row[j] = -row[j] % p if p else -row[j]
-        return out
-
-    monkeypatch.setattr(DEPTH_MODULE, "_coboundary_rows", flip_one)
+    # d^2 = 0 next to it; the walk's matrices come from the checked producer
     K = boundary_simplex(4)  # depth 4: the walk ranks out of cardinalities 1..3
+    reduced_cohomology(K, field)  # warm: the memo answers, so the walk must raise
+    flip_one_sign(monkeypatch, n + 1)
     with pytest.raises(NotAComplex):
         depth_topological.__wrapped__(K, field)
 

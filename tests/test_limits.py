@@ -27,11 +27,11 @@ from srdepth import (
 )
 from srdepth.cohomology import _cochain_dims
 from srdepth.complexes import _popcount
-from srdepth.errors import BadParameter, TooLarge
+from srdepth.errors import BadParameter, NotAComplex, TooLarge
 from srdepth.limits import _nonempty_faces, _star_block, _whole_block, flag_chains
 from srdepth.linalg import _product_is_zero, cohomology_dims
 
-from oracles import three_fields, unnormalized_h01
+from oracles import flip_one_sign, three_fields, unnormalized_h01
 
 EDGE = validate([[1, 2]], 2)
 
@@ -39,6 +39,17 @@ EDGE = validate([[1, 2]], 2)
 def dense(mat):
     """The rows of a matrix over Q or GF(p > 2) as tuples."""
     return tuple(tuple(row.get(j, 0) for j in range(mat.cols)) for row in mat.sparse_rows)
+
+
+@pytest.mark.parametrize("field", [GF3, QQ], ids=str)
+@pytest.mark.parametrize("card", [1, 2, 3])
+def test_whole_block_checks_its_coboundaries(monkeypatch, field, card):
+    # a flag of c faces is a simplex of cardinality c, and the whole-poset
+    # block, computed first, starts at cardinality 1
+    flip_one_sign(monkeypatch, card)
+    with pytest.raises(NotAComplex) as err:
+        derived_limit_dims(boundary_simplex(4), field, 0)
+    assert err.value.position == max(card - 2, 0)
 
 
 def test_flag_enumeration_single_edge():

@@ -247,6 +247,34 @@ def test_cohomology_rejects_non_complex():
     assert err.value.position == 0
 
 
+def _simplex_coboundaries(n):
+    """The augmented cochain complex of the simplex on n vertices as dense
+    matrices in the usual (target rows) shape: the entry at tau minus its
+    k-th vertex is (-1)^k."""
+    faces = [list(combinations(range(n), k)) for k in range(n + 1)]
+    mats = []
+    for lower, upper in zip(faces, faces[1:]):
+        rows = [[0] * len(lower) for _ in upper]
+        for row, tau in zip(rows, upper):
+            for k in range(len(tau)):
+                row[lower.index(tau[:k] + tau[k + 1 :])] = (-1) ** k
+        mats.append(rows)
+    return mats
+
+
+@pytest.mark.parametrize("field", [GF3, QQ], ids=str)
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_cohomology_dims_checks_each_pair(field, k):
+    mats = _simplex_coboundaries(4)
+    assert cohomology_dims([ExactMatrix(field, m) for m in mats]) == [0] * 5
+    row = mats[k][0]
+    j = next(j for j, x in enumerate(row) if x)
+    row[j] = -row[j]  # d_{k+1} d_k and d_k d_{k-1} are now nonzero
+    with pytest.raises(NotAComplex) as err:
+        cohomology_dims([ExactMatrix(field, m) for m in mats])
+    assert err.value.position == max(k - 1, 0)
+
+
 def test_cohomology_basis_permutation_invariance():
     d0 = ExactMatrix(GF2, [[1, 1, 0], [0, 1, 1]])
     d0_perm = ExactMatrix(GF2, [[0, 1, 1], [1, 1, 0]])
