@@ -19,7 +19,7 @@ from . import corpus as corpus_mod
 from .cohomology import reduced_cohomology, verify_munkres_shift
 from .complexes import SimplicialComplex, load_complex, to_facet_text
 from .depth import depth, verify_limit_depth_criterion, verify_star_link
-from .errors import BadParameter, InputError, InternalInvariantError, _quote
+from .errors import InputError, InternalInvariantError, _quote, _require_int
 from .limits import default_degree_bound, verify_limit_decomposition
 from .linalg import FieldSpec
 
@@ -120,9 +120,7 @@ def _d_max(args, K) -> int:
     no limits get computed (the complex without vertices)."""
     if args.d_max is None:
         return default_degree_bound(K)
-    if args.d_max < 0:
-        raise BadParameter(f"--d-max must be nonnegative, got {_quote(args.d_max)}")
-    return args.d_max
+    return _require_int(args.d_max, 0, "--d-max")
 
 
 def cmd_limits(args) -> int:

@@ -25,7 +25,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .complexes import SimplicialComplex
-from .errors import EmptyFace, NotASubcomplex
+from .errors import EmptyFace, NotASubcomplex, _quote
 from .linalg import ExactMatrix, FieldSpec, _checked, _cohomology
 
 
@@ -129,7 +129,7 @@ def relative_cohomology(K: SimplicialComplex, L: SimplicialComplex, field: Field
     """Cohomology of the pair (K, L) in degrees 0..max(dim K, 0): the
     cochain complex on faces of K not in L, with K's coboundary."""
     if not L.is_subcomplex_of(K):
-        raise NotASubcomplex(f"{L!r} is not a subcomplex of {K!r}")
+        raise NotASubcomplex(f"{_quote(L)} is not a subcomplex of {_quote(K)}")
     levels = [[f for f in level if not L.has_face_mask(f)] for level in K.levels()[1:]]
     return dict(enumerate(_cochain_dims(levels or [[]], field)))
 

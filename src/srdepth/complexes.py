@@ -10,7 +10,7 @@ complex; the minimal complex is ``{-}`` consisting of the empty face alone
 
 Building from generators enumerates every subset of every distinct
 generator, so the count ``sum 2^|F|`` is checked against ``2**FACE_BOUND``
-before any face is built.
+before any face is built, and by the generator functions before any mask.
 
 Vertex labels of a complex built by :func:`validate` are exactly ``1..m``.
 Subcomplex constructors (star, link, induced, contrastar) keep the ambient
@@ -38,6 +38,7 @@ from .errors import (
     UnusedVertex,
     VertexOutOfRange,
     _quote,
+    _require_int,
 )
 
 Face = tuple[int, ...]
@@ -79,10 +80,10 @@ class SimplicialComplex:
         subcomplex constructors pass ``_closed=True`` with a face list of
         another complex filtered in canonical order, taken as it is."""
         if not _closed:
-            generators = set(masks) or {0}
+            generators = {_require_int(g, 0, "a face mask") for g in masks} or {0}
             count = sum(1 << _popcount(g) for g in generators)
             if count > 2**FACE_BOUND:
-                raise TooLarge(f"the facets have {count} subsets; more than 2^{FACE_BOUND}")
+                raise TooLarge(f"the facets have {_quote(count)} subsets; more than 2^{FACE_BOUND}")
             faces = {0}
             for g in generators:
                 sub = g
@@ -168,10 +169,16 @@ class SimplicialComplex:
         return sum((-1) ** i * fi for i, fi in enumerate(self.f_vector[1:]))
 
     def has_face(self, face: Iterable[int]) -> bool:
-        return _mask_of(face, self._vmask.bit_length()) in self._face_set
+        """Whether ``face`` is a face of K; one written with a repeated vertex
+        raises ``RepeatedVertex``, as its mask would silently drop the repeat."""
+        face = tuple(face)
+        mask = _mask_of(face, self._vmask.bit_length())
+        if mask in self._face_set and _popcount(mask) != len(face):
+            raise RepeatedVertex(f"face {_quote(face)} repeats a vertex")
+        return mask in self._face_set
 
     def has_face_mask(self, mask: int) -> bool:
-        return mask in self._face_set
+        return type(mask) is int and mask in self._face_set
 
     @property
     def is_irrelevant(self) -> bool:
@@ -180,13 +187,16 @@ class SimplicialComplex:
 
     def _require_face(self, face: Iterable[int]) -> int:
         """The mask of ``face``, which must be a face of K written without
-        a repeated vertex (the mask alone would silently drop the repeat)."""
+        a repeated vertex."""
         face = tuple(face)
-        mask = _mask_of(face, self._vmask.bit_length())
-        if mask not in self._face_set:
+        if not self.has_face(face):
             raise FaceNotInComplex(f"{_quote(face)} is not a face")
-        if _popcount(mask) != len(face):
-            raise RepeatedVertex(f"face {_quote(face)} repeats a vertex")
+        return _mask_of(face)
+
+    def _require_face_mask(self, mask: int) -> int:
+        if type(mask) is not int or mask not in self._face_set:
+            _require_int(mask, 0, "a face mask")  # a bool or a negative int is no mask
+            raise FaceNotInComplex(f"mask {_quote(mask)} is not a face")
         return mask
 
     # -- subcomplexes --------------------------------------------------------
@@ -196,23 +206,17 @@ class SimplicialComplex:
         return _star(self, self._require_face(face))
 
     def star_by_mask(self, mask: int) -> "SimplicialComplex":
-        if mask not in self._face_set:
-            raise FaceNotInComplex(f"{_verts_of(mask)} is not a face")
-        return _star(self, mask)
+        return _star(self, self._require_face_mask(mask))
 
     def link(self, face: Iterable[int]) -> "SimplicialComplex":
         """Faces tau disjoint from sigma with sigma | tau a face."""
         return _link(self, self._require_face(face))
 
     def link_by_mask(self, mask: int) -> "SimplicialComplex":
-        if mask not in self._face_set:
-            raise FaceNotInComplex(f"{_verts_of(mask)} is not a face")
-        return _link(self, mask)
+        return _link(self, self._require_face_mask(mask))
 
     def contrastar_by_mask(self, mask: int) -> "SimplicialComplex":
-        if mask not in self._face_set:
-            raise FaceNotInComplex(f"{_verts_of(mask)} is not a face")
-        return _contrastar(self, mask)
+        return _contrastar(self, self._require_face_mask(mask))
 
     def induced(self, vertex_subset: Iterable[int]) -> "SimplicialComplex":
         """Full subcomplex on a vertex subset: faces contained in it."""
@@ -247,7 +251,6 @@ def _maximal(faces: Sequence[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=200_000)
 def _star(K: "SimplicialComplex", s: int) -> "SimplicialComplex":
     return SimplicialComplex([f for f in K._faces if (f | s) in K._face_set], _closed=True)
 
@@ -286,8 +289,7 @@ def validate(raw_facets: Sequence[Sequence[int]], m: int) -> SimplicialComplex:
     distinct labels before any bitmask is built: a huge declared m costs
     time linear in the input, not in m.
     """
-    if type(m) is not int or m < 0:
-        raise BadParameter(f"m must be an integer >= 0, got {_quote(m)}")
+    _require_int(m, 0, "m")
     if not raw_facets:
         raise EmptyInput("no facets given; the complex {-} is declared as [[]] with m=0")
     labels = set()
@@ -318,32 +320,35 @@ def _validate_input(raw_facets, m: int) -> SimplicialComplex:
 # -- generators ----------------------------------------------------------------
 
 
+def _require_subsets(facets: int, size: int) -> None:
+    """Refuse ``facets`` generators of ``size`` vertices each when their
+    subsets pass the constructor's bound, without shifting by a huge size."""
+    if size > FACE_BOUND or facets << size > 2**FACE_BOUND:
+        raise TooLarge(f"the facets have {_quote(facets)} * 2^{_quote(size)} subsets; more than 2^{FACE_BOUND}")
+
+
 def simplex(m: int) -> SimplicialComplex:
     """Full simplex on m vertices; simplex(0) is the complex {-}."""
-    if m < 0:
-        raise BadParameter("m must be >= 0")
+    _require_subsets(1, _require_int(m, 0, "m"))
     return SimplicialComplex([(1 << m) - 1])
 
 
 def boundary_simplex(m: int) -> SimplicialComplex:
     """Boundary of the m-simplex: a sphere of dimension m-1 on m+1 vertices."""
-    if m < 1:
-        raise BadParameter("m must be >= 1")
+    _require_subsets(_require_int(m, 1, "m") + 1, m)
     full = (1 << (m + 1)) - 1
     return SimplicialComplex([full & ~(1 << i) for i in range(m + 1)])
 
 
 def cycle(n: int) -> SimplicialComplex:
     """The n-gon: n vertices and n edges."""
-    if n < 3:
-        raise BadParameter("cycle needs n >= 3")
+    _require_subsets(_require_int(n, 3, "n"), 2)
     edges = [_mask_of((i, i % n + 1)) for i in range(1, n + 1)]
     return SimplicialComplex(edges)
 
 
 def disjoint_points(k: int) -> SimplicialComplex:
-    if k < 1:
-        raise BadParameter("k must be >= 1")
+    _require_subsets(_require_int(k, 1, "k"), 1)
     return SimplicialComplex([1 << i for i in range(k)])
 
 
@@ -387,12 +392,10 @@ def random_complex(m: int, d: int, density: float, seed: int) -> SimplicialCompl
     ``2**RANDOM_SUBSET_BOUND`` candidate subsets raise ``TooLarge`` before
     any draw.
     """
-    if type(m) is not int or m < 1:
-        raise BadParameter(f"m must be an int >= 1, got {_quote(m)}")
-    if type(d) is not int or d < 0:
-        raise BadParameter(f"d must be an int >= 0, got {_quote(d)}")
-    if not 0.0 <= density <= 1.0:
-        raise BadParameter("density must be in [0, 1]")
+    _require_int(m, 1, "m")
+    _require_int(d, 0, "d")
+    if type(density) not in (int, float) or not 0 <= density <= 1:
+        raise BadParameter(f"density must be an int or float in [0, 1], got {_quote(density)}")
     candidates = comb(m, d + 1)
     if candidates > 2**RANDOM_SUBSET_BOUND:
         raise TooLarge(

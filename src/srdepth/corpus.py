@@ -15,7 +15,7 @@ from .complexes import (
     simplex,
     suspension,
 )
-from .errors import BadParameter, _quote
+from .errors import _require_int
 
 DEFAULT_SEED = 20240101
 
@@ -52,10 +52,8 @@ def random_corpus(
     dimensions 1..3 and a ladder of densities; each entry gets its own
     derived seed so single complexes can be regenerated in isolation.
     """
-    if max_m < 4:
-        raise BadParameter(f"the vertex bound must be at least 4, got {_quote(max_m)}")
-    if count < 0:
-        raise BadParameter(f"the count must be nonnegative, got {_quote(count)}")
+    _require_int(max_m, 4, "the vertex bound")
+    _require_int(count, 0, "the count")
     n = max_m - 3  # vertex counts 4..max_m, cycled by arithmetic, never listed
     dims = [1, 2, 3, 2]
     densities = [0.2, 0.35, 0.5, 0.65]

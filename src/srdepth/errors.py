@@ -1,7 +1,8 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the one gate for int parameters.
 
 Two families: input errors (bad user data, CLI exit code 2) and internal
-invariant violations (bugs, CLI exit code 3).
+invariant violations (bugs, CLI exit code 3).  Input errors name the
+value they refuse through ``_quote``; ``_require_int`` gates int parameters.
 """
 
 
@@ -67,6 +68,13 @@ class OddDegree(InputError):
 
 class TooLarge(InputError):
     pass
+
+
+def _require_int(value, least: int, what: str, error=BadParameter) -> int:
+    """``value`` if it is an int >= ``least``, never a bool; else ``error``."""
+    if type(value) is not int or value < least:
+        raise error(f"{what} must be an int >= {least}, got {_quote(value)}")
+    return value
 
 
 class NotAComplex(InternalInvariantError):

@@ -13,12 +13,12 @@ from math import comb
 from typing import Iterable, NamedTuple
 
 from .complexes import SimplicialComplex, _popcount
-from .errors import OddDegree, _quote
+from .errors import OddDegree, _quote, _require_int
 
 
 def _check_degree(d: int) -> int:
-    if d < 0 or d % 2:
-        raise OddDegree(f"internal degrees are even and nonnegative, got {_quote(d)}")
+    if _require_int(d, 0, "an internal degree", OddDegree) % 2:
+        raise OddDegree(f"internal degrees are even, got {_quote(d)}")
     return d // 2
 
 

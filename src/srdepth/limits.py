@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .cohomology import _cochain_dims, reduced_cohomology
 from .complexes import SimplicialComplex
-from .errors import BadParameter, InternalInvariantError, TooLarge, _quote
+from .errors import BadParameter, InternalInvariantError, TooLarge, _quote, _require_int
 from .face_ring import graded_dim, monomial_basis, star_basis
 from .linalg import ExactMatrix, FieldSpec, _product_is_zero, cohomology_dims
 
@@ -225,8 +225,7 @@ def derived_limit_dims(
     _require_vertex(K)
     if d_max is None:
         d_max = default_degree_bound(K)
-    if d_max < 0:
-        raise BadParameter(f"the top degree must be nonnegative, got {_quote(d_max)}")
+    _require_int(d_max, 0, "the top degree")
     top = max(K.dim, 0)
     values = (d_max // 2 + 1) * (top + 1)
     if values > FLAG_BOUND:

@@ -184,6 +184,17 @@ def test_huge_facet_exits_2_before_building_faces(capsys, tmp_path):
     assert code == 2 and out == "" and err.startswith("error: ") and "1048576" in err
 
 
+@pytest.mark.parametrize("vertices", [14284, 14285])
+def test_facet_past_the_print_limit_exits_2_with_a_short_message(capsys, tmp_path, vertices):
+    # 2^14285 subsets have more digits than Python prints by default: the
+    # count is named by its bit length, not printed or raised as a ValueError
+    path = tmp_path / "huge.facets"
+    path.write_text(" ".join(map(str, range(1, vertices + 1))) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "depth", str(path))
+    assert code == 2 and out == "" and len(err.encode()) < 200
+    assert f"<int of {vertices + 1} bits>" in err
+
+
 def test_bad_field_exits_2(capsys, rp2_file):
     code, _, _ = run_cli(capsys, "depth", rp2_file, "--field", "p=4")
     assert code == 2

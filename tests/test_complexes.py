@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import time
 from itertools import combinations
 
@@ -12,6 +15,7 @@ from srdepth import (
     FaceNotInComplex,
     FieldSpec,
     OddDegree,
+    RepeatedVertex,
     SimplicialComplex,
     UnusedVertex,
     VertexOutOfRange,
@@ -33,6 +37,7 @@ from srdepth import (
     to_json_obj,
     validate,
 )
+import srdepth
 from srdepth import complexes as complexes_module
 from srdepth.complexes import complex_from_json
 from srdepth.errors import BadParameter, EmptyFace, InputError, TooLarge
@@ -172,6 +177,11 @@ def test_face_arguments_are_checked_like_facets():
     with pytest.raises(FaceNotInComplex) as err:
         K.star([10**5000])
     assert len(str(err.value)) < 100
+    # a face written with a repeated vertex is refused as in star, not
+    # deduplicated into another face
+    with pytest.raises(RepeatedVertex):
+        K.has_face((1, 1))
+    assert not K.has_face((1, 1, 3))
 
 
 def test_induced_examples():
@@ -286,6 +296,84 @@ def test_ints_past_the_print_limit_raise_short_input_errors(call, error):
     with pytest.raises(error) as err:
         call()
     assert "<int of 16610 bits>" in str(err.value) and len(str(err.value)) < 200
+
+
+# each scalar int parameter, with the call that takes it and the bool that
+# lies in its range where one does; a str, a float and that bool are refused
+_SCALAR_GATES = [
+    ("validate([[1]], {})", "BadParameter", "True"),
+    ("simplex({})", "BadParameter", "True"),
+    ("boundary_simplex({})", "BadParameter", "True"),
+    ("cycle({})", "BadParameter", "True"),
+    ("disjoint_points({})", "BadParameter", "True"),
+    ("random_complex({}, 1, 0.5, 1)", "BadParameter", "True"),
+    ("random_complex(5, {}, 0.5, 1)", "BadParameter", "True"),
+    ("random_corpus({})", "BadParameter", "True"),
+    ("random_corpus(3, max_m={})", "BadParameter", "True"),
+    ("derived_limit_dims(cycle(4), GF2, {})", "BadParameter", "True"),
+    ("graded_dim(cycle(4), {})", "OddDegree", "False"),
+    ("_d_max(Namespace(d_max={}), cycle(4))", "BadParameter", "True"),
+]
+_MASK_GATES = [
+    "cycle(4).star_by_mask({})",
+    "cycle(4).link_by_mask({})",
+    "cycle(4).contrastar_by_mask({})",
+    "SimplicialComplex([3, {}])",
+]
+# (call, error, isolated): an isolated call can hang or exhaust memory where
+# its gate is missing, so it runs in a child with a 1 GB address space and a
+# timeout, and must also answer within a CPU second
+_PROBES = (
+    [(call.format(bad), error, False) for call, error, bool_ in _SCALAR_GATES for bad in ("'6'", "6.0", bool_)]
+    + [("random_complex(5, 1, {}, 1)".format(bad), "BadParameter", False) for bad in ("'1'", "float('nan')", "True")]
+    + [(call.format(bad), "BadParameter", bad == "-1") for call in _MASK_GATES for bad in ("'1'", "1.0", "True", "-1")]
+    + [
+        (call, "TooLarge", True)
+        for call in (
+            "simplex(10**12)",
+            "boundary_simplex(10**5)",
+            "cycle(10**5)",
+            "cycle(10**6)",
+            "disjoint_points(10**6)",
+        )
+    ]
+)
+_PROBE_NAMES = "from argparse import Namespace\nfrom srdepth import *\nfrom srdepth.cli import _d_max\n"
+_PROBE_CHILD = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from srdepth.errors import InputError
+""" + _PROBE_NAMES + """
+start = time.process_time()
+try:
+    eval(sys.argv[1])
+except InputError as exc:
+    print(type(exc).__name__, len(str(exc)), time.process_time() - start)
+"""
+
+
+@pytest.mark.parametrize("call, error, isolated", _PROBES, ids=[p[0] for p in _PROBES])
+def test_parameter_gates_refuse_non_ints_and_bad_masks(call, error, isolated):
+    if isolated:
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(srdepth.__file__)))
+        result = subprocess.run(
+            [sys.executable, "-c", _PROBE_CHILD, call], env=env, capture_output=True, text=True, timeout=10
+        )
+        name, length, cpu = result.stdout.split()
+        assert float(cpu) < 1.0
+    else:
+        names = {}
+        exec(_PROBE_NAMES, names)
+        with pytest.raises(InputError) as err:
+            eval(call, names)
+        name, length = type(err.value).__name__, len(str(err.value))
+    assert name == error and int(length) < 200
+
+
+def test_has_face_mask_answers_false_for_a_non_mask():
+    K = cycle(4)
+    assert K.has_face_mask(1) and not K.has_face_mask(True)
+    assert not any(K.has_face_mask(x) for x in (-1, 1.0, "1", None))
 
 
 def test_random_corpus_cycles_its_parameters():
