@@ -153,12 +153,13 @@ class SimplicialComplex:
 
     def faces(self, card: int | None = None) -> Iterator[Face]:
         """All faces as sorted vertex tuples, ordered by (cardinality, lex);
-        with ``card``, those of that cardinality only."""
+        with ``card``, an int >= 0, those of that cardinality only."""
         faces = self._faces
         if card is not None:
+            _require_int(card, 0, "a cardinality")
             lo = bisect_left(faces, card, key=_popcount)
             faces = faces[lo : bisect_left(faces, card + 1, lo, key=_popcount)]
-        yield from map(_verts_of, faces)
+        return map(_verts_of, faces)
 
     @property
     def f_vector(self) -> tuple[int, ...]:
@@ -396,6 +397,7 @@ def random_complex(m: int, d: int, density: float, seed: int) -> SimplicialCompl
     _require_int(d, 0, "d")
     if type(density) not in (int, float) or not 0 <= density <= 1:
         raise BadParameter(f"density must be an int or float in [0, 1], got {_quote(density)}")
+    _require_int(seed, None, "the seed")
     candidates = comb(m, d + 1)
     if candidates > 2**RANDOM_SUBSET_BOUND:
         raise TooLarge(

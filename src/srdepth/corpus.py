@@ -54,6 +54,7 @@ def random_corpus(
     """
     _require_int(max_m, 4, "the vertex bound")
     _require_int(count, 0, "the count")
+    _require_int(seed, None, "the seed")
     n = max_m - 3  # vertex counts 4..max_m, cycled by arithmetic, never listed
     dims = [1, 2, 3, 2]
     densities = [0.2, 0.35, 0.5, 0.65]

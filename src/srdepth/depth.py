@@ -294,9 +294,10 @@ def verify_limit_depth_criterion(
 ) -> LimitDepthReport:
     """Check the vanishing criterion against depth; ``profile``, when given,
     is K's limits profile over ``field`` and is used instead of computing
-    one up to ``d_max``.  The witness is (r, depth_side, vanishing_side),
-    or ("corollary", depth, min_star_depth) when every L^i vanishes but
-    the depth is below the minimum star depth."""
+    one up to ``d_max``.  The witness is (r, depth_side, vanishing_side).
+    ``corollary_checked`` marks a pass with every L^i zero: there the
+    r-loop has already asserted depth >= min star depth, as a depth below
+    it fails at r = depth + 1."""
     if profile is None:
         profile = derived_limit_dims(K, field, d_max)
     elif profile.field != field:
@@ -329,12 +330,7 @@ def verify_limit_depth_criterion(
             passed = False
             witness = (r, depth_side, vanishing_side)
             break
-    corollary_checked = False
-    if passed and all(v == 0 for v in l_totals.values()):
-        corollary_checked = True
-        if d_k < r_min:
-            passed = False
-            witness = ("corollary", d_k, r_min)
+    corollary_checked = passed and all(v == 0 for v in l_totals.values())
     return LimitDepthReport(
         field, passed, d_k, r_min, l_totals, almost_trivial, corollary_checked, witness
     )

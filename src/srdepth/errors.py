@@ -70,10 +70,12 @@ class TooLarge(InputError):
     pass
 
 
-def _require_int(value, least: int, what: str, error=BadParameter) -> int:
-    """``value`` if it is an int >= ``least``, never a bool; else ``error``."""
-    if type(value) is not int or value < least:
-        raise error(f"{what} must be an int >= {least}, got {_quote(value)}")
+def _require_int(value, least: int | None, what: str, error=BadParameter) -> int:
+    """``value`` if it is an int >= ``least`` (any int when ``least`` is
+    None), never a bool; else ``error``."""
+    if type(value) is not int or least is not None and value < least:
+        bound = "" if least is None else f" >= {least}"
+        raise error(f"{what} must be an int{bound}, got {_quote(value)}")
     return value
 
 

@@ -5,14 +5,19 @@ Generators carry internal degree 2 (the topological grading), so every
 graded piece lives in an even degree; degree d holds the monomials of
 polynomial degree d/2 whose support is a face.  Monomials are exponent
 vectors over the complex's vertex tuple, listed in lexicographic order.
+Every count here is binomial: a face of c vertices supports C(t-1, c-1)
+monomials of degree t, one per choice of c-1 cut points among 1..t-1,
+and the Hilbert series numerator takes its coefficients from the
+binomial expansion of (1-t^2)^k.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 from typing import Iterable, NamedTuple
 
-from .complexes import SimplicialComplex, _popcount
+from .complexes import SimplicialComplex, _verts_of
 from .errors import OddDegree, _quote, _require_int
 
 
@@ -32,41 +37,23 @@ def graded_dim(K: SimplicialComplex, d: int) -> int:
     return sum(comb(t - 1, c - 1) * f for c, f in enumerate(K.f_vector) if c)
 
 
-def _compositions(total: int, parts: int):
-    """Ordered positive integer compositions of total into parts."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _monomials(vertices: tuple[int, ...], support_masks: Iterable[int], t: int):
     """Exponent vectors over `vertices` of degree t supported on the given
-    faces, in lexicographic order."""
-    pos = {v: i for i, v in enumerate(vertices)}
-    out = []
+    faces, in lexicographic order.  On a face of c vertices they are the
+    (c-1)-subsets of the cut points 1..t-1: cutting 0..t there gives the
+    c positive exponents."""
     if t == 0:
         return [(0,) * len(vertices)]
+    pos = {v: i for i, v in enumerate(vertices)}
+    out = []
     for f in support_masks:
-        c = _popcount(f)
-        if not 1 <= c <= t:
+        if not f:
             continue
-        idxs = []
-        m = f
-        while m:
-            b = m & -m
-            m ^= b
-            idxs.append(pos[b.bit_length()])
-        for parts in _compositions(t, c):
+        idxs = [pos[v] for v in _verts_of(f)]
+        for cuts in combinations(range(1, t), len(idxs) - 1):
             e = [0] * len(vertices)
-            for i, p in zip(idxs, parts):
-                e[i] = p
+            for i, lo, hi in zip(idxs, (0,) + cuts, cuts + (t,)):
+                e[i] = hi - lo
             out.append(tuple(e))
     out.sort()
     return out
@@ -86,7 +73,8 @@ class HilbertSeries(NamedTuple):
     denominator_exponent: int
 
     def expansion(self, d_max: int) -> list[int]:
-        """Power series coefficients in degrees 0..d_max."""
+        """Power series coefficients in degrees 0..d_max, an int >= 0."""
+        _require_int(d_max, 0, "the top degree")
         n = self.denominator_exponent
         out = [0] * (d_max + 1)
         for k in range(0, d_max + 1, 2):
@@ -98,27 +86,15 @@ class HilbertSeries(NamedTuple):
         return out
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
 def hilbert_series(K: SimplicialComplex) -> HilbertSeries:
     """Sum over faces of t^(2 card) / (1-t^2)^card, cleared to the common
-    denominator (1-t^2)^(dim K + 1): f_c times the term of cardinality c."""
+    denominator (1-t^2)^(dim K + 1): f_c times t^(2c) (1-t^2)^(n-c), whose
+    coefficient of t^(2c+2j) is (-1)^j C(n-c, j)."""
     n = K.krull_dim
-    # (1 - t^2)^k expanded once per needed power
-    powers = {0: [1]}
-    for k in range(1, n + 1):
-        powers[k] = _poly_mul(powers[k - 1], [1, 0, -1])
-    numerator = [0] * (2 * n + 1) if n else [0]
+    numerator = [0] * (2 * n + 1)
     for c, f in enumerate(K.f_vector):
-        for j, coeff in enumerate(powers[n - c]):
-            numerator[2 * c + j] += f * coeff
+        for j in range(n - c + 1):
+            numerator[2 * c + 2 * j] += (-1) ** j * comb(n - c, j) * f
     while len(numerator) > 1 and numerator[-1] == 0:
         numerator.pop()
     return HilbertSeries(tuple(numerator), n)

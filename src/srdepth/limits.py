@@ -61,28 +61,20 @@ def _flag_count(K: SimplicialComplex) -> int:
 def flag_chains(K: SimplicialComplex) -> list[list[tuple[int, ...]]]:
     """Strictly increasing chains of nonempty faces, grouped by length-1 and
     ordered lexicographically in the (cardinality, vertex-tuple) face order.
-    Raises ``TooLarge`` above ``FLAG_BOUND`` chains."""
+    Level L+1 extends each chain of level L by the faces above its last
+    face; those come after it in the canonical order, so every level is in
+    lexicographic order as built.  Raises ``TooLarge`` above ``FLAG_BOUND``
+    chains."""
     count = _flag_count(K)
     if count > FLAG_BOUND:
         raise TooLarge(f"the order complex has {count} flags; more than {FLAG_BOUND}")
     objs = _nonempty_faces(K)
-    n = len(objs)
-    above = [[] for _ in range(n)]
-    for i, a in enumerate(objs):
-        for j in range(i + 1, n):
-            b = objs[j]
-            if a & b == a and a != b:
-                above[i].append(j)
-    out: list[list[tuple[int, ...]]] = [[] for _ in range(max(K.dim, 0) + 1)]
-
-    def extend(chain_ids):
-        length = len(chain_ids)
-        out[length - 1].append(tuple(objs[i] for i in chain_ids))
-        for j in above[chain_ids[-1]]:
-            extend(chain_ids + [j])
-
-    for i in range(n):
-        extend([i])
+    above = {a: [b for b in objs if b & a == a and b != a] for a in objs}
+    level = [(a,) for a in objs]
+    out = [level]
+    for _ in range(K.dim):
+        level = [chain + (b,) for chain in level for b in above[chain[-1]]]
+        out.append(level)
     return out
 
 

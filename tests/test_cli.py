@@ -75,6 +75,27 @@ def test_verify_all_pass(capsys, rp2_file):
     }
 
 
+def test_verify_failing_verdict_exits_1(capsys, monkeypatch, rp2_file):
+    from srdepth import cli
+    from srdepth.cohomology import HarnessReport
+
+    monkeypatch.setattr(cli, "verify_star_link", lambda K, field: HarnessReport(field, False, ((1,), 0, 0, 0)))
+    code, out, _ = run_cli(capsys, "verify", rp2_file, "--field", "p=2", "--json", "--d-max", "4")
+    assert code == 1
+    verdicts = json.loads(out)["verdicts"]
+    assert verdicts.pop("star_link") == "fail"
+    assert set(verdicts.values()) == {"pass"}
+
+
+def test_engine_disagreement_exits_3(capsys, monkeypatch, rp2_file):
+    import importlib
+
+    monkeypatch.setattr(importlib.import_module("srdepth.depth"), "depth_ab", lambda K, field: 0)
+    code, out, err = run_cli(capsys, "depth", rp2_file)
+    assert code == 3 and not out
+    assert err.startswith("internal invariant violated: depth engines disagree")
+
+
 def test_verify_irrelevant_complex(capsys, tmp_path):
     path = tmp_path / "irrelevant.json"
     path.write_text('{"m": 0, "facets": [[]]}', encoding="utf-8")

@@ -280,6 +280,36 @@ def test_until_builds_no_later_coboundary(monkeypatch):
     assert len(built) == 2
 
 
+def test_munkres_shift_names_the_face_where_the_sides_differ(monkeypatch):
+    module = importlib.import_module("srdepth.cohomology")
+    real = relative_cohomology
+
+    def one_more_in_degree_one(K, L, field):
+        dims = real(K, L, field)
+        return {**dims, 1: dims[1] + 1}
+
+    monkeypatch.setattr(module, "relative_cohomology", one_more_in_degree_one)
+    rep = verify_munkres_shift(boundary_simplex(3), QQ)
+    assert not rep.passed
+    assert rep.witness == ((1,), 1, 0, 1)
+
+
+def test_memo_evicts_the_least_recently_used_prefix():
+    memo = importlib.import_module("srdepth.cohomology")._PREFIXES
+    reduced_cohomology.cache_clear()
+    try:
+        reduced_cohomology(cycle(4), GF2)  # the oldest entry
+        memo.update((i, None) for i in range(199_999))  # placeholders fill the memo
+        reduced_cohomology(cycle(4), GF2)  # asked again: now the newest
+        assert len(memo) == 200_000
+        reduced_cohomology(cycle(5), GF2)  # one past the bound: one entry goes
+        assert len(memo) == 200_000
+        assert 0 not in memo and 1 in memo
+        assert (cycle(4), GF2) in memo and (cycle(5), GF2) in memo
+    finally:
+        reduced_cohomology.cache_clear()
+
+
 def test_memo_answers_the_caps_its_prefix_decides(monkeypatch):
     module = importlib.import_module("srdepth.cohomology")
     built = []

@@ -308,11 +308,15 @@ _SCALAR_GATES = [
     ("disjoint_points({})", "BadParameter", "True"),
     ("random_complex({}, 1, 0.5, 1)", "BadParameter", "True"),
     ("random_complex(5, {}, 0.5, 1)", "BadParameter", "True"),
+    ("random_complex(5, 1, 0.5, {})", "BadParameter", "True"),
     ("random_corpus({})", "BadParameter", "True"),
     ("random_corpus(3, max_m={})", "BadParameter", "True"),
+    ("random_corpus(3, seed={})", "BadParameter", "True"),
     ("derived_limit_dims(cycle(4), GF2, {})", "BadParameter", "True"),
     ("graded_dim(cycle(4), {})", "OddDegree", "False"),
     ("_d_max(Namespace(d_max={}), cycle(4))", "BadParameter", "True"),
+    ("hilbert_series(cycle(4)).expansion({})", "BadParameter", "True"),
+    ("cycle(4).faces({})", "BadParameter", "True"),
 ]
 _MASK_GATES = [
     "cycle(4).star_by_mask({})",
@@ -326,6 +330,10 @@ _MASK_GATES = [
 _PROBES = (
     [(call.format(bad), error, False) for call, error, bool_ in _SCALAR_GATES for bad in ("'6'", "6.0", bool_)]
     + [("random_complex(5, 1, {}, 1)".format(bad), "BadParameter", False) for bad in ("'1'", "float('nan')", "True")]
+    + [
+        (call, "BadParameter", False)
+        for call in ("random_complex(5, 1, 0.5, [1])", "hilbert_series(cycle(4)).expansion(-3)", "cycle(4).faces(-1)")
+    ]
     + [(call.format(bad), "BadParameter", bad == "-1") for call in _MASK_GATES for bad in ("'1'", "1.0", "True", "-1")]
     + [
         (call, "TooLarge", True)
@@ -381,6 +389,11 @@ def test_random_corpus_cycles_its_parameters():
     assert [p["m"] for p in params] == [4, 5, 6] * 4 + [4]
     assert [p["d"] for p in params] == [1] * 3 + [2] * 3 + [3] * 3 + [2] * 3 + [1]
     assert [p["seed"] for p in params] == list(range(7, 20))
+
+
+def test_every_int_is_a_seed():
+    assert [p["seed"] for _, p, _ in random_corpus(2, seed=-7)] == [-7, -6]
+    assert random_complex(5, 1, 0.5, 10**5000).m == 5
 
 
 def test_random_complex_too_many_subsets_fails_before_any_draw(monkeypatch):
@@ -565,6 +578,9 @@ def test_levels_cut_the_canonical_order_by_cardinality(K):
         for f in faces:
             vmask |= f
         assert sub.vertices == tuple(i + 1 for i in range(vmask.bit_length()) if vmask >> i & 1)
-        for c in range(-2, sub.dim + 4):
+        for c in range(0, sub.dim + 4):
             expected = [f for f in sub.faces() if len(f) == c]
             assert list(sub.faces(c)) == expected, c
+        for c in (-2, -1):
+            with pytest.raises(BadParameter):
+                sub.faces(c)

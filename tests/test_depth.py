@@ -321,6 +321,41 @@ def test_star_link_two_points():
     assert verify_star_link(K, QQ).passed
 
 
+def test_star_link_names_the_face_where_depths_disagree(monkeypatch):
+    K = boundary_simplex(3)
+    real, wrong = depth_reisner, K.link((1,))
+    monkeypatch.setattr(DEPTH_MODULE, "depth_reisner", lambda L, field: real(L, field) + (L == wrong))
+    rep = verify_star_link(K, QQ)
+    assert not rep.passed
+    assert rep.witness == ((1,), 3, 3, 3)
+
+
+def test_limit_depth_criterion_names_the_first_failing_r():
+    K = boundary_simplex(3)
+    profile = derived_limit_dims(K, QQ, 8)
+    lim = {**profile.lim, 1: {**profile.lim[1], 0: 1}}
+    rep = verify_limit_depth_criterion(K, QQ, profile=profile._replace(lim=lim))
+    assert not rep.passed and not rep.corollary_checked
+    assert rep.witness == (3, True, False)
+
+
+def test_vanishing_limits_below_star_depth_fail_in_the_r_loop():
+    # rp2 over GF(2) has depth 2 and stars of depth 3: with every L^i zero
+    # the verdict fails at r = 3, where only the depth side is false
+    K = rp2_minimal()
+    profile = derived_limit_dims(K, GF2, 4)
+    zero = lambda by_degree: {d: 0 for d in by_degree}
+    profile = profile._replace(
+        lim={i: zero(v) for i, v in profile.lim.items()},
+        rho_kernel=zero(profile.rho_kernel),
+        rho_cokernel=zero(profile.rho_cokernel),
+    )
+    rep = verify_limit_depth_criterion(K, GF2, profile=profile)
+    assert (rep.depth, rep.min_star_depth) == (2, 3)
+    assert not rep.passed and not rep.corollary_checked
+    assert rep.witness == (3, False, True)
+
+
 def test_limit_depth_criterion_full_simplex():
     rep = verify_limit_depth_criterion(simplex(4), QQ, 8)
     assert rep.passed

@@ -25,9 +25,10 @@ from srdepth.limits import flag_chains
 from oracles import graded_dim_by_faces, hilbert_expansion_by_faces, small_complexes
 
 
-def brute_monomials(K, d):
+def brute_monomials(K, d, support_in=None):
     """Independent enumeration: all exponent vectors over the vertex tuple
-    with face support and the right degree."""
+    with the right degree whose support is a face of ``support_in``
+    (default K)."""
     t = d // 2
     verts = K.vertices
     out = []
@@ -35,7 +36,7 @@ def brute_monomials(K, d):
         if sum(e) != t:
             continue
         support = tuple(v for v, ei in zip(verts, e) if ei)
-        if K.has_face(support):
+        if (support_in or K).has_face(support):
             out.append(e)
     return sorted(out)
 
@@ -53,6 +54,8 @@ def test_graded_dim_matches_brute_enumeration():
             mons = brute_monomials(K, d)
             assert graded_dim(K, d) == len(mons)
             assert list(monomial_basis(K, d)) == mons
+            for f in K.face_masks:
+                assert list(star_basis(K, f, d)) == brute_monomials(K, d, K.star_by_mask(f)), (K, f, d)
 
 
 @given(small_complexes, st.integers(0, 12))

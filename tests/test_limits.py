@@ -1,5 +1,6 @@
 import importlib
 from collections import deque
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from srdepth import (
     limits_complex,
     named_corpus,
     random_complex,
+    random_corpus,
     reduced_cohomology,
     rho,
     rp2_minimal,
@@ -28,7 +30,7 @@ from srdepth import (
 from srdepth.cohomology import _cochain_dims
 from srdepth.complexes import _popcount
 from srdepth.errors import BadParameter, NotAComplex, TooLarge
-from srdepth.limits import _nonempty_faces, _star_block, _whole_block, flag_chains
+from srdepth.limits import _flag_count, _nonempty_faces, _star_block, _whole_block, flag_chains
 from srdepth.linalg import _product_is_zero, cohomology_dims
 
 from oracles import flip_one_sign, three_fields, unnormalized_h01
@@ -56,6 +58,30 @@ def test_flag_enumeration_single_edge():
     flags = flag_chains(EDGE)
     assert flags[0] == [(1,), (2,), (3,)]  # masks for {1}, {2}, {1,2}
     assert flags[1] == [(1, 3), (2, 3)]
+
+
+def _enumeration_inputs():
+    return [K for _, K in named_corpus()] + [K for _, _, K in random_corpus(200)]
+
+
+def test_flags_are_the_chains_among_position_subsets():
+    # level L lists the (L+1)-subsets of face positions that form chains,
+    # in the order itertools.combinations gives them
+    for K in _enumeration_inputs():
+        objs = _nonempty_faces(K)
+        if len(objs) > 40:
+            continue
+        levels = flag_chains(K)
+        assert len(levels) == max(K.dim, 0) + 1  # a chain gains a vertex per face
+        for length, level in enumerate(levels, 1):
+            chains = (tuple(objs[i] for i in ids) for ids in combinations(range(len(objs)), length))
+            expected = [c for c in chains if all(a & b == a for a, b in zip(c, c[1:]))]
+            assert level == expected, (K, length)
+
+
+def test_flag_count_estimate_is_the_number_listed():
+    for K in _enumeration_inputs() + [boundary_simplex(5)]:
+        assert _flag_count(K) == sum(map(len, flag_chains(K))), K
 
 
 def test_two_points_degree_zero():
@@ -212,6 +238,19 @@ def test_decomposition_full_simplex():
     assert report.passed
     for i in range(1, 4):
         assert report.profile.l_total(i) == 0
+
+
+def test_decomposition_names_the_first_wrong_dimension(monkeypatch):
+    module = importlib.import_module("srdepth.limits")
+
+    def one_too_many(K, field, d_max):
+        profile = derived_limit_dims(K, field, d_max)
+        return profile._replace(lim={**profile.lim, 0: {**profile.lim[0], 2: profile.lim[0][2] + 1}})
+
+    monkeypatch.setattr(module, "derived_limit_dims", one_too_many)
+    report = verify_limit_decomposition(boundary_simplex(3), QQ, 8)
+    assert not report.passed
+    assert report.first_failure == (0, 2, 5, 4)
 
 
 def test_decomposition_two_points_cokernel():
