@@ -25,8 +25,8 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .complexes import SimplicialComplex
-from .errors import EmptyFace, NotASubcomplex, _quote
-from .linalg import ExactMatrix, FieldSpec, _checked, _cohomology
+from .errors import EmptyFace, NotASubcomplex, _quote, _require_int
+from .linalg import ExactMatrix, FieldSpec, _checked, _cohomology, _require_field
 
 
 def _coboundary_rows(lower: list[int], upper: list[int], p) -> list:
@@ -105,6 +105,9 @@ def reduced_cohomology(
     the longest prefix per (K, field) and answers each cap it decides (it is
     complete, holds a nonzero degree, or reaches the cap); ``cache_clear``
     empties it."""
+    _require_field(field)
+    if until is not None:
+        _require_int(until, None, "the cap")
     got = _PREFIXES.pop((K, field), None)
     if got is None or not (
         len(got.dims) == K.dim + 2
@@ -128,6 +131,7 @@ reduced_cohomology.cache_clear = _PREFIXES.clear
 def relative_cohomology(K: SimplicialComplex, L: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
     """Cohomology of the pair (K, L) in degrees 0..max(dim K, 0): the
     cochain complex on faces of K not in L, with K's coboundary."""
+    _require_field(field)
     if not L.is_subcomplex_of(K):
         raise NotASubcomplex(f"{_quote(L)} is not a subcomplex of {_quote(K)}")
     levels = [[f for f in level if not L.has_face_mask(f)] for level in K.levels()[1:]]
@@ -158,6 +162,7 @@ def verify_munkres_shift(K: SimplicialComplex, field: FieldSpec) -> HarnessRepor
     """Compare, for every nonempty face, the link-shift local cohomology with
     the independently computed cohomology of (K, contrastar sigma).  The
     witness is (face, degree, shifted_dim, relative_dim)."""
+    _require_field(field)
     for face in K.faces():
         if not face:
             continue

@@ -49,7 +49,7 @@ from .cohomology import HarnessReport, _coboundaries, reduced_cohomology
 from .complexes import SimplicialComplex, _popcount, _verts_of
 from .errors import BadParameter, EngineDisagreement, TooLarge
 from .limits import LimitsProfile, derived_limit_dims
-from .linalg import FieldSpec, _cohomology
+from .linalg import FieldSpec, _cohomology, _require_field
 
 HOCHSTER_VERTEX_BOUND = 14  # log2 of the most induced subcomplexes one call may visit
 FACE_PAIR_BOUND = 21  # log2 of the most face pairs one link or face-filter walk may visit
@@ -70,13 +70,18 @@ def _check_face_pairs(K: SimplicialComplex) -> None:
 # -- engine 1: link criterion ---------------------------------------------------
 
 
-@lru_cache(maxsize=200_000)
 def depth_reisner(K: SimplicialComplex, field: FieldSpec) -> int:
     """Largest r in [0, dim K + 1] such that for every face sigma the link
     has vanishing reduced cohomology in degrees <= r - card(sigma) - 2.
     A link with lowest nonzero degree c lowers the running bound r to
     c + card(sigma) + 1 >= 0, and is computed only through degree
-    r - card(sigma) - 2; the walk ends at the first card(sigma) >= r."""
+    r - card(sigma) - 2; the walk ends at the first card(sigma) >= r.
+    The field is gated before the cache, which could not hash a list."""
+    return _depth_reisner(K, _require_field(field))
+
+
+@lru_cache(maxsize=200_000)
+def _depth_reisner(K: SimplicialComplex, field: FieldSpec) -> int:
     _check_face_pairs(K)
     r = K.krull_dim
     for mask in K.face_masks:
@@ -98,7 +103,6 @@ def link_condition(K: SimplicialComplex, field: FieldSpec, r: int) -> bool:
 # -- engine 2: topological criterion via relative pairs -------------------------
 
 
-@lru_cache(maxsize=200_000)
 def depth_topological(K: SimplicialComplex, field: FieldSpec) -> int:
     """Largest r in [0, dim K + 1] such that reduced cohomology of K and the
     relative cohomology of (K, contrastar sigma) for every nonempty sigma
@@ -108,6 +112,7 @@ def depth_topological(K: SimplicialComplex, field: FieldSpec) -> int:
     card(sigma) - 1: the walk ends at the first card(sigma) >= r.  They are
     the rows of K's coboundary matrices that hold every vertex of sigma,
     found by ANDing per-vertex position bitsets of each level."""
+    _require_field(field)
     _check_face_pairs(K)
     r = K.krull_dim
     c = reduced_cohomology(K, field, r - 2).first_nonzero()
@@ -167,6 +172,7 @@ class BettiTable(NamedTuple):
 def betti_table(K: SimplicialComplex, field: FieldSpec) -> BettiTable:
     """beta(i, j) = sum over j-element vertex subsets W of the dimension of
     reduced cohomology of the induced subcomplex K_W in degree j - i - 1."""
+    _require_field(field)
     if K.m > HOCHSTER_VERTEX_BOUND:
         raise TooLarge(f"Betti oracle enumerates 2^m subsets; m={K.m} > {HOCHSTER_VERTEX_BOUND}")
     beta: dict[tuple[int, int], int] = {}
@@ -193,6 +199,7 @@ def depth_ab(K: SimplicialComplex, field: FieldSpec) -> int:
     """Depth as (number of generators) - (projective dimension), with pd
     the largest |W| - c_W - 1 over the vertex subsets W whose induced
     subcomplex has lowest nonvanishing reduced cohomology degree c_W."""
+    _require_field(field)
     estimate = _hochster_walk_estimate(K)
     if estimate > 2**HOCHSTER_VERTEX_BOUND:
         raise TooLarge(
@@ -298,6 +305,7 @@ def verify_limit_depth_criterion(
     ``corollary_checked`` marks a pass with every L^i zero: there the
     r-loop has already asserted depth >= min star depth, as a depth below
     it fails at r = depth + 1."""
+    _require_field(field)
     if profile is None:
         profile = derived_limit_dims(K, field, d_max)
     elif profile.field != field:

@@ -37,7 +37,7 @@ from .cohomology import _cochain_dims, reduced_cohomology
 from .complexes import SimplicialComplex
 from .errors import BadParameter, InternalInvariantError, TooLarge, _quote, _require_int
 from .face_ring import graded_dim, monomial_basis, star_basis
-from .linalg import ExactMatrix, FieldSpec, _product_is_zero, cohomology_dims
+from .linalg import ExactMatrix, FieldSpec, _product_is_zero, _require_field, cohomology_dims
 
 
 FLAG_BOUND = 100_000  # most flags flag_chains may list, and most values a limits report may list
@@ -85,8 +85,9 @@ def _require_vertex(K: SimplicialComplex):
 
 def limits_complex(K: SimplicialComplex, field: FieldSpec, d: int) -> list[ExactMatrix]:
     """Assembled differentials d_0, d_1, ... of the degree-d normalized
-    cochain complex.  Row/column order follows flag order, then the lex
-    monomial order inside each star block."""
+    cochain complex, d_n of shape (dim C^n, dim C^{n+1}); rows and columns
+    follow flag order, then the lex monomial order inside each star block."""
+    _require_field(field)
     _require_vertex(K)
     index = _star_index(K, d)
     flags = flag_chains(K)
@@ -109,49 +110,54 @@ def _functor_matrix(field: FieldSpec, index, src_chains, tgt_chains) -> ExactMat
     where deleting entry k of a target chain g restricts from the star of
     the shorter chain's last face into the star of g's last face (the
     identity when that face is unchanged).  The star of g's last face is the
-    smaller one, so each of its monomials lies in the source basis and a
-    deletion puts a single sign in each target row; on a weakly increasing
-    chain (a, a) the two deletions cancel.  Rows and columns follow chain
-    order, then the lex monomial order of the star block."""
-    offset, cols = {}, 0
+    smaller one, so each of its monomials lies in the source basis, and the
+    deletion puts its sign at that monomial's row and column; on a weakly
+    increasing chain (a, a) the two deletions cancel.  One row per source
+    and one column per target basis vector, each in chain order, then the
+    lex monomial order of the star block."""
+    offset, n = {}, 0
     for f in src_chains:
-        offset[f] = cols
-        cols += len(index[f[-1]])
-    rows = []
+        offset[f] = n
+        n += len(index[f[-1]])
+    rows = [{} for _ in range(n)]
+    col = 0
     for g in tgt_chains:
         tgt = index[g[-1]]
-        block = [{} for _ in tgt]
         for k in range(len(g)):
             f = g[:k] + g[k + 1 :]
             sign = -1 if k % 2 else 1
             off, src = offset[f], index[f[-1]]
-            for row, e in zip(block, tgt):
-                col = off + src[e]
-                row[col] = row.get(col, 0) + sign
-        rows += block
-    return ExactMatrix(field, rows, shape=(len(rows), cols))
+            for j, e in enumerate(tgt, col):
+                row = rows[off + src[e]]
+                row[j] = row.get(j, 0) + sign
+        col += len(tgt)
+    return ExactMatrix(field, rows, shape=(n, col))
 
 
 def _rho_dims(
     K: SimplicialComplex, field: FieldSpec, d: int, d0: ExactMatrix, lim0: int
 ) -> tuple[int, int]:
-    """(kernel, cokernel) dimensions of the comparison map from the degree-d
-    piece of the face ring into lim^0 = ker d0, of dimension ``lim0``: a
-    monomial goes to its family of star restrictions."""
-    index = {e: j for j, e in enumerate(monomial_basis(K, d))}
-    rows = [{index[e]: 1} for f in _nonempty_faces(K) for e in star_basis(K, f, d)]
-    r_mat = ExactMatrix(field, rows, shape=(len(rows), len(index)))
-    if not _product_is_zero(d0, r_mat):
+    """(kernel, cokernel) dimensions of the comparison map r from the
+    degree-d piece of the face ring into lim^0 = ker d0, of dimension
+    ``lim0``: the row of a monomial has a 1 at each star basis vector equal
+    to it, its family of star restrictions, and r d0 must vanish."""
+    index = {e: i for i, e in enumerate(monomial_basis(K, d))}
+    row_of = [index[e] for f in _nonempty_faces(K) for e in star_basis(K, f, d)]
+    rows = [{} for _ in index]
+    for j, i in enumerate(row_of):
+        rows[i][j] = 1
+    r_mat = ExactMatrix(field, rows, shape=(len(rows), len(row_of)))
+    if not _product_is_zero(r_mat, d0):
         raise InternalInvariantError("comparison map does not land in lim^0")
     r = r_mat.rank()
-    return r_mat.cols - r, lim0 - r
+    return r_mat.rows - r, lim0 - r
 
 
 def rho(K: SimplicialComplex, field: FieldSpec, d: int) -> tuple[int, int]:
     """(kernel, cokernel) dimensions of the comparison map into lim^0 in
     degree d, computed from the assembled matrices."""
     d0 = limits_complex(K, field, d)[0]
-    return _rho_dims(K, field, d, d0, d0.kernel_dim())
+    return _rho_dims(K, field, d, d0, d0.rows - d0.rank())
 
 
 # -- the blocks of the grouped engine -------------------------------------------
@@ -214,6 +220,7 @@ def derived_limit_dims(
     for small inputs and cross-checks.  Both refuse, before any work, a
     profile of more than ``FLAG_BOUND`` values (even degrees times lim^i).
     """
+    _require_field(field)
     _require_vertex(K)
     if d_max is None:
         d_max = default_degree_bound(K)

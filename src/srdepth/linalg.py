@@ -29,8 +29,8 @@ columns of d_{n-1} (clearing), ranks the rest, and can stop at the first
 nonzero degree; given row ids (a face filter in K's coboundary), it ranks
 only those rows.  It checks nothing: the differentials reach it through the
 lazy stream ``_checked``, which checks d_n d_{n-1} = 0 by sparse composition
-as d_n is pulled.  ``cohomology_dims`` is the kernel's public form for
-matrices in the usual (target rows) shape, transposed into the stream.
+as d_n is pulled.  ``cohomology_dims`` is the kernel's public form; it
+takes the differentials in the same orientation, as ``limits`` builds them.
 """
 
 from __future__ import annotations
@@ -74,6 +74,22 @@ class FieldSpec(namedtuple("FieldSpec", "p")):
 
     def __str__(self) -> str:
         return "q" if self.p is None else f"p={self.p}"
+
+    # equal to no plain tuple, so no cache keyed on a FieldSpec answers (3,)
+    def __eq__(self, other):
+        return isinstance(other, FieldSpec) and self.p == other.p
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+def _require_field(field) -> FieldSpec:
+    """``field`` if it is a ``FieldSpec``; else ``BadParameter``."""
+    if not isinstance(field, FieldSpec):
+        raise BadParameter(f"a field must be a FieldSpec, got {_quote(field)}")
+    return field
 
 
 QQ = FieldSpec(None)
@@ -207,7 +223,7 @@ class ExactMatrix:
                 raise BadParameter("ragged rows" if shape is None else "shape disagrees with entries")
             else:
                 items.append(enumerate(row))
-        p = field.p
+        p = _require_field(field).p
         if p is None:
             rows = [{j: x for j, x in row if (x if type(x) is int else _not_int(x))} for row in items]
         else:
@@ -268,24 +284,6 @@ def _product_is_zero(left: ExactMatrix, right: ExactMatrix) -> bool:
     return True
 
 
-def _transpose(m: ExactMatrix) -> ExactMatrix:
-    """The transpose, with the rows in kernel form."""
-    if m.field.p == 2:
-        rows = [0] * m.cols
-        for i, row in enumerate(m.sparse_rows):
-            bit = 1 << i
-            while row:
-                b = row & -row
-                row ^= b
-                rows[b.bit_length() - 1] |= bit
-    else:
-        rows = [{} for _ in range(m.cols)]
-        for i, row in enumerate(m.sparse_rows):
-            for j, v in row.items():
-                rows[j][i] = v
-    return ExactMatrix.from_sparse(m.field, rows, m.rows)
-
-
 def _checked(differentials):
     """The differentials d_0, d_1, ... (source-row orientation), passed on
     lazily; pulling d_{n+1} raises ``NotAComplex(n)`` unless d_{n+1} d_n = 0."""
@@ -300,21 +298,19 @@ def _checked(differentials):
 def cohomology_dims(differentials: Sequence[ExactMatrix]) -> list[int]:
     """Cohomology dimensions of 0 -> C^0 -d0-> C^1 -> ... -> C^{N+1} -> 0.
 
-    The n-th differential matrix has shape (dim C^{n+1}, dim C^n).  Verifies
+    The n-th differential has one row per basis vector of C^n and one column
+    per basis vector of C^{n+1}: shape (dim C^n, dim C^{n+1}).  Verifies
     d_{n+1} d_n = 0 and returns N+2 dimensions, H^n = ker(d_n) - im(d_{n-1}).
     """
     mats = list(differentials)
     if not mats:
-        raise BadParameter("need at least one differential (possibly with zero rows)")
-
-    def source_rows():
-        for n, m in enumerate(mats):
-            if n and m.cols != mats[n - 1].rows:
-                raise BadParameter(f"shape mismatch between d_{n - 1} and d_{n}")
-            yield _transpose(m)
-        yield ExactMatrix.from_sparse(m.field, [0 if m.field.p == 2 else {}] * m.rows, 0)
-
-    return _cohomology(_checked(source_rows()))
+        raise BadParameter("need at least one differential (possibly with zero columns)")
+    for n in range(1, len(mats)):
+        if mats[n].rows != mats[n - 1].cols:
+            raise BadParameter(f"shape mismatch between d_{n - 1} and d_{n}")
+    m = mats[-1]
+    terminal = ExactMatrix.from_sparse(m.field, [0 if m.field.p == 2 else {}] * m.cols, 0)
+    return _cohomology(_checked(mats + [terminal]))
 
 
 def _cohomology(differentials, until: Optional[int] = None, rows=None) -> list[int]:

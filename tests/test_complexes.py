@@ -313,6 +313,7 @@ _SCALAR_GATES = [
     ("random_corpus(3, max_m={})", "BadParameter", "True"),
     ("random_corpus(3, seed={})", "BadParameter", "True"),
     ("derived_limit_dims(cycle(4), GF2, {})", "BadParameter", "True"),
+    ("reduced_cohomology(cycle(4), GF2, {})", "BadParameter", "True"),
     ("graded_dim(cycle(4), {})", "OddDegree", "False"),
     ("_d_max(Namespace(d_max={}), cycle(4))", "BadParameter", "True"),
     ("hilbert_series(cycle(4)).expansion({})", "BadParameter", "True"),

@@ -24,14 +24,20 @@ from srdepth import (
     derived_limit_dims,
     disjoint_points,
     join,
+    limits_complex,
+    local_cohomology,
     named_corpus,
     random_complex,
     random_corpus,
     reduced_cohomology,
+    relative_cohomology,
+    rho,
     rp2_minimal,
     simplex,
     validate,
+    verify_limit_decomposition,
     verify_limit_depth_criterion,
+    verify_munkres_shift,
     verify_star_link,
 )
 from srdepth.depth import (
@@ -245,7 +251,47 @@ def test_topological_engine_checks_its_coboundary(monkeypatch, field, n):
     reduced_cohomology(K, field)  # warm: the memo answers, so the walk must raise
     flip_one_sign(monkeypatch, n + 1)
     with pytest.raises(NotAComplex):
-        depth_topological.__wrapped__(K, field)
+        depth_topological(K, field)
+
+
+# every public function that takes a field, as a call on (K, field)
+_FIELD_TAKERS = [
+    reduced_cohomology,
+    lambda K, f: reduced_cohomology(K, f, 0),
+    lambda K, f: relative_cohomology(K, K.contrastar((1,)), f),
+    lambda K, f: local_cohomology(K, (1,), f),
+    verify_munkres_shift,
+    depth_reisner,
+    depth_topological,
+    depth_ab,
+    depth,
+    betti_table,
+    verify_star_link,
+    lambda K, f: verify_limit_depth_criterion(K, f, 2),
+    lambda K, f: verify_limit_depth_criterion(K, f, profile=derived_limit_dims(K, GF3, 2)),
+    lambda K, f: link_condition(K, f, 1),
+    lambda K, f: local_condition(K, f, 1),
+    lambda K, f: limits_complex(K, f, 2),
+    lambda K, f: rho(K, f, 2),
+    lambda K, f: derived_limit_dims(K, f, 2),
+    lambda K, f: derived_limit_dims(K, f, 2, method="direct"),
+    lambda K, f: verify_limit_decomposition(K, f, 2),
+]
+
+
+@pytest.mark.parametrize("bad", [3, (3,), "q", None, [3]], ids=repr)
+def test_every_field_argument_is_a_fieldspec(bad):
+    # (3,) == GF3 would let a cache warmed over GF(3) answer (3,)
+    K = rp2_minimal()
+    DEPTH_MODULE._depth_reisner.cache_clear()
+    reduced_cohomology.cache_clear()
+    for warm in (False, True):
+        if warm:
+            for call in _FIELD_TAKERS:
+                call(K, GF3)
+        for call in _FIELD_TAKERS:
+            with pytest.raises(BadParameter):
+                call(K, bad)
 
 
 def test_depth_raises_when_engines_disagree(monkeypatch):

@@ -125,12 +125,17 @@ def test_restriction_identity_when_faces_equal():
     # whose star is unchanged) and -restriction from the star of a
     for K, d in [(cycle(4), 4), (rp2_minimal(), 2)]:
         (d0, *_) = limits_complex(K, QQ, d)
+        # d0 has one row per source basis vector: read it by target columns
+        columns = [{} for _ in range(d0.cols)]
+        for i, row in enumerate(d0.sparse_rows):
+            for j, v in row.items():
+                columns[j][i] = v
         flags = flag_chains(K)
         offset, cols = {}, 0
         for (f,) in flags[0]:
             offset[f] = cols
             cols += len(star_basis(K, f, d))
-        rows = iter(d0.sparse_rows)
+        rows = iter(columns)
         for a, b in flags[1]:
             src = {e: j for j, e in enumerate(star_basis(K, a, d))}
             for i, e in enumerate(star_basis(K, b, d)):

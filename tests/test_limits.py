@@ -28,8 +28,9 @@ from srdepth import (
     verify_limit_decomposition,
 )
 from srdepth.cohomology import _cochain_dims
-from srdepth.complexes import _popcount
-from srdepth.errors import BadParameter, NotAComplex, TooLarge
+from srdepth.cli import main
+from srdepth.complexes import _popcount, to_facet_text
+from srdepth.errors import BadParameter, InternalInvariantError, NotAComplex, TooLarge
 from srdepth.limits import _flag_count, _nonempty_faces, _star_block, _whole_block, flag_chains
 from srdepth.linalg import _product_is_zero, cohomology_dims
 
@@ -41,6 +42,12 @@ EDGE = validate([[1, 2]], 2)
 def dense(mat):
     """The rows of a matrix over Q or GF(p > 2) as tuples."""
     return tuple(tuple(row.get(j, 0) for j in range(mat.cols)) for row in mat.sparse_rows)
+
+
+def transpose(rows):
+    """A matrix written with one row per target basis vector, as tuples with
+    one row per source basis vector, the orientation of ``limits_complex``."""
+    return tuple(zip(*rows))
 
 
 @pytest.mark.parametrize("field", [GF3, QQ], ids=str)
@@ -86,27 +93,28 @@ def test_flag_count_estimate_is_the_number_listed():
 
 def test_two_points_degree_zero():
     mats = limits_complex(disjoint_points(2), QQ, 0)
-    assert [m.shape for m in mats] == [(0, 2)]
+    assert [m.shape for m in mats] == [(2, 0)]
     assert cohomology_dims(mats) == [2, 0]
 
 
 def test_single_edge_degree_zero_matrix():
     mats = limits_complex(EDGE, QQ, 0)
-    assert [m.shape for m in mats] == [(2, 3)]
-    # rows: flags 1 < 12 and 2 < 12; columns: flags (1), (2), (12)
-    assert dense(mats[0]) == ((-1, 0, 1), (0, -1, 1))
+    assert [m.shape for m in mats] == [(3, 2)]
+    # written with one row per target flag, 1 < 12 and 2 < 12, and one
+    # column per source flag, (1), (2), (12)
+    assert dense(mats[0]) == transpose(((-1, 0, 1), (0, -1, 1)))
     assert mats[0].rank() == 2
     assert cohomology_dims(mats) == [1, 0]
     # degree 2 has real restriction blocks: every star of the edge is the
     # edge, with basis x1, x2 inside each flag's block, rows and columns alike
     (mat,) = limits_complex(EDGE, QQ, 2)
-    assert mat.shape == (4, 6)
-    assert dense(mat) == (
+    assert mat.shape == (6, 4)
+    assert dense(mat) == transpose((
         (-1, 0, 0, 0, 1, 0),
         (0, -1, 0, 0, 0, 1),
         (0, 0, -1, 0, 1, 0),
         (0, 0, 0, -1, 0, 1),
-    )
+    ))
 
 
 def test_three_cycle_degree_zero_over_q():
@@ -119,8 +127,31 @@ def test_differentials_compose_to_zero():
     for K in [rp2_minimal(), boundary_simplex(3), random_complex(5, 2, 0.7, 4)]:
         for d in (0, 2, 4):
             mats = limits_complex(K, GF3, d)
-            for later, earlier in zip(mats[1:], mats[:-1]):
-                assert _product_is_zero(later, earlier)
+            for earlier, later in zip(mats, mats[1:]):
+                assert _product_is_zero(earlier, later)
+
+
+def test_rho_refuses_a_map_that_misses_lim0(monkeypatch):
+    monkeypatch.setattr(importlib.import_module("srdepth.limits"), "_product_is_zero", lambda left, right: False)
+    with pytest.raises(InternalInvariantError, match="comparison map does not land in lim\\^0"):
+        rho(cycle(4), QQ, 2)
+
+
+def test_augmentation_on_a_star_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    module = importlib.import_module("srdepth.limits")
+    real = module.reduced_cohomology
+
+    def augmented(K, field, until=None):
+        profile = real(K, field, until)
+        return profile._replace(dims={**profile.dims, -1: 1})
+
+    monkeypatch.setattr(module, "reduced_cohomology", augmented)
+    with pytest.raises(InternalInvariantError, match="augmentation survived on a nonempty star"):
+        derived_limit_dims(cycle(4), GF2, 2)
+    path = tmp_path / "c4.facets"
+    path.write_text(to_facet_text(cycle(4)), encoding="utf-8")
+    assert main(["limits", str(path)]) == 3
+    assert "augmentation survived on a nonempty star" in capsys.readouterr().err
 
 
 def test_requires_a_vertex():

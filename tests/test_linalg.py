@@ -60,6 +60,15 @@ def identity(field, n):
     return ExactMatrix(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
+def transposed(field, rows, shape=None):
+    """The differential written in ``rows`` in the usual shape, one row per
+    basis vector of the target, as the matrix with one row per basis vector
+    of the source that ``cohomology_dims`` takes; ``shape`` is that of
+    ``rows``, needed when they are empty."""
+    r, c = shape or (len(rows), len(rows[0]))
+    return ExactMatrix(field, [[row[j] for row in rows] for j in range(c)] if rows else [], shape=(c, r))
+
+
 # -- field spec -------------------------------------------------------------------
 
 
@@ -109,6 +118,17 @@ def test_fieldspec_is_a_hashable_value():
     assert FieldSpec() == QQ
     with pytest.raises(AttributeError):
         GF2.p = 3
+
+
+def test_fieldspec_equals_no_plain_tuple():
+    # a tuple hashes like the FieldSpec it spells, but no dict or cache
+    # keyed on the FieldSpec answers it
+    assert hash(GF3) == hash((3,)) and GF3 == FieldSpec(3)
+    assert GF3 != (3,) and (3,) != GF3 and not GF3 == (3,) and not (3,) == GF3
+    assert QQ != (None,) and {GF3: 1}.get((3,)) is None
+    for bad in (3, (3,), "q", None, [3]):
+        with pytest.raises(BadParameter):
+            ExactMatrix(bad, [[1]])
 
 
 # -- rank examples ------------------------------------------------------------------
@@ -221,8 +241,8 @@ def test_rank_plus_kernel_is_cols(rows):
 
 
 def test_cohomology_zero_differentials():
-    d0 = zeros(QQ, 3, 2)
-    d1 = zeros(QQ, 1, 3)
+    d0 = transposed(QQ, [], (3, 2))
+    d1 = transposed(QQ, [], (1, 3))
     assert cohomology_dims([d0, d1]) == [2, 3, 1]
 
 
@@ -232,16 +252,16 @@ def test_cohomology_identity_complex():
 
 def test_cohomology_three_cycle_reduced():
     # augmented complex of the 3-cycle: 1 -> 3 vertices -> 3 edges
-    d_aug = ExactMatrix(QQ, [[1], [1], [1]])
+    d_aug = transposed(QQ, [[1], [1], [1]])
     # edges 12, 13, 23 with alternating signs from the vertex order
-    d0 = ExactMatrix(QQ, [[-1, 1, 0], [-1, 0, 1], [0, -1, 1]])
+    d0 = transposed(QQ, [[-1, 1, 0], [-1, 0, 1], [0, -1, 1]])
     dims = cohomology_dims([d_aug, d0])
     assert dims == [0, 0, 1]
 
 
 def test_cohomology_rejects_non_complex():
-    d0 = ExactMatrix(QQ, [[1, 0], [0, 1]])
-    d1 = ExactMatrix(QQ, [[1, 0]])
+    d0 = transposed(QQ, [[1, 0], [0, 1]])
+    d1 = transposed(QQ, [[1, 0]])
     with pytest.raises(NotAComplex) as err:
         cohomology_dims([d0, d1])
     assert err.value.position == 0
@@ -266,19 +286,28 @@ def _simplex_coboundaries(n):
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_cohomology_dims_checks_each_pair(field, k):
     mats = _simplex_coboundaries(4)
-    assert cohomology_dims([ExactMatrix(field, m) for m in mats]) == [0] * 5
+    assert cohomology_dims([transposed(field, m) for m in mats]) == [0] * 5
     row = mats[k][0]
     j = next(j for j, x in enumerate(row) if x)
     row[j] = -row[j]  # d_{k+1} d_k and d_k d_{k-1} are now nonzero
     with pytest.raises(NotAComplex) as err:
-        cohomology_dims([ExactMatrix(field, m) for m in mats])
+        cohomology_dims([transposed(field, m) for m in mats])
     assert err.value.position == max(k - 1, 0)
 
 
+def test_cohomology_dims_refuses_bad_shapes():
+    # d_n has shape (dim C^n, dim C^{n+1}), so d_{n+1} has as many rows as
+    # d_n has columns
+    assert cohomology_dims([zeros(QQ, 2, 3), zeros(QQ, 3, 1)]) == [2, 3, 1]
+    for mats in ([], [zeros(QQ, 2, 3), zeros(QQ, 2, 1)]):
+        with pytest.raises(BadParameter):
+            cohomology_dims(mats)
+
+
 def test_cohomology_basis_permutation_invariance():
-    d0 = ExactMatrix(GF2, [[1, 1, 0], [0, 1, 1]])
-    d0_perm = ExactMatrix(GF2, [[0, 1, 1], [1, 1, 0]])
-    z = zeros(GF2, 0, 2)
+    d0 = transposed(GF2, [[1, 1, 0], [0, 1, 1]])
+    d0_perm = transposed(GF2, [[0, 1, 1], [1, 1, 0]])
+    z = transposed(GF2, [], (0, 2))
     assert cohomology_dims([d0, z]) == cohomology_dims([d0_perm, z])
 
 
@@ -352,20 +381,20 @@ def test_pivot_columns_carry_the_rank(rows):
 def test_d_squared_check_depends_on_the_field():
     # d1 d0 = [2]: zero over GF(2) only
     for field in (QQ, GF3, GF5):
-        d0 = ExactMatrix(field, [[1], [1]])
-        d1 = ExactMatrix(field, [[1, 1]])
+        d0 = transposed(field, [[1], [1]])
+        d1 = transposed(field, [[1, 1]])
         with pytest.raises(NotAComplex) as err:
             cohomology_dims([d0, d1])
         assert err.value.position == 0
-    d0 = ExactMatrix(GF2, [[1], [1]])
-    d1 = ExactMatrix(GF2, [[1, 1]])
+    d0 = transposed(GF2, [[1], [1]])
+    d1 = transposed(GF2, [[1, 1]])
     assert cohomology_dims([d0, d1]) == [0, 0, 0]
     # d1 d0 = [3]: zero over GF(3) only
     for field in (QQ, GF2, GF5):
         with pytest.raises(NotAComplex):
-            cohomology_dims([ExactMatrix(field, [[1], [1], [1]]), ExactMatrix(field, [[1, 1, 1]])])
-    d0 = ExactMatrix(GF3, [[1], [1], [1]])
-    d1 = ExactMatrix(GF3, [[1, 1, 1]])
+            cohomology_dims([transposed(field, [[1], [1], [1]]), transposed(field, [[1, 1, 1]])])
+    d0 = transposed(GF3, [[1], [1], [1]])
+    d1 = transposed(GF3, [[1, 1, 1]])
     assert cohomology_dims([d0, d1]) == [0, 1, 0]
 
 
@@ -377,7 +406,7 @@ tiny_entries = st.sampled_from([-2, -1, 0, 0, 1, 2])
 def test_cohomology_dims_raises_exactly_when_not_a_complex(n0, n1, n2, data, field):
     a = [[data.draw(tiny_entries) for _ in range(n0)] for _ in range(n1)]
     b = [[data.draw(tiny_entries) for _ in range(n1)] for _ in range(n2)]
-    d0, d1 = ExactMatrix(field, a), ExactMatrix(field, b)
+    d0, d1 = transposed(field, a), transposed(field, b)
     p = field.p
     product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*a)] for row in b]
     nonzero = any(x % p if p else x for row in product for x in row)
