@@ -127,31 +127,18 @@ def cmd_limits(args) -> int:
     K = load_complex(args.input)
     field = FieldSpec.parse(args.field)
     d_max = _d_max(args, K)
-    if K.is_irrelevant:
-        # no nonempty faces: nothing to index the limit complex
-        report = {
-            **_complex_summary(K),
-            "field": str(field),
-            "reduced_cohomology": _cohomology_json(K, field),
-            "limits": {},
-            "verdicts": {"srdec": "pass"},
-        }
-        _emit(report, args.json)
-        return EXIT_OK
-    dec = verify_limit_decomposition(K, field, d_max)
-    report = {
-        **_complex_summary(K),
-        "field": str(field),
-        "reduced_cohomology": _cohomology_json(K, field),
-        "limits": _limits_json(dec.profile),
-        "rho": {
+    report = {**_complex_summary(K), "field": str(field), "limits": {}, "verdicts": {"srdec": "pass"}}
+    if not K.is_irrelevant:  # else no nonempty face indexes the limit complex
+        dec = verify_limit_decomposition(K, field, d_max)
+        report["limits"] = _limits_json(dec.profile)
+        report["rho"] = {
             "kernel": {str(d): v for d, v in sorted(dec.profile.rho_kernel.items())},
             "cokernel": {str(d): v for d, v in sorted(dec.profile.rho_cokernel.items())},
-        },
-        "verdicts": {"srdec": "pass" if dec.passed else "fail"},
-    }
+        }
+        report["verdicts"]["srdec"] = "pass" if dec.passed else "fail"
+    report["reduced_cohomology"] = _cohomology_json(K, field)
     _emit(report, args.json)
-    return EXIT_OK if dec.passed else EXIT_VERIFY_FAILED
+    return EXIT_OK if report["verdicts"]["srdec"] == "pass" else EXIT_VERIFY_FAILED
 
 
 def cmd_verify(args) -> int:
@@ -159,25 +146,17 @@ def cmd_verify(args) -> int:
     field = FieldSpec.parse(args.field)
     d_max = _d_max(args, K)
     report = _depth_report(K, field)
-    if K.is_irrelevant:
-        # no nonempty faces: every harness holds vacuously
-        report["verdicts"] = {"srdec": "pass", "star_link": "pass", "key_lemma": "pass", "munkres": "pass"}
-        _emit(report, args.json)
-        return EXIT_OK
-    dec = verify_limit_decomposition(K, field, d_max)
-    star_link = verify_star_link(K, field)
-    key = verify_limit_depth_criterion(K, field, profile=dec.profile)
-    munkres = verify_munkres_shift(K, field)
-    verdicts = {
-        "srdec": "pass" if dec.passed else "fail",
-        "star_link": "pass" if star_link.passed else "fail",
-        "key_lemma": "pass" if key.passed else "fail",
-        "munkres": "pass" if munkres.passed else "fail",
-    }
-    report["limits"] = _limits_json(dec.profile)
-    report["verdicts"] = verdicts
+    passed = dict.fromkeys(("srdec", "star_link", "key_lemma", "munkres"), True)
+    if not K.is_irrelevant:  # else no nonempty faces: every harness holds vacuously
+        dec = verify_limit_decomposition(K, field, d_max)
+        passed["srdec"] = dec.passed
+        passed["star_link"] = verify_star_link(K, field).passed
+        passed["key_lemma"] = verify_limit_depth_criterion(K, field, profile=dec.profile).passed
+        passed["munkres"] = verify_munkres_shift(K, field).passed
+        report["limits"] = _limits_json(dec.profile)
+    report["verdicts"] = {k: "pass" if v else "fail" for k, v in passed.items()}
     _emit(report, args.json)
-    return EXIT_OK if all(v == "pass" for v in verdicts.values()) else EXIT_VERIFY_FAILED
+    return EXIT_OK if all(passed.values()) else EXIT_VERIFY_FAILED
 
 
 def cmd_corpus(args) -> int:

@@ -258,9 +258,13 @@ def _star(K: "SimplicialComplex", s: int) -> "SimplicialComplex":
 
 @lru_cache(maxsize=200_000)
 def _link(K: "SimplicialComplex", s: int) -> "SimplicialComplex":
-    # tau -> sigma | tau is a bijection onto the faces containing sigma, and
-    # dropping sigma keeps the canonical order: two equal-size faces compare
-    # by the least vertex of their symmetric difference, which sigma misses
+    # lk sigma is the link of v in lk(sigma - v), v its top vertex: one scan
+    # of the cached parent link.  Dropping s from the faces that hold it
+    # keeps the canonical order: two equal-size faces compare by the least
+    # vertex of their symmetric difference, which s misses
+    if s & (s - 1):
+        top = 1 << (s.bit_length() - 1)
+        return _link(_link(K, s ^ top), top)
     return SimplicialComplex([f ^ s for f in K._faces if f & s == s], _closed=True)
 
 

@@ -3,12 +3,14 @@ verification harnesses for the structural identities they are built on.
 
 * ``depth_reisner``: the largest r such that every link has vanishing
   reduced cohomology in degrees <= r - card - 2 (the combinatorial
-  criterion).
+  criterion).  Each link is built from its parent's: lk sigma is the link
+  of v in lk(sigma - v), v the top vertex of sigma.
 * ``depth_topological``: the largest r such that the complex itself and all
   local cohomology groups at inner points vanish in degrees <= r - 2; the
   local group at sigma is H*(K, contrastar sigma), computed on its relative
   cochains, the face filter of sigma, not through the link shift.  Those
-  are rows of K's own coboundary, assembled and checked once per call.
+  are rows of K's own coboundary, assembled and checked once per call; the
+  filter of sigma is the part of the filter of sigma - v that holds v.
 * ``depth_ab``: number of ring generators minus the projective dimension,
   a third, resolution-theoretic route.  By Hochster's formula pd is the
   largest |W| - c - 1 over vertex subsets W, with c the lowest degree of
@@ -46,7 +48,7 @@ from math import comb
 from typing import NamedTuple
 
 from .cohomology import HarnessReport, _coboundaries, reduced_cohomology
-from .complexes import SimplicialComplex, _popcount, _verts_of
+from .complexes import SimplicialComplex, _popcount
 from .errors import BadParameter, EngineDisagreement, TooLarge
 from .limits import LimitsProfile, derived_limit_dims
 from .linalg import FieldSpec, _cohomology, _require_field
@@ -110,8 +112,9 @@ def depth_topological(K: SimplicialComplex, field: FieldSpec) -> int:
     the running bound r to c + 1 and is computed only through degree r - 2.
     The cochains at sigma, the faces containing sigma, start in degree
     card(sigma) - 1: the walk ends at the first card(sigma) >= r.  They are
-    the rows of K's coboundary matrices that hold every vertex of sigma,
-    found by ANDing per-vertex position bitsets of each level."""
+    the rows of K's coboundary matrices that hold sigma, found among the
+    rows that hold its parent sigma - v (v its top vertex) as those that
+    also hold v."""
     _require_field(field)
     _check_face_pairs(K)
     r = K.krull_dim
@@ -121,24 +124,21 @@ def depth_topological(K: SimplicialComplex, field: FieldSpec) -> int:
     # the walk ranks d_n for n <= r - 2 only: cardinality n + 1 to n + 2
     levels = K.levels()[1 : r + 1]
     mats = list(_coboundaries(levels, field))
-    # bit i of at[n][v] is set when face i of cardinality n + 1 holds vertex v
-    at = [[0] * (K.vertices[-1] + 1) for _ in levels[1:]]
-    for bits, level in zip(at, levels):
-        for i, f in enumerate(level):
-            for v in _verts_of(f):
-                bits[v] |= 1 << i
+    # filters[sigma][k]: the ids of the faces of cardinality card(sigma) + k
+    # that hold sigma, kept from its parent's; the empty face's hold all
+    filters, card = {0: [range(1)] + [range(len(level)) for level in levels[:-1]]}, 0
     for mask in K.face_masks[1:]:
         s = _popcount(mask)
         if s >= r:
             break
-        verts = _verts_of(mask)
-        rows = [()] * (s - 1)
-        for bits in at[s - 1 : r - 1]:
-            x = -1
-            for v in verts:
-                x &= bits[v]
-            rows.append([i - 1 for i in _verts_of(x)])
-        c = next((i for i, h in enumerate(_cohomology(mats, r - 2, rows)) if h), None)
+        if s > card:  # only the previous cardinality's filters stay alive
+            parents, filters, card = filters, {}, s
+        top = 1 << (mask.bit_length() - 1)
+        filters[mask] = rows = [
+            [i for i in ids if level[i] & top]
+            for ids, level in zip(parents[mask ^ top][1:], levels[s - 1 : r - 1])
+        ]
+        c = next((i for i, h in enumerate(_cohomology(mats, r - 2, [()] * (s - 1) + rows)) if h), None)
         if c is not None:
             r = c + 1
     return r
@@ -301,7 +301,9 @@ def verify_limit_depth_criterion(
 ) -> LimitDepthReport:
     """Check the vanishing criterion against depth; ``profile``, when given,
     is K's limits profile over ``field`` and is used instead of computing
-    one up to ``d_max``.  The witness is (r, depth_side, vanishing_side).
+    one up to ``d_max``.  One over another field or with lim^i for other i
+    than 0..dim K raises ``BadParameter``; one of another complex of the
+    same dimension goes undetected.  The witness is (r, depth_side, vanishing_side).
     ``corollary_checked`` marks a pass with every L^i zero: there the
     r-loop has already asserted depth >= min star depth, as a depth below
     it fails at r = depth + 1."""
@@ -310,6 +312,8 @@ def verify_limit_depth_criterion(
         profile = derived_limit_dims(K, field, d_max)
     elif profile.field != field:
         raise BadParameter(f"the profile is over {profile.field}, not {field}")
+    elif set(profile.lim) != set(range(max(K.dim, 0) + 1)):
+        raise BadParameter(f"the profile lists lim^i for i in {sorted(profile.lim)}, not 0..{max(K.dim, 0)}")
     d_k = depth_reisner(K, field)
     star_depths = [
         depth_reisner(K.star_by_mask(mask), field) for mask in K.face_masks if mask

@@ -201,10 +201,13 @@ class ExactMatrix:
         is either dense (a sequence of ``cols`` entries) or a dict
         {column: entry}; dict rows need ``shape``, and entries that reduce
         to zero are dropped.  With ``shape`` given, empty ``entries`` mean
-        the zero matrix."""
+        the zero matrix.  Anything but a sequence of rows, or a dict key
+        that is no int column (a bool is not), raises ``BadParameter`` too."""
+        if not isinstance(entries, Sequence):
+            raise BadParameter(f"entries must be a sequence of rows, got {_quote(entries)}")
         if shape is None:
             r = len(entries)
-            c = len(entries[0]) if entries else 0
+            c = len(entries[0]) if entries and isinstance(entries[0], Sequence) else 0
         else:
             r, c = shape
             if not all(type(n) is int and n >= 0 for n in (r, c)):
@@ -216,9 +219,11 @@ class ExactMatrix:
             if isinstance(row, dict):
                 if shape is None:
                     raise BadParameter("dict rows need a shape")
-                if row and not (min(row) >= 0 and max(row) < c):
-                    raise BadParameter(f"a dict row has a column outside 0..{c - 1}")
+                if not all(type(j) is int and 0 <= j < c for j in row):
+                    raise BadParameter(f"a dict row has a key that is no int column 0..{c - 1}")
                 items.append(row.items())
+            elif not isinstance(row, Sequence):
+                raise BadParameter(f"a row must be a sequence or a dict, got {_quote(row)}")
             elif len(row) != c:
                 raise BadParameter("ragged rows" if shape is None else "shape disagrees with entries")
             else:
@@ -301,12 +306,15 @@ def cohomology_dims(differentials: Sequence[ExactMatrix]) -> list[int]:
     The n-th differential has one row per basis vector of C^n and one column
     per basis vector of C^{n+1}: shape (dim C^n, dim C^{n+1}).  Verifies
     d_{n+1} d_n = 0 and returns N+2 dimensions, H^n = ker(d_n) - im(d_{n-1}).
-    """
+    Anything but ``ExactMatrix`` differentials over one field with matching
+    shapes raises ``BadParameter``."""
     mats = list(differentials)
     if not mats:
         raise BadParameter("need at least one differential (possibly with zero columns)")
-    for n in range(1, len(mats)):
-        if mats[n].rows != mats[n - 1].cols:
+    for n, mat in enumerate(mats):
+        if not isinstance(mat, ExactMatrix) or mat.field != mats[0].field:
+            raise BadParameter(f"d_{n} = {_quote(mat)} is no ExactMatrix over the field of d_0")
+        if n and mat.rows != mats[n - 1].cols:
             raise BadParameter(f"shape mismatch between d_{n - 1} and d_{n}")
     m = mats[-1]
     terminal = ExactMatrix.from_sparse(m.field, [0 if m.field.p == 2 else {}] * m.cols, 0)

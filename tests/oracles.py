@@ -6,7 +6,7 @@ from math import comb
 
 from hypothesis import strategies as st
 
-from srdepth import GF2, GF3, QQ, depth_reisner, join, random_complex, reduced_cohomology
+from srdepth import GF2, GF3, QQ, SimplicialComplex, depth_reisner, join, random_complex, reduced_cohomology
 from srdepth.cohomology import _cochain_dims
 from srdepth.limits import _functor_matrix, _nonempty_faces, _require_vertex, _star_index
 from srdepth.linalg import cohomology_dims
@@ -40,6 +40,12 @@ def join_additivity_observations(pairs, field):
         if got != expected:
             mismatches.append(((name_a, name_b), got, expected))
     return mismatches
+
+
+def link_by_scan(K, s):
+    """The link of the face with mask ``s`` by its definition, from one scan
+    of K: the faces disjoint from it whose union with it is a face."""
+    return SimplicialComplex([t for t in K.face_masks if not t & s and K.has_face_mask(t | s)])
 
 
 def depth_by_face_filters(K, field):

@@ -42,7 +42,7 @@ from srdepth import complexes as complexes_module
 from srdepth.complexes import complex_from_json
 from srdepth.errors import BadParameter, EmptyFace, InputError, TooLarge
 
-from oracles import small_complexes
+from oracles import link_by_scan, small_complexes
 
 
 def faces_set(K):
@@ -109,6 +109,46 @@ def test_link_examples():
 def test_link_of_empty_face_is_whole_complex():
     K = rp2_minimal()
     assert K.link(()) == K
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_complexes)
+def test_links_from_parent_links_match_the_full_scan(K):
+    # each face on its own with the cache cleared, then every face in the
+    # canonical order with each parent link warm
+    for s in K.face_masks:
+        complexes_module._link.cache_clear()
+        assert K.link_by_mask(s) == link_by_scan(K, s)
+    complexes_module._link.cache_clear()
+    for s in K.face_masks:
+        assert K.link_by_mask(s) == link_by_scan(K, s)
+
+
+class _ScannedFaces(tuple):
+    """A face tuple that records its length whenever it is iterated."""
+
+    scans = []
+
+    def __iter__(self):
+        self.scans.append(len(self))
+        return super().__iter__()
+
+
+def test_a_link_scans_only_its_parent_link():
+    K = boundary_simplex(8)
+    complexes_module._link.cache_clear()
+    try:
+        parent = K.link_by_mask(0b111)
+        chain = (K, K.link_by_mask(0b1), K.link_by_mask(0b11), parent)
+        for L in chain:
+            L._faces = _ScannedFaces(L._faces)
+        _ScannedFaces.scans.clear()
+        link = K.link_by_mask(0b1111)
+        # K has 511 faces, the parent link 63
+        assert _ScannedFaces.scans == [len(parent.face_masks)]
+        assert link == link_by_scan(boundary_simplex(8), 0b1111)
+    finally:
+        complexes_module._link.cache_clear()
 
 
 def test_star_link_membership_law():

@@ -435,6 +435,12 @@ def test_limit_depth_criterion_takes_a_computed_profile():
         verify_limit_depth_criterion(cycle(3), QQ, profile=derived_limit_dims(cycle(3), GF2, 8))
 
 
+def test_limit_depth_criterion_refuses_a_profile_of_another_dimension():
+    # cycle(4)'s profile used to pass for rp2 with cycle(4)'s l_totals
+    with pytest.raises(BadParameter):
+        verify_limit_depth_criterion(rp2_minimal(), GF2, profile=derived_limit_dims(cycle(4), GF2, 4))
+
+
 def moore_space_mod3():
     """Filled 9-gon glued onto a 3-cycle by a degree-three boundary map:
     first homology is 3-torsion, so only characteristic 3 sees it."""

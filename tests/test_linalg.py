@@ -171,6 +171,19 @@ def test_fraction_entries():
                 ExactMatrix(field, [{1: bad}], shape=(1, 2))
 
 
+def test_dict_row_keys_and_entries_are_gated():
+    # a bool key used to be taken as column 1, the others raised TypeError
+    for entries, shape in (
+        ([{True: 1}], (1, 2)),
+        ([{"a": 1}], (1, 2)),
+        ([{0.5: 1}], (1, 2)),
+        (5, None),
+        ([5], None),
+    ):
+        with pytest.raises(BadParameter):
+            ExactMatrix(GF2, entries, shape=shape)
+
+
 def test_empty_shapes():
     assert zeros(QQ, 0, 5).rank() == 0
     assert zeros(GF2, 5, 0).rank() == 0
@@ -293,6 +306,18 @@ def test_cohomology_dims_checks_each_pair(field, k):
     with pytest.raises(NotAComplex) as err:
         cohomology_dims([transposed(field, m) for m in mats])
     assert err.value.position == max(k - 1, 0)
+
+
+def test_cohomology_dims_refuses_mixed_fields_and_non_matrices():
+    # each used to fail inside the d^2 = 0 check with a bare TypeError or
+    # AttributeError
+    for mats in (
+        [ExactMatrix(GF2, [[1, 1]]), ExactMatrix(QQ, [[1], [1]])],
+        [ExactMatrix(GF3, [[1, 1]]), ExactMatrix(GF2, [[1], [1]])],
+        [[1]],
+    ):
+        with pytest.raises(BadParameter):
+            cohomology_dims(mats)
 
 
 def test_cohomology_dims_refuses_bad_shapes():
