@@ -5,12 +5,25 @@ every matrix is reproducible bit for bit.  The augmented cochain complex
 includes the empty face in degree -1; H^{-1} is one-dimensional exactly for
 the complex {-}.
 
-Every coboundary is made by ``_coboundaries``, one row per lower face, and
-d^2 = 0 is checked there as the next one is made; the cochain kernel of
-``linalg`` then clears the rows named by the previous degree's pivots and
-ranks the rest.  ``reduced_cohomology`` and ``_cochain_dims`` take an
-optional ``until``: they then stop at the lowest nonzero degree or at
-``until``, build no higher coboundary, and list only the degrees computed.
+Every coboundary is made by ``_coboundaries``, one row per lower face:
+int bitsets over GF(2), and over every other field one signed form, rows
+{column: +-1}, whose d^2 = 0 is checked over Z, which implies it mod every
+prime.  The check runs there as the next coboundary is made; the cochain
+kernel of ``linalg`` then clears the rows named by the previous degree's
+pivots and ranks the rest.  ``reduced_cohomology`` and ``_cochain_dims``
+take an optional ``until``: they then stop at the lowest nonzero degree or
+at ``until``, build no higher coboundary, and list only the degrees
+computed.
+
+Over every field but GF(2), ``reduced_cohomology`` ranks the signed rows
+over Z (``linalg._pivots_q``).  When every pivot is +-1, that elimination
+is unimodular: its ranks and clearing sets are those of every prime field,
+so the prefix it found is kept under K alone and answers every field, by
+the universal coefficient theorem (Hatcher, *Algebraic Topology*, 3.1).
+Otherwise the prefix is kept under (K, field): a call over Q keeps its
+ranks over Q, and a call mod an odd p gives up the pass over Z at the first
+pivot that is not +-1 and ranks that matrix mod p.  GF(2) keeps its bitset
+rows and XOR kernel and only reads the field-free prefixes.
 
 Local cohomology at an inner point of a nonempty face sigma is *defined*
 through the degree shift by the link and *verified* against the independent
@@ -26,7 +39,7 @@ from typing import Mapping, NamedTuple
 
 from .complexes import SimplicialComplex
 from .errors import EmptyFace, NotASubcomplex, _quote, _require_int
-from .linalg import ExactMatrix, FieldSpec, _checked, _cohomology, _require_field
+from .linalg import GF2, QQ, ExactMatrix, FieldSpec, _checked, _cohomology, _require_field
 
 
 def _coboundary_rows(lower: list[int], upper: list[int], p) -> list:
@@ -34,7 +47,8 @@ def _coboundary_rows(lower: list[int], upper: list[int], p) -> list:
     ``upper``, one row per lower face: the row of sigma has (-1)^k at each
     tau in ``upper`` whose k-th vertex completes sigma to tau.  A face of
     ``upper`` with a facet missing from ``lower`` (the subcomplex of a pair)
-    gets no entry from it.  Rows are in the kernel form of ``ExactMatrix``."""
+    gets no entry from it.  Rows are int bitsets when p == 2, else the
+    signed dicts {column: +-1} that every other field's kernel takes."""
     index = {f: i for i, f in enumerate(lower)}.get
     if p == 2:
         rows = [0] * len(lower)
@@ -48,7 +62,6 @@ def _coboundary_rows(lower: list[int], upper: list[int], p) -> list:
                 if i is not None:
                     rows[i] |= bit
         return rows
-    minus = -1 if p is None else p - 1
     rows = [{} for _ in lower]
     for j, tau in enumerate(upper):
         sign = 1
@@ -59,23 +72,26 @@ def _coboundary_rows(lower: list[int], upper: list[int], p) -> list:
             i = index(tau ^ b)
             if i is not None:
                 rows[i][j] = sign
-            sign = minus if sign == 1 else 1
+            sign = -sign
     return rows
 
 
 def _coboundaries(levels: list, field: FieldSpec):
-    """The coboundaries between consecutive ``levels``, each made when pulled."""
-    return _checked(
-        ExactMatrix.from_sparse(field, _coboundary_rows(lower, upper, field.p), len(upper))
+    """The coboundaries between consecutive ``levels`` over ``field``, each
+    made when pulled; d^2 = 0 is checked over GF(2) for GF(2), else over Z."""
+    ring = GF2 if field.p == 2 else QQ
+    made = _checked(
+        ExactMatrix.from_sparse(ring, _coboundary_rows(lower, upper, field.p), len(upper))
         for lower, upper in zip(levels, levels[1:])
     )
+    return made if field == ring else (ExactMatrix.from_sparse(field, m.sparse_rows, m.cols) for m in made)
 
 
 def _cochain_dims(levels: list, field: FieldSpec, until: int | None = None) -> list[int]:
     """Cohomology dimensions of the cochain complex with bases ``levels``
     (consecutive cardinalities) and the simplicial coboundary; with
     ``until``, the prefix through the first nonzero one or index ``until``."""
-    return _cohomology(_coboundaries(levels + [[]], field), until)
+    return _cohomology(_coboundaries(levels + [[]], field), until)[0]
 
 
 class CohomologyProfile(NamedTuple):
@@ -93,7 +109,21 @@ class CohomologyProfile(NamedTuple):
         return None
 
 
-_PREFIXES: dict = {}  # (K, field) -> longest profile computed, least recently used first
+# K -> the longest prefix certified for every field, (K, field) -> the
+# longest other prefix over that field; least recently used first
+_PREFIXES: dict = {}
+
+
+def _recall(key, K: SimplicialComplex, until: int | None):
+    """The prefix kept under ``key``, now the most recently used, if it
+    decides the cap: it is complete, holds a nonzero degree, or reaches it."""
+    got = _PREFIXES.pop(key, None)
+    if got is None:
+        return None
+    _PREFIXES[key] = got
+    if len(got) == K.dim + 2 or until is not None and (len(got) - 2 >= until or any(got.values())):
+        return got
+    return None
 
 
 def reduced_cohomology(
@@ -102,27 +132,29 @@ def reduced_cohomology(
     """Reduced cohomology of K via the augmented simplicial cochain complex.
     With ``until``, only degrees -1 through the lowest nonzero one or
     ``until``, whichever comes first, are computed and listed.  A memo keeps
-    the longest prefix per (K, field) and answers each cap it decides (it is
+    the longest prefix per K if its ranks over Z had unit pivots, and per
+    (K, field) otherwise, and answers each cap one of them decides (it is
     complete, holds a nonzero degree, or reaches the cap); ``cache_clear``
     empties it."""
     _require_field(field)
     if until is not None:
         _require_int(until, None, "the cap")
-    got = _PREFIXES.pop((K, field), None)
-    if got is None or not (
-        len(got.dims) == K.dim + 2
-        or until is not None and (len(got.dims) - 2 >= until or got.first_nonzero() is not None)
-    ):
-        dims = _cochain_dims(K.levels(), field, None if until is None else until + 1)
-        got = CohomologyProfile(field, MappingProxyType({i - 1: h for i, h in enumerate(dims)}))
-    _PREFIXES[K, field] = got
-    if len(_PREFIXES) > 200_000:
-        del _PREFIXES[next(iter(_PREFIXES))]
-    c = got.first_nonzero()
+    got = _recall(K, K, until)
+    if got is None:
+        got = _recall((K, field), K, until)
+    if got is None:
+        ring = field if field.p == 2 else QQ  # the integer rows, for every other field
+        cap = None if until is None else until + 1
+        dims, unimodular = _cohomology(_coboundaries(K.levels() + [[]], ring), cap, p=field.p)
+        got = MappingProxyType({i - 1: h for i, h in enumerate(dims)})
+        _PREFIXES[K if unimodular else (K, field)] = got
+        if len(_PREFIXES) > 200_000:
+            del _PREFIXES[next(iter(_PREFIXES))]
+    c = next((i for i, h in got.items() if h), None)
     stop = until if c is None or until is not None and until < c else c
-    if until is None or stop >= len(got.dims) - 2:
-        return got
-    return CohomologyProfile(field, MappingProxyType({i: h for i, h in got.dims.items() if i <= stop}))
+    if until is None or stop >= len(got) - 2:
+        return CohomologyProfile(field, got)
+    return CohomologyProfile(field, MappingProxyType({i: h for i, h in got.items() if i <= stop}))
 
 
 reduced_cohomology.cache_clear = _PREFIXES.clear

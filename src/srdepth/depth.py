@@ -124,21 +124,29 @@ def depth_topological(K: SimplicialComplex, field: FieldSpec) -> int:
     # the walk ranks d_n for n <= r - 2 only: cardinality n + 1 to n + 2
     levels = K.levels()[1 : r + 1]
     mats = list(_coboundaries(levels, field))
-    # filters[sigma][k]: the ids of the faces of cardinality card(sigma) + k
-    # that hold sigma, kept from its parent's; the empty face's hold all
-    filters, card = {0: [range(1)] + [range(len(level)) for level in levels[:-1]]}, 0
+    # a face's filter: [mask, then for k = 0, 1, ... the ids of the faces of
+    # cardinality card + k that hold it], made from its parent's; the empty
+    # face's holds all.  In the canonical order parents come in order and
+    # each one's children are contiguous, so a parent is freed, with the
+    # childless faces before it, once the walk has moved past its children
+    filters, card, at = [[0, range(1)] + [range(len(level)) for level in levels[:-1]]], 0, 0
     for mask in K.face_masks[1:]:
         s = _popcount(mask)
         if s >= r:
             break
-        if s > card:  # only the previous cardinality's filters stay alive
-            parents, filters, card = filters, {}, s
+        if s > card:
+            parents, filters, card, at = filters, [], s, 0
         top = 1 << (mask.bit_length() - 1)
-        filters[mask] = rows = [
+        while parents[at][0] != mask ^ top:
+            parents[at] = None
+            at += 1
+        rows = [
             [i for i in ids if level[i] & top]
-            for ids, level in zip(parents[mask ^ top][1:], levels[s - 1 : r - 1])
+            for ids, level in zip(parents[at][2:], levels[s - 1 : r - 1])
         ]
-        c = next((i for i, h in enumerate(_cohomology(mats, r - 2, [()] * (s - 1) + rows)) if h), None)
+        filters.append([mask] + rows)
+        dims = _cohomology(mats, r - 2, [()] * (s - 1) + rows)[0]
+        c = next((i for i, h in enumerate(dims) if h), None)
         if c is not None:
             r = c + 1
     return r

@@ -12,22 +12,30 @@ becomes a new pivot, and a kernel returns those leading columns:
   XOR basis keyed by the top bit.
 * GF(p), p odd: a row is a dict {column: residue}; pivot rows are scaled to
   a leading 1 and reduction is mod p.
-* Q: a row is a dict {column: int}; reduction is fraction-free, and a row
-  is divided by the gcd of its entries whenever it could have grown.
+* Q: a row is a dict {column: int}; reduction is fraction-free over Z,
+  and a row is divided by the gcd of its entries whenever it could have
+  grown.  The kernel also reports whether every pivot was +-1.  Such an
+  elimination is unimodular over Z: the same rows reduce to the same
+  leading columns mod every prime, so the rank holds over every field
+  (Hatcher, *Algebraic Topology*, 3.1).  Given an odd p, it is a rank mod
+  p: the reduction over Z is given up at the first pivot that is not +-1
+  and the rows are reduced mod p instead.
 
 The rank does not depend on the pivot order, so every result equals that of
 dense Gaussian elimination.  ``ExactMatrix`` holds its rows in the same
 sparse form, whether it was built from dense rows, from dict rows
 {column: int} that list only the entries that may be nonzero, or from rows
 already in kernel form (``ExactMatrix.from_sparse``); ``rank`` keeps the
-leading columns.
+leading columns and whether they were certified by unit pivots.
 
 One cochain kernel, ``_cohomology``, serves every cohomology computation.
 It takes the differentials lazily with one row per basis vector of the
 source, goes up the degrees, drops the rows of d_n named by the leading
 columns of d_{n-1} (clearing), ranks the rest, and can stop at the first
 nonzero degree; given row ids (a face filter in K's coboundary), it ranks
-only those rows.  It checks nothing: the differentials reach it through the
+only those rows.  Given integer differentials (over Q), it returns with the
+dimensions whether every rank was certified, in which case they are those
+over every field.  It checks nothing: the differentials reach it through the
 lazy stream ``_checked``, which checks d_n d_{n-1} = 0 by sparse composition
 as d_n is pulled.  ``cohomology_dims`` is the kernel's public form; it
 takes the differentials in the same orientation, as ``limits`` builds them.
@@ -112,7 +120,7 @@ def _pivot_columns(rows, p: Optional[int]):
     if p == 2:
         return _pivots_gf2(rows)
     if p is None:
-        return _pivots_q(rows)
+        return _pivots_q(rows)[0]
     return _pivots_modp(rows, p)
 
 
@@ -152,30 +160,41 @@ def _pivots_modp(rows, p: int):
     return pivots.keys()
 
 
-def _pivots_q(rows):
-    pivots = {}
+def _pivots_q(rows, p: Optional[int] = None):
+    """The leading columns over Q, and whether every pivot was +-1 (the
+    elimination was unimodular over Z, so the columns lead mod every
+    prime).  With an odd ``p``, the reduction over Z is given up at the
+    first pivot that is not +-1 and the columns are those mod p."""
+    pivots, unimodular = {}, True
     for row in rows:
         row = {c: v for c, v in row.items() if v}
         while row:
             c = min(row)
             pivot = pivots.get(c)
             if pivot is None:
-                pivots[c] = _primitive(row)
+                if row[c] != 1 and row[c] != -1:
+                    if p:
+                        return _pivots_modp(rows, p), False
+                    row, unimodular = _primitive(row), False
+                pivots[c] = row
                 break
-            a, b = pivot[c], row[c]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            if a != 1:
-                row = {k: a * v for k, v in row.items()}
+            a, f = pivot[c], row[c]
+            if a != 1 and a != -1:
+                g = gcd(a, f)
+                a, f = a // g, f // g
+                if a != 1:
+                    row = {k: a * v for k, v in row.items()}
+            elif a == -1:
+                f = -f
             for k, v in pivot.items():
-                x = row.get(k, 0) - b * v
+                x = row.get(k, 0) - f * v
                 if x:
                     row[k] = x
                 else:
                     del row[k]
-            if a not in (1, -1) and row:
+            if a != 1 and a != -1 and row:
                 row = _primitive(row)
-    return pivots.keys()
+    return pivots.keys(), unimodular
 
 
 def _primitive(row: dict) -> dict:
@@ -190,10 +209,11 @@ def _primitive(row: dict) -> dict:
 class ExactMatrix:
     """Exact matrix over a field with int entries, held as sparse rows in
     kernel form: int bitsets over GF(2), otherwise dicts {column: nonzero
-    entry} holding canonical residues mod p, or the ints themselves over Q.
-    It is built from dense rows or from dict rows {column: int}."""
+    entry} holding residues mod p, or the ints themselves over Q.  It is
+    built from dense rows or from dict rows {column: int}, whose residues
+    are made canonical, or from rows already in kernel form."""
 
-    __slots__ = ("field", "rows", "cols", "sparse_rows", "pivots")
+    __slots__ = ("field", "rows", "cols", "sparse_rows", "pivots", "unimodular")
 
     def __init__(self, field: FieldSpec, entries: Sequence, shape=None):
         """Matrix from rows of ints, reduced to canonical form; any other
@@ -242,8 +262,9 @@ class ExactMatrix:
 
     @classmethod
     def from_sparse(cls, field: FieldSpec, rows: list, cols: int) -> "ExactMatrix":
-        """Matrix whose rows are already in kernel form with canonical
-        entries; the list is kept, not copied."""
+        """Matrix whose rows are already in kernel form; the list is kept,
+        not copied.  Mod an odd p the entries may be any nonzero ints, as
+        the signed coboundary rows are: the kernel reduces them."""
         self = cls.__new__(cls)
         self.field, self.rows, self.cols, self.sparse_rows = field, len(rows), cols, rows
         return self
@@ -255,10 +276,17 @@ class ExactMatrix:
     def __repr__(self):
         return f"ExactMatrix({self.field}, {self.rows}x{self.cols})"
 
-    def rank(self) -> int:
+    def rank(self, p: Optional[int] = None) -> int:
         """The rank; the leading columns of the reduced rows are kept as
-        ``pivots``."""
-        self.pivots = _pivot_columns(self.sparse_rows, self.field.p)
+        ``pivots``, and ``unimodular`` tells whether they were reduced over
+        Z with every pivot +-1, so that both hold over every field.  Only a
+        matrix over Q is reduced over Z.  Given an odd ``p``, its integer
+        rows are ranked mod p: a pivot that is not +-1 ends the reduction
+        over Z, and the rows are reduced mod p instead (``_pivots_q``)."""
+        if self.field.p is None:
+            self.pivots, self.unimodular = _pivots_q(self.sparse_rows, p)
+        else:
+            self.pivots, self.unimodular = _pivot_columns(self.sparse_rows, self.field.p), False
         return len(self.pivots)
 
     def kernel_dim(self) -> int:
@@ -318,10 +346,10 @@ def cohomology_dims(differentials: Sequence[ExactMatrix]) -> list[int]:
             raise BadParameter(f"shape mismatch between d_{n - 1} and d_{n}")
     m = mats[-1]
     terminal = ExactMatrix.from_sparse(m.field, [0 if m.field.p == 2 else {}] * m.cols, 0)
-    return _cohomology(_checked(mats + [terminal]))
+    return _cohomology(_checked(mats + [terminal]))[0]
 
 
-def _cohomology(differentials, until: Optional[int] = None, rows=None) -> list[int]:
+def _cohomology(differentials, until: Optional[int] = None, rows=None, p: Optional[int] = None):
     """Cohomology dimensions H^0, H^1, ... of the cochain complex whose
     differentials arrive one at a time in source-row orientation: the n-th
     has one row per basis vector of C^n and one column per basis vector of
@@ -339,18 +367,26 @@ def _cohomology(differentials, until: Optional[int] = None, rows=None) -> list[i
 
     With ``rows``, C^n is spanned by the rows ``rows[n]`` of the n-th matrix
     alone, a cochain subcomplex closed upward, whose pivot columns are row
-    ids of the next matrix; d^2 = 0 on the whole matrices covers it."""
+    ids of the next matrix; d^2 = 0 on the whole matrices covers it.
+
+    Returns the dimensions and whether every rank was unimodular.  Only
+    integer differentials (over Q) can be, and then every rank, pivot set
+    and so every dimension is the same over every field.  With an odd
+    ``p``, each integer differential is ranked mod p (``ExactMatrix.rank``),
+    over Z while its pivots are +-1, so the dimensions are those over GF(p)
+    either way."""
     if until is not None and until < 0:
-        return []
+        return [], True
     dims: list[int] = []
-    cleared, prev_rank = (), 0
+    cleared, prev_rank, unimodular = (), 0, True
     for n, mat in enumerate(differentials):
         ids = range(mat.rows) if rows is None else rows[n]
         src = mat.sparse_rows
         kept = ExactMatrix.from_sparse(mat.field, [src[i] for i in ids if i not in cleared], mat.cols)
-        rank = kept.rank()
+        rank = kept.rank(p)
+        unimodular = unimodular and kept.unimodular
         dims.append(len(ids) - rank - prev_rank)
         if until is not None and (dims[-1] or n >= until):
             break
         cleared, prev_rank = kept.pivots, rank
-    return dims
+    return dims, unimodular

@@ -6,16 +6,27 @@ from math import comb
 
 from hypothesis import strategies as st
 
-from srdepth import GF2, GF3, QQ, SimplicialComplex, depth_reisner, join, random_complex, reduced_cohomology
+from srdepth import (
+    GF2,
+    GF3,
+    QQ,
+    SimplicialComplex,
+    depth_reisner,
+    join,
+    random_complex,
+    reduced_cohomology,
+    validate,
+)
 from srdepth.cohomology import _cochain_dims
 from srdepth.limits import _functor_matrix, _nonempty_faces, _require_vertex, _star_index
 from srdepth.linalg import cohomology_dims
 
 
 def flip_one_sign(monkeypatch, card):
-    """Flip the first sign in the first row of every simplicial coboundary
-    out of cardinality ``card``: that breaks d^2 = 0 next to it over GF(3)
-    and Q (the sum at the flipped entry becomes +-2), not over GF(2)."""
+    """Flip the first sign in the first row of every signed simplicial
+    coboundary (every field but GF(2)) out of cardinality ``card``: that
+    breaks d^2 = 0 next to it over Z and mod 3 (the sum at the flipped entry
+    becomes +-2), not mod 2."""
     module = importlib.import_module("srdepth.cohomology")
     rows = module._coboundary_rows
 
@@ -24,10 +35,23 @@ def flip_one_sign(monkeypatch, card):
         if lower and lower[0].bit_count() == card:
             row = out[0]
             j = min(row)
-            row[j] = -row[j] % p if p else -row[j]
+            row[j] = -row[j]
         return out
 
     monkeypatch.setattr(module, "_coboundary_rows", flipped)
+
+
+def moore_space_mod3():
+    """Filled 9-gon glued onto a 3-cycle by a degree-three boundary map:
+    first homology is 3-torsion, so only characteristic 3 sees it."""
+    tris = []
+    inner = lambda i: 10 + ((i - 1) % 3)  # noqa: E731
+    for i in range(1, 10):
+        ip = i % 9 + 1
+        tris.append([i, ip, inner(i)])
+        tris.append([ip, inner(i), inner(ip)])
+        tris.append([i, ip, 13])
+    return validate(tris, 13)
 
 
 def join_additivity_observations(pairs, field):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from srdepth import (
     GF2,
     GF3,
+    GF5,
     QQ,
     boundary_simplex,
     cone,
@@ -20,6 +21,7 @@ from srdepth import (
     relative_cohomology,
     rp2_minimal,
     simplex,
+    suspension,
     validate,
     verify_munkres_shift,
 )
@@ -27,7 +29,7 @@ from srdepth.cohomology import _coboundaries, _cochain_dims
 from srdepth.errors import EmptyFace, FaceNotInComplex, NotAComplex, NotASubcomplex, RepeatedVertex
 from srdepth.linalg import _cohomology
 
-from oracles import dense_cochain_dims, flip_one_sign, small_complexes, three_fields
+from oracles import dense_cochain_dims, flip_one_sign, moore_space_mod3, small_complexes, three_fields
 
 FIELDS = (GF2, GF3, QQ)
 
@@ -207,7 +209,7 @@ def _filter_rows(K, field):
     def dims(sigma, until=None):
         s = _mask(sigma)
         rows = [[i for i, f in enumerate(level) if f & s == s] for level in levels]
-        return dict(enumerate(_cohomology(mats, until, rows)))
+        return dict(enumerate(_cohomology(mats, until, rows)[0]))
 
     return dims
 
@@ -249,6 +251,28 @@ def test_reduced_cohomology_checks_its_coboundaries(monkeypatch, field, card):
     # the coboundary out of cardinality card is d_card (degree -1 is
     # cardinality 0); pulling it checks d_card d_{card-1}
     flip_one_sign(monkeypatch, card)
+    reduced_cohomology.cache_clear()
+    with pytest.raises(NotAComplex) as err:
+        reduced_cohomology(boundary_simplex(4), field)
+    assert err.value.position == max(card - 1, 0)
+
+
+@pytest.mark.parametrize("field", [GF3, QQ], ids=str)
+@pytest.mark.parametrize("card", [0, 1, 2, 3])
+def test_odd_characteristic_checks_d_squared_over_z(monkeypatch, field, card):
+    # a +1 entry made 4 keeps d^2 = 0 mod 3 but not over Z: GF(3) must
+    # refuse it where Q does
+    module = importlib.import_module("srdepth.cohomology")
+    rows = module._coboundary_rows
+
+    def one_entry_times_four(lower, upper, p):
+        out = rows(lower, upper, p)
+        if p != 2 and lower and lower[0].bit_count() == card:
+            row, j = next((row, j) for row in out for j in sorted(row) if row[j] == 1)
+            row[j] = 4
+        return out
+
+    monkeypatch.setattr(module, "_coboundary_rows", one_entry_times_four)
     reduced_cohomology.cache_clear()
     with pytest.raises(NotAComplex) as err:
         reduced_cohomology(boundary_simplex(4), field)
@@ -345,3 +369,69 @@ def test_memo_answers_the_caps_its_prefix_decides(monkeypatch):
     built.clear()
     assert reduced_cohomology(point_and_circle, GF2).dims == {-1: 0, 0: 1, 1: 1}
     assert built
+
+
+ALL_FIELDS = (GF2, GF3, GF5, QQ)
+
+
+def _asked(K, fields):
+    """``reduced_cohomology`` at every cap, then ``depth``, over each field
+    in turn, the memos cleared once before the first."""
+    reduced_cohomology.cache_clear()
+    importlib.import_module("srdepth.depth")._depth_reisner.cache_clear()
+    out = {}
+    for field in fields:
+        for cap in [*range(-2, K.dim + 2), None]:
+            out[field, cap] = dict(reduced_cohomology(K, field, cap).dims)
+        out[field, "depth"] = depth(K, field)
+    return out
+
+
+def _check_field_order_independence(K):
+    faces = list(K.faces())
+    levels = [[f for f in faces if len(f) == k] for k in range(K.dim + 2)]
+    fresh = {}
+    for field in ALL_FIELDS:
+        fresh.update(_asked(K, [field]))
+        full = {i - 1: h for i, h in enumerate(dense_cochain_dims(levels, field))}
+        c = next((i for i, h in full.items() if h), None)
+        for cap in [*range(-2, K.dim + 2), None]:
+            stop = cap if c is None or cap is not None and cap < c else c
+            expected = full if cap is None else {i: h for i, h in full.items() if i <= stop}
+            assert fresh[field, cap] == expected, (K, str(field), cap)
+    for order in (ALL_FIELDS, ALL_FIELDS[::-1]):
+        assert _asked(K, order) == fresh, (K, [str(f) for f in order])
+
+
+@given(small_complexes)
+@settings(max_examples=25, deadline=None)
+def test_answers_do_not_depend_on_the_field_order(K):
+    # a prefix certified by unit pivots over Z answers every field, and one
+    # that is not answers its own field only
+    _check_field_order_independence(K)
+
+
+def test_answers_do_not_depend_on_the_field_order_with_torsion():
+    rp2, moore = rp2_minimal(), moore_space_mod3()
+    for K in (rp2, suspension(rp2), moore, cone(moore)):
+        _check_field_order_independence(K)
+
+
+def test_moore_space_asked_over_q_first_never_answers_gf3(monkeypatch):
+    # its 3-torsion sits in the coboundary out of the edges, whose pivots
+    # over Z are not all +-1: no prefix through degree 1 is kept for every field
+    M = moore_space_mod3()
+    module = importlib.import_module("srdepth.cohomology")
+    reduced_cohomology.cache_clear()
+    for cap in (-2, -1, 0, 1, 2, None):
+        assert not any(reduced_cohomology(M, QQ, cap).dims.values())
+    assert len(module._PREFIXES.get(M, {})) <= 2
+    built = []
+    rows = module._coboundary_rows
+    monkeypatch.setattr(module, "_coboundary_rows", lambda *a: built.append(a) or rows(*a))
+    assert reduced_cohomology(M, GF3, 1).dims == {-1: 0, 0: 0, 1: 1}
+    assert built
+    built.clear()
+    assert reduced_cohomology(M, GF3).dims == {-1: 0, 0: 0, 1: 1, 2: 1}
+    assert built  # the capped prefix ends at degree 1: not complete
+    reduced_cohomology.cache_clear()

@@ -52,6 +52,7 @@ from oracles import (
     depth_by_face_filters,
     flip_one_sign,
     join_additivity_observations,
+    moore_space_mod3,
     small_complexes,
     three_fields,
 )
@@ -439,19 +440,6 @@ def test_limit_depth_criterion_refuses_a_profile_of_another_dimension():
     # cycle(4)'s profile used to pass for rp2 with cycle(4)'s l_totals
     with pytest.raises(BadParameter):
         verify_limit_depth_criterion(rp2_minimal(), GF2, profile=derived_limit_dims(cycle(4), GF2, 4))
-
-
-def moore_space_mod3():
-    """Filled 9-gon glued onto a 3-cycle by a degree-three boundary map:
-    first homology is 3-torsion, so only characteristic 3 sees it."""
-    tris = []
-    inner = lambda i: 10 + ((i - 1) % 3)
-    for i in range(1, 10):
-        ip = i % 9 + 1
-        tris.append([i, ip, inner(i)])
-        tris.append([ip, inner(i), inner(ip)])
-        tris.append([i, ip, 13])
-    return validate(tris, 13)
 
 
 def test_moore_space_depth_drops_only_in_characteristic_three():

@@ -403,6 +403,37 @@ def test_pivot_columns_carry_the_rank(rows):
         assert (rank_bareiss(sub) if field.p is None else dense_rank_mod_p(sub, field.p)) == r
 
 
+def test_integer_ranks_certify_unit_pivots():
+    # determinant -2: rank 2 over Q, 1 over GF(2), and a pivot of -2 over Z
+    m = ExactMatrix(QQ, [[1, 1], [1, -1]])
+    assert m.rank() == 2 and not m.unimodular
+    assert ExactMatrix(GF2, [[1, 1], [1, -1]]).rank() == 1
+    # unitriangular: every pivot is +-1, so the rank holds over every field
+    u = ExactMatrix(QQ, [[1, 5, -3], [0, -1, 7], [0, 0, 1]])
+    assert u.rank() == 3 and u.unimodular and sorted(u.pivots) == [0, 1, 2]
+    # asked for GF(3), the pass over Z gives up at the pivot 3 and ranks mod 3
+    t = ExactMatrix(QQ, [[1, 2], [0, 3]])
+    assert t.rank(3) == 1 and not t.unimodular
+    assert t.rank() == 2
+
+
+@given(st.lists(st.lists(st.sampled_from([-1, 0, 0, 1]), min_size=5, max_size=5), min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_unit_pivots_give_the_rank_and_pivots_of_every_field(rows):
+    m = ExactMatrix(QQ, rows)
+    r = m.rank()
+    for p in (2, 3, 5):
+        mod_p = ExactMatrix(FieldSpec(p), rows)
+        assert mod_p.rank() == brute_rank(rows, p)
+        if p > 2:
+            # ranked for GF(p), the integer rows give the rank mod p either way
+            assert ExactMatrix(QQ, rows).rank(p) == mod_p.rank()
+        if m.unimodular:
+            assert mod_p.rank() == r
+            if p > 2:  # the mod-p kernel also leads with the lowest column
+                assert set(mod_p.pivots) == set(m.pivots)
+
+
 def test_d_squared_check_depends_on_the_field():
     # d1 d0 = [2]: zero over GF(2) only
     for field in (QQ, GF3, GF5):
