@@ -91,7 +91,7 @@ def _cochain_dims(levels: list, field: FieldSpec, until: int | None = None) -> l
     """Cohomology dimensions of the cochain complex with bases ``levels``
     (consecutive cardinalities) and the simplicial coboundary; with
     ``until``, the prefix through the first nonzero one or index ``until``."""
-    return _cohomology(_coboundaries(levels + [[]], field), until)[0]
+    return _cohomology(_coboundaries(levels + [[]], field), until)
 
 
 class CohomologyProfile(NamedTuple):
@@ -143,9 +143,11 @@ def reduced_cohomology(
     if got is None:
         got = _recall((K, field), K, until)
     if got is None:
-        ring = field if field.p == 2 else QQ  # the integer rows, for every other field
         cap = None if until is None else until + 1
-        dims, unimodular = _cohomology(_coboundaries(K.levels() + [[]], ring), cap, p=field.p)
+        if field.p == 2:  # bitset rows: their ranks hold over GF(2) alone
+            dims, unimodular = _cochain_dims(K.levels(), field, cap), False
+        else:  # the integer rows, ranked for this field
+            dims, unimodular = _cohomology(_coboundaries(K.levels() + [[]], QQ), cap, field=field)
         got = MappingProxyType({i - 1: h for i, h in enumerate(dims)})
         _PREFIXES[K if unimodular else (K, field)] = got
         if len(_PREFIXES) > 200_000:

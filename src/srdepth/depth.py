@@ -145,8 +145,7 @@ def depth_topological(K: SimplicialComplex, field: FieldSpec) -> int:
             for ids, level in zip(parents[at][2:], levels[s - 1 : r - 1])
         ]
         filters.append([mask] + rows)
-        dims = _cohomology(mats, r - 2, [()] * (s - 1) + rows)[0]
-        c = next((i for i, h in enumerate(dims) if h), None)
+        c = next((i for i, h in enumerate(_cohomology(mats, r - 2, [()] * (s - 1) + rows)) if h), None)
         if c is not None:
             r = c + 1
     return r

@@ -26,19 +26,20 @@ dense Gaussian elimination.  ``ExactMatrix`` holds its rows in the same
 sparse form, whether it was built from dense rows, from dict rows
 {column: int} that list only the entries that may be nonzero, or from rows
 already in kernel form (``ExactMatrix.from_sparse``); ``rank`` keeps the
-leading columns and whether they were certified by unit pivots.
+leading columns.
 
 One cochain kernel, ``_cohomology``, serves every cohomology computation.
 It takes the differentials lazily with one row per basis vector of the
 source, goes up the degrees, drops the rows of d_n named by the leading
 columns of d_{n-1} (clearing), ranks the rest, and can stop at the first
 nonzero degree; given row ids (a face filter in K's coboundary), it ranks
-only those rows.  Given integer differentials (over Q), it returns with the
-dimensions whether every rank was certified, in which case they are those
-over every field.  It checks nothing: the differentials reach it through the
-lazy stream ``_checked``, which checks d_n d_{n-1} = 0 by sparse composition
-as d_n is pulled.  ``cohomology_dims`` is the kernel's public form; it
-takes the differentials in the same orientation, as ``limits`` builds them.
+only those rows.  Given a field, it ranks integer differentials (over Q)
+for that field with ``_pivots_q`` and also returns whether every pivot was
++-1, in which case the dimensions are those over every field.  It checks
+nothing: the differentials reach it through the lazy stream ``_checked``,
+which checks d_n d_{n-1} = 0 by sparse composition as d_n is pulled.
+``cohomology_dims`` is the kernel's public form; it takes the differentials
+in the same orientation, as ``limits`` builds them.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ class ExactMatrix:
     built from dense rows or from dict rows {column: int}, whose residues
     are made canonical, or from rows already in kernel form."""
 
-    __slots__ = ("field", "rows", "cols", "sparse_rows", "pivots", "unimodular")
+    __slots__ = ("field", "rows", "cols", "sparse_rows", "pivots")
 
     def __init__(self, field: FieldSpec, entries: Sequence, shape=None):
         """Matrix from rows of ints, reduced to canonical form; any other
@@ -276,17 +277,10 @@ class ExactMatrix:
     def __repr__(self):
         return f"ExactMatrix({self.field}, {self.rows}x{self.cols})"
 
-    def rank(self, p: Optional[int] = None) -> int:
+    def rank(self) -> int:
         """The rank; the leading columns of the reduced rows are kept as
-        ``pivots``, and ``unimodular`` tells whether they were reduced over
-        Z with every pivot +-1, so that both hold over every field.  Only a
-        matrix over Q is reduced over Z.  Given an odd ``p``, its integer
-        rows are ranked mod p: a pivot that is not +-1 ends the reduction
-        over Z, and the rows are reduced mod p instead (``_pivots_q``)."""
-        if self.field.p is None:
-            self.pivots, self.unimodular = _pivots_q(self.sparse_rows, p)
-        else:
-            self.pivots, self.unimodular = _pivot_columns(self.sparse_rows, self.field.p), False
+        ``pivots``."""
+        self.pivots = _pivot_columns(self.sparse_rows, self.field.p)
         return len(self.pivots)
 
     def kernel_dim(self) -> int:
@@ -346,10 +340,10 @@ def cohomology_dims(differentials: Sequence[ExactMatrix]) -> list[int]:
             raise BadParameter(f"shape mismatch between d_{n - 1} and d_{n}")
     m = mats[-1]
     terminal = ExactMatrix.from_sparse(m.field, [0 if m.field.p == 2 else {}] * m.cols, 0)
-    return _cohomology(_checked(mats + [terminal]))[0]
+    return _cohomology(_checked(mats + [terminal]))
 
 
-def _cohomology(differentials, until: Optional[int] = None, rows=None, p: Optional[int] = None):
+def _cohomology(differentials, until: Optional[int] = None, rows=None, field: Optional[FieldSpec] = None):
     """Cohomology dimensions H^0, H^1, ... of the cochain complex whose
     differentials arrive one at a time in source-row orientation: the n-th
     has one row per basis vector of C^n and one column per basis vector of
@@ -369,24 +363,25 @@ def _cohomology(differentials, until: Optional[int] = None, rows=None, p: Option
     alone, a cochain subcomplex closed upward, whose pivot columns are row
     ids of the next matrix; d^2 = 0 on the whole matrices covers it.
 
-    Returns the dimensions and whether every rank was unimodular.  Only
-    integer differentials (over Q) can be, and then every rank, pivot set
-    and so every dimension is the same over every field.  With an odd
-    ``p``, each integer differential is ranked mod p (``ExactMatrix.rank``),
-    over Z while its pivots are +-1, so the dimensions are those over GF(p)
-    either way."""
-    if until is not None and until < 0:
-        return [], True
+    Given ``field`` (Q or an odd p), the differentials hold integer rows and
+    each is ranked for ``field`` by ``_pivots_q``; the result is then the
+    pair (dimensions, whether every pivot was +-1).  If it was, every rank
+    and clearing set, and so every dimension, is the same over every field."""
     dims: list[int] = []
     cleared, prev_rank, unimodular = (), 0, True
-    for n, mat in enumerate(differentials):
+    for n, mat in enumerate(() if until is not None and until < 0 else differentials):
         ids = range(mat.rows) if rows is None else rows[n]
         src = mat.sparse_rows
-        kept = ExactMatrix.from_sparse(mat.field, [src[i] for i in ids if i not in cleared], mat.cols)
-        rank = kept.rank(p)
-        unimodular = unimodular and kept.unimodular
-        dims.append(len(ids) - rank - prev_rank)
+        kept = [src[i] for i in ids if i not in cleared]
+        if field is None:
+            m = ExactMatrix.from_sparse(mat.field, kept, mat.cols)
+            m.rank()
+            cleared = m.pivots
+        else:
+            cleared, certified = _pivots_q(kept, field.p)
+            unimodular = unimodular and certified
+        dims.append(len(ids) - len(cleared) - prev_rank)
         if until is not None and (dims[-1] or n >= until):
             break
-        cleared, prev_rank = kept.pivots, rank
-    return dims, unimodular
+        prev_rank = len(cleared)
+    return dims if field is None else (dims, unimodular)

@@ -209,7 +209,7 @@ def _filter_rows(K, field):
     def dims(sigma, until=None):
         s = _mask(sigma)
         rows = [[i for i, f in enumerate(level) if f & s == s] for level in levels]
-        return dict(enumerate(_cohomology(mats, until, rows)[0]))
+        return dict(enumerate(_cohomology(mats, until, rows)))
 
     return dims
 

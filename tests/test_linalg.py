@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from srdepth import GF2, GF3, GF5, QQ, ExactMatrix, FieldSpec, cohomology_dims
 from srdepth.errors import BadParameter, NotAComplex
-from srdepth.linalg import _is_prime, _pivot_columns
+from srdepth.linalg import _is_prime, _pivot_columns, _pivots_q
 
 from oracles import dense_rank_mod_p, rank_bareiss
 
@@ -405,33 +405,34 @@ def test_pivot_columns_carry_the_rank(rows):
 
 def test_integer_ranks_certify_unit_pivots():
     # determinant -2: rank 2 over Q, 1 over GF(2), and a pivot of -2 over Z
-    m = ExactMatrix(QQ, [[1, 1], [1, -1]])
-    assert m.rank() == 2 and not m.unimodular
+    pivots, unimodular = _pivots_q([{0: 1, 1: 1}, {0: 1, 1: -1}])
+    assert len(pivots) == 2 and not unimodular
     assert ExactMatrix(GF2, [[1, 1], [1, -1]]).rank() == 1
     # unitriangular: every pivot is +-1, so the rank holds over every field
-    u = ExactMatrix(QQ, [[1, 5, -3], [0, -1, 7], [0, 0, 1]])
-    assert u.rank() == 3 and u.unimodular and sorted(u.pivots) == [0, 1, 2]
-    # asked for GF(3), the pass over Z gives up at the pivot 3 and ranks mod 3
-    t = ExactMatrix(QQ, [[1, 2], [0, 3]])
-    assert t.rank(3) == 1 and not t.unimodular
-    assert t.rank() == 2
+    pivots, unimodular = _pivots_q([{0: 1, 1: 5, 2: -3}, {1: -1, 2: 7}, {2: 1}])
+    assert sorted(pivots) == [0, 1, 2] and unimodular
+    # ranked for GF(3), the pass over Z gives up at the pivot 3 and ranks mod 3
+    pivots, unimodular = _pivots_q([{0: 1, 1: 2}, {1: 3}], 3)
+    assert len(pivots) == 1 and not unimodular
+    assert len(_pivots_q([{0: 1, 1: 2}, {1: 3}])[0]) == 2
 
 
 @given(st.lists(st.lists(st.sampled_from([-1, 0, 0, 1]), min_size=5, max_size=5), min_size=1, max_size=6))
 @settings(max_examples=100, deadline=None)
 def test_unit_pivots_give_the_rank_and_pivots_of_every_field(rows):
-    m = ExactMatrix(QQ, rows)
-    r = m.rank()
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    pivots, unimodular = _pivots_q(sparse)
+    assert len(pivots) == ExactMatrix(QQ, rows).rank()
     for p in (2, 3, 5):
         mod_p = ExactMatrix(FieldSpec(p), rows)
         assert mod_p.rank() == brute_rank(rows, p)
         if p > 2:
             # ranked for GF(p), the integer rows give the rank mod p either way
-            assert ExactMatrix(QQ, rows).rank(p) == mod_p.rank()
-        if m.unimodular:
-            assert mod_p.rank() == r
+            assert len(_pivots_q(sparse, p)[0]) == mod_p.rank()
+        if unimodular:
+            assert mod_p.rank() == len(pivots)
             if p > 2:  # the mod-p kernel also leads with the lowest column
-                assert set(mod_p.pivots) == set(m.pivots)
+                assert set(mod_p.pivots) == set(pivots)
 
 
 def test_d_squared_check_depends_on_the_field():
