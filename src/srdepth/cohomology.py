@@ -23,13 +23,16 @@ the universal coefficient theorem (Hatcher, *Algebraic Topology*, 3.1).
 Otherwise the prefix is kept under (K, field): a call over Q keeps its
 ranks over Q, and a call mod an odd p gives up the pass over Z at the first
 pivot that is not +-1 and ranks that matrix mod p.  GF(2) keeps its bitset
-rows and XOR kernel and only reads the field-free prefixes.
+rows and XOR kernel and only reads the field-free prefixes.  After a call,
+``_field_free`` says whether its answer was such a prefix, so the depth
+engines can tell whether their own answer holds over every field.
 
 Local cohomology at an inner point of a nonempty face sigma is *defined*
 through the degree shift by the link and *verified* against the independent
 relative computation for the pair (K, contrastar sigma), whose cochains
 live on the faces containing sigma; the depth engine ranks their rows of
-K's own coboundary and builds no contrastar.
+K's own coboundary, over Z as above for every field but GF(2), and builds
+no contrastar.
 """
 
 from __future__ import annotations
@@ -160,6 +163,14 @@ def reduced_cohomology(
 
 
 reduced_cohomology.cache_clear = _PREFIXES.clear
+
+
+def _field_free(K: SimplicialComplex, until: int | None) -> bool:
+    """Whether ``reduced_cohomology(K, field, until)`` is the same over every
+    field: a prefix kept under K alone, ranked over Z with unit pivots,
+    decides the cap.  Right after that call, it does exactly when the call
+    read such a prefix or kept the one it computed."""
+    return _recall(K, K, until) is not None
 
 
 def relative_cohomology(K: SimplicialComplex, L: SimplicialComplex, field: FieldSpec) -> dict[int, int]:

@@ -17,15 +17,29 @@ verification harnesses for the structural identities they are built on.
   nonvanishing reduced cohomology of the induced subcomplex K_W.  The
   subsets are walked by size from m downward, and the walk stops once no
   smaller W can beat the best value found.  As pd >= m - dim K - 1, it
-  visits at most sum of C(m, k) for k <= dim K subsets; that count is
-  checked up front against ``2**HOCHSTER_VERTEX_BOUND``.  The engine reads
-  induced subcomplexes only, never links or face filters.
+  visits only the subsets of size >= m - dim K, and ranks only the
+  non-faces among them (a face is skipped with one set lookup): their
+  number, sum of C(m, k) - f_k over those sizes, is checked up front
+  against ``2**HOCHSTER_VERTEX_BOUND``, and the subsets against the looser
+  ``2**HOCHSTER_SUBSET_BOUND``.  The engine reads induced subcomplexes
+  only, never links or face filters.
 
 Each engine only needs the lowest nonvanishing degree below a bound, and
 asks for no more: the link and face-filter walks cap every cohomology call
 at the degree that could still lower their own running bound, and the
 Hochster walk at the degree that could still raise pd (j - 2 - pd at size
 j).  The cochain kernel then stops there.  No engine reads another's bound.
+
+Depth depends on the field only through these cohomology groups.  Over
+every field but GF(2) each walk ranks integer rows for its field, and it is
+*certified* when every prefix it read came from an elimination over Z with
++-1 pivots (or from a prefix kept as such): its answer then holds over
+every field, by the universal coefficient theorem.  One memo serves the
+three engines.  It keeps a certified depth under (walk, K) and any other
+under (walk, K, field), so a complex whose walks over GF(3) were
+certified is not walked again over Q.  GF(2) ranks its own bitset face
+filters, which certify nothing, but it reads certified depths.  The field
+and the size guards are checked before the memo is read.
 
 The three must agree (the equivalence is a theorem); disagreement raises
 ``EngineDisagreement`` as a bug signal, never as a legitimate outcome.
@@ -42,18 +56,18 @@ exact and depend only on the characteristic.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .cohomology import HarnessReport, _coboundaries, reduced_cohomology
+from .cohomology import HarnessReport, _coboundaries, _field_free, reduced_cohomology
 from .complexes import SimplicialComplex, _popcount
 from .errors import BadParameter, EngineDisagreement, TooLarge
 from .limits import LimitsProfile, derived_limit_dims
-from .linalg import FieldSpec, _cohomology, _require_field
+from .linalg import QQ, FieldSpec, _cohomology, _require_field
 
-HOCHSTER_VERTEX_BOUND = 14  # log2 of the most induced subcomplexes one call may visit
+HOCHSTER_VERTEX_BOUND = 14  # log2 of the most induced subcomplexes one call may rank
+HOCHSTER_SUBSET_BOUND = 20  # log2 of the most vertex subsets one call may iterate
 FACE_PAIR_BOUND = 21  # log2 of the most face pairs one link or face-filter walk may visit
 
 
@@ -69,6 +83,28 @@ def _check_face_pairs(K: SimplicialComplex) -> None:
         )
 
 
+# (walk, K) -> a depth certified for every field, (walk, K, field) -> any
+# other depth over that field; least recently used first
+_DEPTHS: dict = {}
+
+
+def _remembered(walk, K: SimplicialComplex, field: FieldSpec) -> int:
+    """The depth ``walk`` finds for K over ``field``, from the memo if it
+    holds one for every field or for this one.  A walk returns its depth and
+    whether every cohomology prefix it read was certified for every field;
+    it is then kept under (walk, K), else under (walk, K, field)."""
+    for key in ((walk, K), (walk, K, field)):
+        r = _DEPTHS.pop(key, None)
+        if r is not None:
+            _DEPTHS[key] = r
+            return r
+    r, certified = walk(K, field)
+    _DEPTHS[(walk, K) if certified else (walk, K, field)] = r
+    if len(_DEPTHS) > 200_000:
+        del _DEPTHS[next(iter(_DEPTHS))]
+    return r
+
+
 # -- engine 1: link criterion ---------------------------------------------------
 
 
@@ -78,22 +114,24 @@ def depth_reisner(K: SimplicialComplex, field: FieldSpec) -> int:
     A link with lowest nonzero degree c lowers the running bound r to
     c + card(sigma) + 1 >= 0, and is computed only through degree
     r - card(sigma) - 2; the walk ends at the first card(sigma) >= r.
-    The field is gated before the cache, which could not hash a list."""
-    return _depth_reisner(K, _require_field(field))
-
-
-@lru_cache(maxsize=200_000)
-def _depth_reisner(K: SimplicialComplex, field: FieldSpec) -> int:
+    The field and the face pairs are checked before the memo is read."""
+    _require_field(field)
     _check_face_pairs(K)
-    r = K.krull_dim
+    return _remembered(_reisner_walk, K, field)
+
+
+def _reisner_walk(K: SimplicialComplex, field: FieldSpec) -> tuple[int, bool]:
+    r, certified = K.krull_dim, True
     for mask in K.face_masks:
         s = _popcount(mask)
         if s >= r:
             break
-        c = reduced_cohomology(K.link_by_mask(mask), field, r - s - 2).first_nonzero()
+        link, cap = K.link_by_mask(mask), r - s - 2
+        c = reduced_cohomology(link, field, cap).first_nonzero()
+        certified &= _field_free(link, cap)
         if c is not None:
             r = c + s + 1
-    return r
+    return r, certified
 
 
 def link_condition(K: SimplicialComplex, field: FieldSpec, r: int) -> bool:
@@ -114,16 +152,24 @@ def depth_topological(K: SimplicialComplex, field: FieldSpec) -> int:
     card(sigma) - 1: the walk ends at the first card(sigma) >= r.  They are
     the rows of K's coboundary matrices that hold sigma, found among the
     rows that hold its parent sigma - v (v its top vertex) as those that
-    also hold v."""
+    also hold v.  Over every field but GF(2) they are the integer rows,
+    ranked for the field as ``reduced_cohomology`` ranks them.  The field
+    and the face pairs are checked before the memo is read."""
     _require_field(field)
     _check_face_pairs(K)
+    return _remembered(_topological_walk, K, field)
+
+
+def _topological_walk(K: SimplicialComplex, field: FieldSpec) -> tuple[int, bool]:
     r = K.krull_dim
     c = reduced_cohomology(K, field, r - 2).first_nonzero()
+    certified = _field_free(K, r - 2)
     if c is not None:
         r = c + 1
     # the walk ranks d_n for n <= r - 2 only: cardinality n + 1 to n + 2
     levels = K.levels()[1 : r + 1]
-    mats = list(_coboundaries(levels, field))
+    gf2 = field.p == 2  # bitset rows, whose ranks hold over GF(2) alone
+    mats = list(_coboundaries(levels, field if gf2 else QQ))
     # a face's filter: [mask, then for k = 0, 1, ... the ids of the faces of
     # cardinality card + k that hold it], made from its parent's; the empty
     # face's holds all.  In the canonical order parents come in order and
@@ -145,10 +191,16 @@ def depth_topological(K: SimplicialComplex, field: FieldSpec) -> int:
             for ids, level in zip(parents[at][2:], levels[s - 1 : r - 1])
         ]
         filters.append([mask] + rows)
-        c = next((i for i, h in enumerate(_cohomology(mats, r - 2, [()] * (s - 1) + rows)) if h), None)
+        ids = [()] * (s - 1) + rows
+        if gf2:
+            dims, ok = _cohomology(mats, r - 2, ids), False
+        else:
+            dims, ok = _cohomology(mats, r - 2, ids, field=field)
+        certified &= ok
+        c = next((i for i, h in enumerate(dims) if h), None)
         if c is not None:
             r = c + 1
-    return r
+    return r, certified
 
 
 def local_condition(K: SimplicialComplex, field: FieldSpec, r: int) -> bool:
@@ -195,25 +247,35 @@ def betti_table(K: SimplicialComplex, field: FieldSpec) -> BettiTable:
 
 
 def _hochster_walk_estimate(K: SimplicialComplex) -> int:
-    """Most vertex subsets ``depth_ab`` visits: those of size >= m - krull + 1,
-    sum of C(m, k) for k <= krull - 1.  A W that attains pd has
-    |W| - 1 >= pd >= m - krull (Auslander-Buchsbaum), so the walk has found
-    pd before it reaches size m - krull."""
-    return sum(comb(K.m, k) for k in range(K.krull_dim))
+    """Most induced subcomplexes ``depth_ab`` ranks: the non-faces among the
+    vertex subsets of size >= m - krull + 1, sum of C(m, k) - f_k over those
+    sizes k.  A W that attains pd has |W| - 1 >= pd >= m - krull
+    (Auslander-Buchsbaum), so the walk has found pd before it reaches size
+    m - krull.  It skips a face with one set lookup."""
+    f = K.f_vector
+    return sum(comb(K.m, k) - (f[k] if k < len(f) else 0) for k in range(K.m - K.krull_dim + 1, K.m + 1))
 
 
 def depth_ab(K: SimplicialComplex, field: FieldSpec) -> int:
     """Depth as (number of generators) - (projective dimension), with pd
     the largest |W| - c_W - 1 over the vertex subsets W whose induced
-    subcomplex has lowest nonvanishing reduced cohomology degree c_W."""
+    subcomplex has lowest nonvanishing reduced cohomology degree c_W.  The
+    field and the walk's size are checked before the memo is read: at most
+    ``2**HOCHSTER_VERTEX_BOUND`` non-faces to rank among at most
+    ``2**HOCHSTER_SUBSET_BOUND`` subsets, sum of C(m, k) for k < krull."""
     _require_field(field)
-    estimate = _hochster_walk_estimate(K)
-    if estimate > 2**HOCHSTER_VERTEX_BOUND:
+    subsets, estimate = sum(comb(K.m, k) for k in range(K.krull_dim)), _hochster_walk_estimate(K)
+    if estimate > 2**HOCHSTER_VERTEX_BOUND or subsets > 2**HOCHSTER_SUBSET_BOUND:
         raise TooLarge(
-            f"the Hochster walk may visit {estimate} vertex subsets (m={K.m}, "
-            f"krull dimension {K.krull_dim}); more than 2^{HOCHSTER_VERTEX_BOUND}"
+            f"the Hochster walk may rank {estimate} non-faces among {subsets} vertex subsets "
+            f"(m={K.m}, krull dimension {K.krull_dim}); more than 2^{HOCHSTER_VERTEX_BOUND} "
+            f"or 2^{HOCHSTER_SUBSET_BOUND}"
         )
-    pd = 0  # beta(0, 0) = 1 from the empty subset
+    return _remembered(_hochster_walk, K, field)
+
+
+def _hochster_walk(K: SimplicialComplex, field: FieldSpec) -> tuple[int, bool]:
+    pd, certified = 0, True  # beta(0, 0) = 1 from the empty subset
     verts = K.vertices
     for j in range(K.m, 0, -1):
         # c_W >= 0 for nonempty W, so no subset of size <= j beats j - 1
@@ -223,12 +285,14 @@ def depth_ab(K: SimplicialComplex, field: FieldSpec) -> int:
             if K.has_face(subset):  # K_W is a simplex: acyclic
                 continue
             # only a degree c <= j - 2 - pd can raise pd
-            c = reduced_cohomology(K.induced(subset), field, j - 2 - pd).first_nonzero()
+            sub, cap = K.induced(subset), j - 2 - pd
+            c = reduced_cohomology(sub, field, cap).first_nonzero()
+            certified &= _field_free(sub, cap)
             if c is not None:
                 pd = j - c - 1
                 if pd == j - 1:
                     break
-    return K.m - pd
+    return K.m - pd, certified
 
 
 # -- the aggregate report --------------------------------------------------------
@@ -249,9 +313,11 @@ class DepthReport(NamedTuple):
 
 
 def depth(K: SimplicialComplex, field: FieldSpec) -> DepthReport:
-    """Run all three engines and assert agreement.  ``depth_ab`` goes first:
-    its up-front ``TooLarge`` check then comes before the other engines
-    spend any time."""
+    """Run all three engines and assert agreement.  The face pairs are
+    checked, and ``depth_ab`` runs, before the other engines: every up-front
+    ``TooLarge`` check then comes before any engine spends time.
+    ``cache_clear`` empties the engines' memo."""
+    _check_face_pairs(K)
     r3 = depth_ab(K, field)
     r1 = depth_reisner(K, field)
     r2 = depth_topological(K, field)
@@ -266,6 +332,9 @@ def depth(K: SimplicialComplex, field: FieldSpec) -> DepthReport:
         cohen_macaulay=(r1 == K.krull_dim),
         agree=True,
     )
+
+
+depth.cache_clear = _DEPTHS.clear
 
 
 # -- harnesses --------------------------------------------------------------------

@@ -17,9 +17,10 @@ from srdepth import (
     reduced_cohomology,
     validate,
 )
-from srdepth.cohomology import _cochain_dims
+from srdepth.cohomology import _coboundaries, _cochain_dims
+from srdepth.complexes import _popcount
 from srdepth.limits import _functor_matrix, _nonempty_faces, _require_vertex, _star_index
-from srdepth.linalg import cohomology_dims
+from srdepth.linalg import _cohomology, cohomology_dims
 
 
 def flip_one_sign(monkeypatch, card):
@@ -83,6 +84,37 @@ def depth_by_face_filters(K, field):
         rel = [[f for f in level if f & s == s] for level in levels]
         firsts.append(next((i for i, h in enumerate(_cochain_dims(rel, field)) if h), None))
     return min([K.krull_dim] + [c + 1 for c in firsts if c is not None])
+
+
+def topological_walk_per_field(K, field):
+    """The point criterion's capped walk as ``depth_topological`` made it
+    before face filters were ranked over Z: every face filter's rows of K's
+    coboundary over ``field`` itself, ranked by that field's own kernel."""
+    r = K.krull_dim
+    c = reduced_cohomology(K, field, r - 2).first_nonzero()
+    if c is not None:
+        r = c + 1
+    levels = K.levels()[1 : r + 1]
+    mats = list(_coboundaries(levels, field))
+    filters, card, at = [[0, range(1)] + [range(len(level)) for level in levels[:-1]]], 0, 0
+    for mask in K.face_masks[1:]:
+        s = _popcount(mask)
+        if s >= r:
+            break
+        if s > card:
+            parents, filters, card, at = filters, [], s, 0
+        top = 1 << (mask.bit_length() - 1)
+        while parents[at][0] != mask ^ top:
+            at += 1
+        rows = [
+            [i for i in ids if level[i] & top]
+            for ids, level in zip(parents[at][2:], levels[s - 1 : r - 1])
+        ]
+        filters.append([mask] + rows)
+        c = next((i for i, h in enumerate(_cohomology(mats, r - 2, [()] * (s - 1) + rows)) if h), None)
+        if c is not None:
+            r = c + 1
+    return r
 
 
 def unnormalized_h01(K, field, d):

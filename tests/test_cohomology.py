@@ -378,7 +378,7 @@ def _asked(K, fields):
     """``reduced_cohomology`` at every cap, then ``depth``, over each field
     in turn, the memos cleared once before the first."""
     reduced_cohomology.cache_clear()
-    importlib.import_module("srdepth.depth")._depth_reisner.cache_clear()
+    depth.cache_clear()
     out = {}
     for field in fields:
         for cap in [*range(-2, K.dim + 2), None]:

@@ -34,6 +34,7 @@ from srdepth import (
     rho,
     rp2_minimal,
     simplex,
+    suspension,
     validate,
     verify_limit_decomposition,
     verify_limit_depth_criterion,
@@ -55,6 +56,7 @@ from oracles import (
     moore_space_mod3,
     small_complexes,
     three_fields,
+    topological_walk_per_field,
 )
 
 ALL_FIELDS = (GF2, GF3, GF5, QQ)
@@ -184,6 +186,7 @@ def test_depth_ab_reads_induced_subcomplexes_only(monkeypatch):
     for name in ("star", "star_by_mask", "link", "link_by_mask", "contrastar", "contrastar_by_mask"):
         monkeypatch.setattr(SimplicialComplex, name, refuse)
     monkeypatch.setattr(DEPTH_MODULE, "_coboundaries", refuse)
+    depth.cache_clear()  # a remembered depth would visit nothing
     visits = []
     induced = SimplicialComplex.induced
     monkeypatch.setattr(
@@ -198,21 +201,42 @@ def test_depth_ab_reads_induced_subcomplexes_only(monkeypatch):
 
 
 def test_depth_ab_too_large_fails_before_any_work(monkeypatch):
-    K = boundary_simplex(14)  # m=15, krull 14: sum of C(15, k) for k <= 13
+    # m=21, krull 6: no face among the sizes 16..21 the walk may visit, so
+    # all sum of C(21, k) for k <= 5 subsets are non-faces; 79,507 face pairs
+    K = join(join(cycle(7), cycle(7)), cycle(7))
     monkeypatch.setattr(SimplicialComplex, "induced", refuse)
     monkeypatch.setattr(SimplicialComplex, "link_by_mask", refuse)
-    with pytest.raises(TooLarge, match="32752"):
+    with pytest.raises(TooLarge, match="27896"):
         depth(K, GF2)
 
 
+def test_hochster_walk_counts_the_non_faces_it_ranks(monkeypatch):
+    # the boundary of the 14-simplex: 32,752 subsets of size >= 2, one of
+    # them a non-face; depth() still refuses it, at the face pairs
+    K = boundary_simplex(14)
+    assert _hochster_walk_estimate(K) == 1
+    monkeypatch.setattr(SimplicialComplex, "link_by_mask", refuse)
+    monkeypatch.setattr(SimplicialComplex, "induced", refuse)
+    with pytest.raises(TooLarge, match="14316139"):
+        depth(K, GF2)
+    monkeypatch.undo()
+    visits = []
+    induced = SimplicialComplex.induced
+    monkeypatch.setattr(SimplicialComplex, "induced", lambda K, w: visits.append(w) or induced(K, w))
+    depth.cache_clear()
+    assert depth_ab(K, GF2) == 14
+    assert len(visits) == 1
+
+
 def test_link_engines_too_large_fail_before_any_walk(monkeypatch):
-    # the Hochster walk admits the boundary of the 13-simplex (16,369
-    # subsets), but its links and face filters hold 3^14 - 2^14 faces
+    # the Hochster walk admits the boundary of the 13-simplex (one non-face
+    # among 16,369 subsets), but its links and face filters hold 3^14 - 2^14
+    # faces
     K = boundary_simplex(13)
     monkeypatch.setattr(SimplicialComplex, "link_by_mask", refuse)
     monkeypatch.setattr(DEPTH_MODULE, "_coboundaries", refuse)
     with pytest.raises(TooLarge, match="4766585"):
-        depth(K, GF2)  # refused in depth_reisner
+        depth(K, GF2)  # refused before depth_ab
     with pytest.raises(TooLarge, match="4766585"):
         depth_topological(K, GF2)
     _check_face_pairs(boundary_simplex(12))  # 1,586,131 pairs: admitted
@@ -243,12 +267,34 @@ def test_topological_engine_matches_face_filter_oracle_on_corpus():
             assert depth_topological(K, field) == depth_by_face_filters(K, field), (K, str(field))
 
 
+def _check_topological_walk_per_field(K):
+    depth.cache_clear()
+    for field in ALL_FIELDS:  # later fields may read a depth certified earlier
+        assert depth_topological(K, field) == topological_walk_per_field(K, field), (K, str(field))
+
+
+@given(small_complexes)
+@settings(max_examples=40, deadline=None)
+def test_topological_engine_matches_the_per_field_walk(K):
+    # the engine ranks the face filters' integer rows for the field and
+    # remembers certified depths for every field; the oracle ranks each
+    # field's own rows
+    _check_topological_walk_per_field(K)
+
+
+def test_topological_engine_matches_the_per_field_walk_with_torsion():
+    rp2, moore = rp2_minimal(), moore_space_mod3()
+    for K in (rp2, suspension(rp2), moore, cone(moore)):
+        _check_topological_walk_per_field(K)
+
+
 @pytest.mark.parametrize("field", [GF3, QQ], ids=str)
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_topological_engine_checks_its_coboundary(monkeypatch, field, n):
     # one sign flipped in K's coboundary out of cardinality n + 1 breaks
     # d^2 = 0 next to it; the walk's matrices come from the checked producer
     K = boundary_simplex(4)  # depth 4: the walk ranks out of cardinalities 1..3
+    depth.cache_clear()  # a remembered depth would rank nothing
     reduced_cohomology(K, field)  # warm: the memo answers, so the walk must raise
     flip_one_sign(monkeypatch, n + 1)
     with pytest.raises(NotAComplex):
@@ -280,19 +326,69 @@ _FIELD_TAKERS = [
 ]
 
 
+@pytest.mark.parametrize(
+    "K, certified", [(rp2_minimal(), False), (boundary_simplex(3), True)], ids=["rp2", "sphere"]
+)
 @pytest.mark.parametrize("bad", [3, (3,), "q", None, [3]], ids=repr)
-def test_every_field_argument_is_a_fieldspec(bad):
-    # (3,) == GF3 would let a cache warmed over GF(3) answer (3,)
-    K = rp2_minimal()
-    DEPTH_MODULE._depth_reisner.cache_clear()
+def test_every_field_argument_is_a_fieldspec(K, certified, bad):
+    # (3,) == GF3 would let a cache warmed over GF(3) answer (3,); the
+    # sphere's walks are certified, so their depths are kept for every field
+    depth.cache_clear()
     reduced_cohomology.cache_clear()
     for warm in (False, True):
         if warm:
             for call in _FIELD_TAKERS:
                 call(K, GF3)
+            assert ((DEPTH_MODULE._reisner_walk, K) in DEPTH_MODULE._DEPTHS) == certified
         for call in _FIELD_TAKERS:
             with pytest.raises(BadParameter):
                 call(K, bad)
+
+
+@pytest.mark.parametrize(
+    "K", [boundary_simplex(4), cone(cycle(5)), random_complex(7, 2, 0.6, 101)], ids=repr
+)
+def test_one_field_answers_every_field_when_certified(monkeypatch, K):
+    # every walk over GF(3) read prefixes certified by unit pivots over Z,
+    # so depth over any other field builds no coboundary, link or subset
+    depth.cache_clear()
+    reduced_cohomology.cache_clear()
+    rep = depth(K, GF3)
+    monkeypatch.setattr(importlib.import_module("srdepth.cohomology"), "_coboundary_rows", refuse)
+    monkeypatch.setattr(SimplicialComplex, "link_by_mask", refuse)
+    monkeypatch.setattr(SimplicialComplex, "induced", refuse)
+    for field in (QQ, GF5, GF2):
+        assert depth(K, field) == rep._replace(field=field)
+
+
+def test_moore_space_asked_over_q_first_walks_again_over_gf3(monkeypatch):
+    # the 3-torsion gives pivots over Z that are not +-1: no walk over Q
+    # is certified, so GF(3) walks again and sees depth 2
+    M = moore_space_mod3()
+    depth.cache_clear()
+    reduced_cohomology.cache_clear()
+    assert depth(M, QQ).reisner == 3
+    module = importlib.import_module("srdepth.cohomology")
+    built, rows = [], module._coboundary_rows
+    monkeypatch.setattr(module, "_coboundary_rows", lambda *a: built.append(a) or rows(*a))
+    assert depth(M, GF3).reisner == 2
+    assert built
+
+
+def test_depth_memo_evicts_the_least_recently_used_depth():
+    memo, walk = DEPTH_MODULE._DEPTHS, DEPTH_MODULE._reisner_walk
+    depth.cache_clear()
+    try:
+        depth_reisner(cycle(4), QQ)  # the oldest entry, certified
+        memo.update((i, None) for i in range(199_999))  # placeholders fill the memo
+        depth_reisner(cycle(4), QQ)  # asked again: now the newest
+        assert len(memo) == 200_000
+        depth_reisner(cycle(5), QQ)  # one past the bound: one entry goes
+        assert len(memo) == 200_000
+        assert 0 not in memo and 1 in memo
+        assert (walk, cycle(4)) in memo and (walk, cycle(5)) in memo
+    finally:
+        depth.cache_clear()
 
 
 def test_depth_raises_when_engines_disagree(monkeypatch):
