@@ -13,17 +13,23 @@ kernel of ``linalg`` then clears the rows named by the previous degree's
 pivots and ranks the rest.  ``reduced_cohomology`` and ``_cochain_dims``
 take an optional ``until``: they then stop at the lowest nonzero degree or
 at ``until``, build no higher coboundary, and list only the degrees
-computed.
+computed.  A ``reduced_cohomology`` call capped at degree 0 or below builds
+no coboundary: degrees -1 and 0 are read off the face list (H^{-1} is
+nonzero for {-} alone, H^0 counts the components of the 1-skeleton less
+one).  Any other call ranks from degree -1, so d^2 = 0 is checked from the
+first pair.
 
 Over every field but GF(2), ``reduced_cohomology`` ranks the signed rows
 over Z (``linalg._pivots_q``).  When every pivot is +-1, that elimination
 is unimodular: its ranks and clearing sets are those of every prime field,
 so the prefix it found is kept under K alone and answers every field, by
 the universal coefficient theorem (Hatcher, *Algebraic Topology*, 3.1).
+So is a prefix read off the face list, whose groups are free over Z.
 Otherwise the prefix is kept under (K, field): a call over Q keeps its
 ranks over Q, and a call mod an odd p gives up the pass over Z at the first
 pivot that is not +-1 and ranks that matrix mod p.  GF(2) keeps its bitset
-rows and XOR kernel and only reads the field-free prefixes.  After a call,
+rows and XOR kernel; of the field-free prefixes it reads them all and makes
+only those read off the face list.  After a call,
 ``_field_free`` says whether its answer was such a prefix, so the depth
 engines can tell whether their own answer holds over every field.
 
@@ -37,10 +43,11 @@ no contrastar.
 
 from __future__ import annotations
 
+from itertools import islice
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _popcount
 from .errors import EmptyFace, NotASubcomplex, _quote, _require_int
 from .linalg import GF2, QQ, ExactMatrix, FieldSpec, _checked, _cohomology, _require_field
 
@@ -117,6 +124,44 @@ class CohomologyProfile(NamedTuple):
 _PREFIXES: dict = {}
 
 
+def _keep(key, dims: list[int]) -> Mapping[int, int]:
+    """Keep the prefix ``dims`` (degrees -1, 0, ...) under ``key`` as the most
+    recently used, dropping the least recently used past 200,000."""
+    got = _PREFIXES[key] = MappingProxyType({i - 1: h for i, h in enumerate(dims)})
+    if len(_PREFIXES) > 200_000:
+        del _PREFIXES[next(iter(_PREFIXES))]
+    return got
+
+
+def _lowest_degrees(K: SimplicialComplex, until: int) -> list[int]:
+    """Reduced cohomology of K from degree -1 through ``until`` <= 0, read
+    off the face list: H^{-1} is one-dimensional for {-} alone, and H^0 has
+    one dimension fewer than the 1-skeleton has components, counted by
+    union-find over the edges.  Both are free over Z, so every field has
+    them."""
+    if until < -1:
+        return []
+    if K.is_irrelevant or until < 0:
+        return [int(K.is_irrelevant)]
+    root: dict = {}  # a vertex bit -> one joined to it; a root has none
+
+    def find(v):
+        while v in root:
+            root[v] = v = root.get(root[v], root[v])  # path halving
+        return v
+
+    m, joined = K.m, 0
+    # in the canonical order the edges follow the empty face and the vertices
+    for e in islice(K.face_masks, m + 1, None):
+        if joined == m - 1 or _popcount(e) > 2:  # a spanning tree, or no edge left
+            break
+        a, b = find(e & -e), find(e & (e - 1))
+        if a != b:
+            root[b] = a
+            joined += 1
+    return [0, m - 1 - joined]
+
+
 def _recall(key, K: SimplicialComplex, until: int | None):
     """The prefix kept under ``key``, now the most recently used, if it
     decides the cap: it is complete, holds a nonzero degree, or reaches it."""
@@ -134,27 +179,27 @@ def reduced_cohomology(
 ) -> CohomologyProfile:
     """Reduced cohomology of K via the augmented simplicial cochain complex.
     With ``until``, only degrees -1 through the lowest nonzero one or
-    ``until``, whichever comes first, are computed and listed.  A memo keeps
-    the longest prefix per K if its ranks over Z had unit pivots, and per
-    (K, field) otherwise, and answers each cap one of them decides (it is
-    complete, holds a nonzero degree, or reaches the cap); ``cache_clear``
-    empties it."""
+    ``until``, whichever comes first, are computed and listed; when the cap
+    is <= 0 they come from the face list and no matrix is built.  A memo
+    keeps the longest prefix per K if it came from the face list or its
+    ranks over Z had unit pivots, and per (K, field) otherwise, and answers
+    each cap one of them decides (it is complete, holds a nonzero degree,
+    or reaches the cap); ``cache_clear`` empties it."""
     _require_field(field)
     if until is not None:
         _require_int(until, None, "the cap")
     got = _recall(K, K, until)
     if got is None:
         got = _recall((K, field), K, until)
-    if got is None:
+    if got is None and until is not None and until <= 0:
+        got = _keep(K, _lowest_degrees(K, until))
+    if got is None:  # the kernel from degree -1, so every pair it ranks is checked
         cap = None if until is None else until + 1
         if field.p == 2:  # bitset rows: their ranks hold over GF(2) alone
             dims, unimodular = _cochain_dims(K.levels(), field, cap), False
         else:  # the integer rows, ranked for this field
             dims, unimodular = _cohomology(_coboundaries(K.levels() + [[]], QQ), cap, field=field)
-        got = MappingProxyType({i - 1: h for i, h in enumerate(dims)})
-        _PREFIXES[K if unimodular else (K, field)] = got
-        if len(_PREFIXES) > 200_000:
-            del _PREFIXES[next(iter(_PREFIXES))]
+        got = _keep(K if unimodular else (K, field), dims)
     c = next((i for i, h in got.items() if h), None)
     stop = until if c is None or until is not None and until < c else c
     if until is None or stop >= len(got) - 2:

@@ -31,14 +31,15 @@ Hochster walk at the degree that could still raise pd (j - 2 - pd at size
 j).  The cochain kernel then stops there.  No engine reads another's bound.
 
 Depth depends on the field only through these cohomology groups.  Over
-every field but GF(2) each walk ranks integer rows for its field, and it is
-*certified* when every prefix it read came from an elimination over Z with
-+-1 pivots (or from a prefix kept as such): its answer then holds over
-every field, by the universal coefficient theorem.  One memo serves the
-three engines.  It keeps a certified depth under (walk, K) and any other
-under (walk, K, field), so a complex whose walks over GF(3) were
-certified is not walked again over Q.  GF(2) ranks its own bitset face
-filters, which certify nothing, but it reads certified depths.  The field
+every field but GF(2) each walk ranks integer rows for its field.  A walk
+is *certified* when every prefix it read came from the face list or from an
+elimination over Z with +-1 pivots (or from a prefix kept as such): its
+answer then holds over every field, by the universal coefficient theorem.
+One memo serves the three engines.  It keeps a certified depth under
+(walk, K) and any other under (walk, K, field), so a complex whose walks
+over GF(3) were certified is not walked again over Q.  GF(2) ranks its own
+bitset rows, which certify nothing, but it reads certified prefixes and
+depths, and a GF(2) walk that read only those is certified too.  The field
 and the size guards are checked before the memo is read.
 
 The three must agree (the equivalence is a theorem); disagreement raises

@@ -32,6 +32,7 @@ from srdepth.linalg import _cohomology
 from oracles import dense_cochain_dims, flip_one_sign, moore_space_mod3, small_complexes, three_fields
 
 FIELDS = (GF2, GF3, QQ)
+ALL_FIELDS = (GF2, GF3, GF5, QQ)
 
 
 def test_two_points_connectedness():
@@ -249,12 +250,15 @@ def test_until_gives_the_prefix_through_the_first_nonzero_degree(K, field, t):
 @pytest.mark.parametrize("card", [0, 1, 2, 3])
 def test_reduced_cohomology_checks_its_coboundaries(monkeypatch, field, card):
     # the coboundary out of cardinality card is d_card (degree -1 is
-    # cardinality 0); pulling it checks d_card d_{card-1}
+    # cardinality 0); pulling it checks d_card d_{card-1}.  A call capped at
+    # degree 1 pulls those out of cardinality 0, 1 and 2: the face list does
+    # not answer it, so it checks them all
     flip_one_sign(monkeypatch, card)
-    reduced_cohomology.cache_clear()
-    with pytest.raises(NotAComplex) as err:
-        reduced_cohomology(boundary_simplex(4), field)
-    assert err.value.position == max(card - 1, 0)
+    for until in (None, 1) if card <= 2 else (None,):
+        reduced_cohomology.cache_clear()
+        with pytest.raises(NotAComplex) as err:
+            reduced_cohomology(boundary_simplex(4), field, until)
+        assert err.value.position == max(card - 1, 0)
 
 
 @pytest.mark.parametrize("field", [GF3, QQ], ids=str)
@@ -302,6 +306,80 @@ def test_until_builds_no_later_coboundary(monkeypatch):
     built.clear()
     assert reduced_cohomology(disjoint_points(3), GF3, 5).dims == {-1: 0, 0: 2}
     assert len(built) == 2
+    # capped at degree 0, the face list answers
+    built.clear()
+    reduced_cohomology.cache_clear()
+    assert reduced_cohomology(disjoint_points(3), GF3, 0).dims == {-1: 0, 0: 2}
+    assert len(built) == 0
+
+
+def _disjoint_tetrahedra():
+    """Two disjoint boundaries of the 3-simplex."""
+    return validate([[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4], [5, 6, 7], [5, 6, 8], [5, 7, 8], [6, 7, 8]], 8)
+
+
+def _check_capped_against_the_kernel(K):
+    for field in ALL_FIELDS:
+        for cap in range(-2, K.dim + 2):
+            reduced_cohomology.cache_clear()
+            kernel = {i - 1: h for i, h in enumerate(_cochain_dims(K.levels(), field, cap + 1))}
+            assert reduced_cohomology(K, field, cap).dims == kernel, (K, field, cap)
+
+
+@given(small_complexes)
+@settings(max_examples=40, deadline=None)
+def test_capped_calls_agree_with_the_kernel(K):
+    # degrees -1 and 0 come from the face list on a call capped at degree 0
+    # or below; every other one from the kernel
+    _check_capped_against_the_kernel(K)
+
+
+EDGE_CASES = {
+    "irrelevant": validate([[]], 0),
+    **{f"points_{k}": disjoint_points(k) for k in range(1, 5)},
+    "two_tetrahedra": _disjoint_tetrahedra(),
+    "cone_cycle_5": cone(cycle(5)),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_CASES)
+def test_capped_calls_agree_with_the_kernel_at_the_edges(name):
+    _check_capped_against_the_kernel(EDGE_CASES[name])
+
+
+@pytest.mark.parametrize("name", ["points_3", "two_tetrahedra", "cone_cycle_5"])
+def test_the_face_list_answers_every_field(monkeypatch, name):
+    K = EDGE_CASES[name]
+    # degrees -1 and 0 are free over Z: GF(2)'s answer is kept for every field
+    module = importlib.import_module("srdepth.cohomology")
+    reduced_cohomology.cache_clear()
+    expected = dict(reduced_cohomology(K, GF3, 0).dims)
+    reduced_cohomology.cache_clear()
+    assert reduced_cohomology(K, GF2, 0).dims == expected
+
+    def refuse(*a):
+        raise AssertionError("built a coboundary")
+
+    monkeypatch.setattr(module, "_coboundary_rows", refuse)
+    assert reduced_cohomology(K, GF3, 0).dims == expected
+    reduced_cohomology.cache_clear()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_a_short_prefix_never_replaces_a_longer_one(monkeypatch, field):
+    module = importlib.import_module("srdepth.cohomology")
+    K = boundary_simplex(4)
+    key = (K, GF2) if field == GF2 else K  # GF(2)'s bitset ranks hold for it alone
+    reduced_cohomology.cache_clear()
+    assert reduced_cohomology(K, field, 2).dims == {-1: 0, 0: 0, 1: 0, 2: 0}
+    assert reduced_cohomology(K, field, 0).dims == {-1: 0, 0: 0}
+    built = []
+    rows = module._coboundary_rows
+    monkeypatch.setattr(module, "_coboundary_rows", lambda *a: built.append(a) or rows(*a))
+    assert reduced_cohomology(K, field, 2).dims == {-1: 0, 0: 0, 1: 0, 2: 0}
+    assert not built
+    assert len(module._PREFIXES[key]) == 4
+    reduced_cohomology.cache_clear()
 
 
 def test_munkres_shift_names_the_face_where_the_sides_differ(monkeypatch):
@@ -360,7 +438,8 @@ def test_memo_answers_the_caps_its_prefix_decides(monkeypatch):
                         or cap is not None
                         and (any(held.values()) or max(held, default=-2) >= cap)
                     )
-                    assert (not built) == decided, (K, field, order, cap)
+                    low = cap is not None and cap <= 0  # the face list answers
+                    assert (not built) == (decided or low), (K, field, order, cap)
                     if not decided:
                         held = dims
     # a full request after a capped one that stopped at a nonzero degree
@@ -369,9 +448,6 @@ def test_memo_answers_the_caps_its_prefix_decides(monkeypatch):
     built.clear()
     assert reduced_cohomology(point_and_circle, GF2).dims == {-1: 0, 0: 1, 1: 1}
     assert built
-
-
-ALL_FIELDS = (GF2, GF3, GF5, QQ)
 
 
 def _asked(K, fields):
