@@ -241,7 +241,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InternalInvariantError as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
+        # the input path and the field reproduce the run
+        rerun = f" ({args.input}, --field {args.field})" if hasattr(args, "field") else ""
+        print(f"internal invariant violated: {exc}{rerun}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -71,9 +71,12 @@ _popcount = int.bit_count
 
 
 class SimplicialComplex:
-    """Immutable simplicial complex with an eagerly materialized face index."""
+    """Immutable simplicial complex: its face list, with a set of the faces
+    built on the first membership query.  The depth walks only iterate the
+    face lists of their links and induced subcomplexes, so most complexes
+    never build one."""
 
-    __slots__ = ("_vmask", "_faces", "_face_set", "_hash")
+    __slots__ = ("_vmask", "_faces", "_members", "_hash")
 
     def __init__(self, masks: Iterable[int], _closed: bool = False):
         """Complex generated by ``masks``: their subsets are its faces.  The
@@ -94,7 +97,7 @@ class SimplicialComplex:
         self._faces = faces = tuple(masks)
         # a face list is closed downward: its vertices are its one-vertex faces
         self._vmask = sum(faces[1 : bisect_left(faces, 2, 1, key=_popcount)])
-        self._face_set = frozenset(faces)
+        self._members = None
         self._hash = hash(faces)
 
     # -- identity ---------------------------------------------------------
@@ -107,6 +110,13 @@ class SimplicialComplex:
 
     def __repr__(self):
         return f"SimplicialComplex(m={self.m}, facets={list(self.facets)})"
+
+    @property
+    def _face_set(self) -> frozenset:
+        """The face masks as a set, built on first use."""
+        if self._members is None:
+            self._members = frozenset(self._faces)
+        return self._members
 
     # -- basic queries ------------------------------------------------------
 
@@ -174,9 +184,10 @@ class SimplicialComplex:
         raises ``RepeatedVertex``, as its mask would silently drop the repeat."""
         face = tuple(face)
         mask = _mask_of(face, self._vmask.bit_length())
-        if mask in self._face_set and _popcount(mask) != len(face):
+        found = mask in self._face_set
+        if found and _popcount(mask) != len(face):
             raise RepeatedVertex(f"face {_quote(face)} repeats a vertex")
-        return mask in self._face_set
+        return found
 
     def has_face_mask(self, mask: int) -> bool:
         return type(mask) is int and mask in self._face_set
@@ -234,26 +245,21 @@ class SimplicialComplex:
 
 def _maximal(faces: Sequence[int]) -> list[int]:
     """The inclusion-maximal members of a downward-closed face list, in its
-    order: faces with no one-vertex extension in the list."""
-    face_set = set(faces)
-    vmask = 0
-    for f in faces:
-        vmask |= f
-    out = []
-    for f in faces:
-        free = vmask & ~f
-        while free:
-            b = free & -free
-            if f | b in face_set:
-                break
-            free ^= b
-        else:
-            out.append(f)
-    return out
+    order: faces that no face of the list covers, found by dropping each
+    vertex of each face once, at a cost in the faces' sizes, not in m."""
+    covered = set()
+    for g in faces:
+        m = g
+        while m:
+            b = m & -m
+            m ^= b
+            covered.add(g ^ b)
+    return [f for f in faces if f not in covered]
 
 
 def _star(K: "SimplicialComplex", s: int) -> "SimplicialComplex":
-    return SimplicialComplex([f for f in K._faces if (f | s) in K._face_set], _closed=True)
+    face_set = K._face_set
+    return SimplicialComplex([f for f in K._faces if (f | s) in face_set], _closed=True)
 
 
 @lru_cache(maxsize=200_000)

@@ -88,7 +88,9 @@ class NotAComplex(InternalInvariantError):
 
 
 class EngineDisagreement(InternalInvariantError):
-    """The three depth engines disagreed; carries all values for diagnosis."""
+    """The three depth engines disagreed; carries all values for diagnosis.
+    The message names the field and the three depths, and quotes the
+    complex short, so it stays one short line however large K is."""
 
     def __init__(self, complex_, field, reisner, topological, auslander_buchsbaum):
         self.complex = complex_
@@ -97,8 +99,6 @@ class EngineDisagreement(InternalInvariantError):
         self.topological = topological
         self.auslander_buchsbaum = auslander_buchsbaum
         super().__init__(
-            "depth engines disagree: "
-            f"reisner={reisner} topological={topological} "
-            f"auslander_buchsbaum={auslander_buchsbaum} "
-            f"(field {field}, complex {complex_!r})"
+            f"depth engines disagree over {field}: reisner={reisner} topological={topological} "
+            f"auslander_buchsbaum={auslander_buchsbaum} on {_quote(complex_)}"
         )

@@ -165,10 +165,15 @@ def _pivots_q(rows, p: Optional[int] = None):
     """The leading columns over Q, and whether every pivot was +-1 (the
     elimination was unimodular over Z, so the columns lead mod every
     prime).  With an odd ``p``, the reduction over Z is given up at the
-    first pivot that is not +-1 and the columns are those mod p."""
+    first pivot that is not +-1 and the columns are those mod p.
+
+    The rows are in kernel form, dicts {column: int} with no zero entry,
+    as ``ExactMatrix`` and the coboundary rows make them.  They are read
+    and never written: a row is copied when it is first reduced, so one
+    that becomes a pivot as it is is kept without a copy."""
     pivots, unimodular = {}, True
-    for row in rows:
-        row = {c: v for c, v in row.items() if v}
+    for src in rows:
+        row = src
         while row:
             c = min(row)
             pivot = pivots.get(c)
@@ -187,6 +192,8 @@ def _pivots_q(rows, p: Optional[int] = None):
                     row = {k: a * v for k, v in row.items()}
             elif a == -1:
                 f = -f
+            if row is src:
+                row = dict(row)
             for k, v in pivot.items():
                 x = row.get(k, 0) - f * v
                 if x:

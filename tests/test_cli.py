@@ -96,6 +96,21 @@ def test_engine_disagreement_exits_3(capsys, monkeypatch, rp2_file):
     assert err.startswith("internal invariant violated: depth engines disagree")
 
 
+def test_engine_disagreement_names_the_input_and_field_in_a_short_line(capsys, monkeypatch, tmp_path):
+    # the repr of the 300-cycle alone runs to 3,417 characters
+    import importlib
+
+    from srdepth import cycle
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c300.facets").write_text(to_facet_text(cycle(300)), encoding="utf-8")
+    monkeypatch.setattr(importlib.import_module("srdepth.depth"), "depth_ab", lambda K, field: 0)
+    code, out, err = run_cli(capsys, "depth", "c300.facets", "--field", "p=3")
+    assert code == 3 and not out
+    assert len(err.encode()) < 200 and err.count("\n") == 1
+    assert "over p=3" in err and "(c300.facets, --field p=3)" in err
+
+
 def test_verify_irrelevant_complex(capsys, tmp_path):
     path = tmp_path / "irrelevant.json"
     path.write_text('{"m": 0, "facets": [[]]}', encoding="utf-8")

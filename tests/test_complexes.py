@@ -419,6 +419,37 @@ def test_parameter_gates_refuse_non_ints_and_bad_masks(call, error, isolated):
     assert name == error and int(length) < 200
 
 
+def test_membership_queries_build_the_face_set_on_first_use():
+    # a complex keeps its face list alone until asked whether a face is in
+    # it; every query answers the same before and after the set is built
+    faces = set(rp2_minimal().face_masks)
+    probes = [t for k in range(4) for t in combinations(range(1, 8), k)]
+    queries = [
+        lambda L: [L.has_face(t) for t in probes],
+        lambda L: [L.has_face_mask(mask) for mask in range(1 << 7)],
+        lambda L: L.star((1,)),
+        lambda L: L.star_by_mask(0b11),
+        lambda L: L.link((1, 2)),
+        lambda L: L.link_by_mask(0b101),
+        lambda L: L.contrastar((4,)),
+        lambda L: L.contrastar_by_mask(0b1000),
+        lambda L: L.is_subcomplex_of(cycle(6)),
+        lambda L: L.induced((1, 2, 5)).is_subcomplex_of(L),
+    ]
+    for query in queries:
+        fresh, built = rp2_minimal(), rp2_minimal()
+        assert built._face_set == faces
+        assert fresh._members is None
+        assert query(fresh) == query(built)
+        assert fresh._face_set is fresh._face_set == faces
+    assert queries[0](rp2_minimal()) == [complexes_module._mask_of(t) in faces for t in probes]
+    assert queries[1](rp2_minimal()) == [mask in faces for mask in range(1 << 7)]
+    with pytest.raises(FaceNotInComplex):
+        rp2_minimal().link((1, 2, 3))
+    with pytest.raises(RepeatedVertex):
+        rp2_minimal().has_face((1, 1))
+
+
 def test_has_face_mask_answers_false_for_a_non_mask():
     K = cycle(4)
     assert K.has_face_mask(1) and not K.has_face_mask(True)

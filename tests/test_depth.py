@@ -1,5 +1,9 @@
 import importlib
+import os
 import random
+import subprocess
+import sys
+import time
 import warnings
 
 import pytest
@@ -41,6 +45,8 @@ from srdepth import (
     verify_munkres_shift,
     verify_star_link,
 )
+import srdepth
+from srdepth.complexes import _link
 from srdepth.depth import (
     _check_face_pairs,
     _hochster_walk_estimate,
@@ -391,6 +397,38 @@ def test_depth_memo_evicts_the_least_recently_used_depth():
         depth.cache_clear()
 
 
+def test_reisner_walk_builds_no_face_set_on_its_links():
+    # the walk only iterates the face list of each link it ranks
+    K = boundary_simplex(6)
+    depth.cache_clear()
+    _link.cache_clear()
+    assert depth_reisner(K, GF3) == 6
+    walked = [mask for mask in K.face_masks if mask.bit_count() < 6]
+    hits = _link.cache_info().hits
+    links = [_link(K, mask) for mask in walked]
+    assert _link.cache_info().hits == hits + len(walked) == hits + 120
+    assert all(L._members is None for L in links)
+
+
+_HOCHSTER_PEAK_CHILD = """
+from srdepth import GF2, cycle, depth_ab, join
+assert depth_ab(join(join(cycle(6), cycle(6)), cycle(6)), GF2) == 6
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from /proc/self/status")
+def test_hochster_walk_on_c6_c6_c6_peaks_under_64_mb():
+    # its 4,048 induced subcomplexes hold their face lists alone: with a
+    # face set each, the walk peaked at 190 MB
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(srdepth.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c", _HOCHSTER_PEAK_CHILD], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 64 * 1024  # kB
+
+
 def test_depth_raises_when_engines_disagree(monkeypatch):
     monkeypatch.setattr(DEPTH_MODULE, "depth_ab", lambda K, field: 0)
     with pytest.raises(EngineDisagreement):
@@ -426,6 +464,18 @@ def test_engine_disagreement_carries_values():
     err = EngineDisagreement(cycle(3), GF2, 1, 2, 3)
     assert err.reisner == 1 and err.topological == 2 and err.auslander_buchsbaum == 3
     assert "disagree" in str(err)
+
+
+def test_engine_disagreement_names_a_large_complex_short():
+    # the repr of a 15,000-cycle runs to 217,823 characters; the message
+    # quotes its start, and its facets cost time in the faces' sizes, not in m
+    K = cycle(15000)
+    start = time.process_time()
+    err = str(EngineDisagreement(K, GF2, 1, 2, 1))
+    assert time.process_time() - start < 5
+    assert len(err) < 200
+    assert "over p=2" in err and "reisner=1 topological=2 auslander_buchsbaum=1" in err
+    assert "SimplicialComplex(m=15000" in err
 
 
 def test_conditions_flip_exactly_at_depth():

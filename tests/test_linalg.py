@@ -1,3 +1,4 @@
+from copy import deepcopy
 from fractions import Fraction
 from itertools import combinations
 
@@ -5,7 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srdepth import GF2, GF3, GF5, QQ, ExactMatrix, FieldSpec, cohomology_dims
+from srdepth import (
+    GF2,
+    GF3,
+    GF5,
+    QQ,
+    ExactMatrix,
+    FieldSpec,
+    cohomology_dims,
+    limits_complex,
+    named_corpus,
+    rp2_minimal,
+)
+from srdepth.cohomology import _coboundary_rows
 from srdepth.errors import BadParameter, NotAComplex
 from srdepth.linalg import _is_prime, _pivot_columns, _pivots_q
 
@@ -433,6 +446,47 @@ def test_unit_pivots_give_the_rank_and_pivots_of_every_field(rows):
             assert mod_p.rank() == len(pivots)
             if p > 2:  # the mod-p kernel also leads with the lowest column
                 assert set(mod_p.pivots) == set(pivots)
+
+
+ZERO_FREE_ROWS = st.lists(
+    st.dictionaries(st.integers(0, 5), st.sampled_from([-3, -2, -1, 1, 2, 3]), max_size=6), max_size=7
+)
+
+
+@given(ZERO_FREE_ROWS)
+@settings(max_examples=200, deadline=None)
+def test_pivot_kernels_never_write_their_rows(rows):
+    # a row that becomes a pivot as it is is kept without a copy, and later
+    # rows are reduced against it: it must still be read only
+    before = deepcopy(rows)
+    dense = [[row.get(j, 0) for j in range(6)] for row in rows]
+    for p in (None, 3, 5):
+        rank_of = rank_bareiss if p is None else lambda a: dense_rank_mod_p(a, p)
+        first = sorted(_pivots_q(rows, p)[0])
+        assert rows == before
+        assert sorted(_pivots_q(rows, p)[0]) == first
+        assert rows == before
+        assert len(first) == rank_of(dense)
+        assert rank_of([[row[j] for j in first] for row in dense]) == len(first)
+
+
+def _zero_free(rows) -> bool:
+    return all(isinstance(row, dict) and all(row.values()) for row in rows)
+
+
+def test_every_row_producer_makes_zero_free_rows():
+    # the kernel form _pivots_q reads: dict rows with no zero entry; the
+    # limits differentials are made by _functor_matrix
+    for _, K in named_corpus():
+        levels = K.levels()
+        for lower, upper in zip(levels, levels[1:]):
+            assert _zero_free(_coboundary_rows(list(lower), list(upper), None))
+            assert _zero_free(_coboundary_rows(list(lower), list(upper), 3))
+    for field in (QQ, GF3):
+        assert _zero_free(ExactMatrix(field, [[0, 2, -3], [3, 0, 0], [0, 0, 0]]).sparse_rows)
+        assert _zero_free(ExactMatrix(field, [{0: 0, 1: 3}, {2: -6}, {}], shape=(3, 3)).sparse_rows)
+        for mat in limits_complex(rp2_minimal(), field, 2):
+            assert _zero_free(mat.sparse_rows)
 
 
 def test_d_squared_check_depends_on_the_field():
