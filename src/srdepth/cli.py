@@ -5,7 +5,7 @@ limit dimensions per degree plus the decomposition verdict), ``verify``
 (all verification harnesses), ``corpus`` (deterministic corpus emission).
 
 Exit codes: 0 success / all verdicts pass, 1 a verification verdict failed,
-2 invalid input, 3 internal invariant violation.
+2 invalid input or too little memory, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -245,6 +245,10 @@ def main(argv=None) -> int:
         rerun = f" ({args.input}, --field {args.field})" if hasattr(args, "field") else ""
         print(f"internal invariant violated: {exc}{rerun}", file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError:
+        pass  # reported below, once the frames of the failed call are freed
+    print("error: out of memory", file=sys.stderr)
+    return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -10,35 +10,32 @@ int bitsets over GF(2), and over every other field one signed form, rows
 {column: +-1}, whose d^2 = 0 is checked over Z, which implies it mod every
 prime.  The check runs there as the next coboundary is made; the cochain
 kernel of ``linalg`` then clears the rows named by the previous degree's
-pivots and ranks the rest.  ``reduced_cohomology`` and ``_cochain_dims``
-take an optional ``until``: they then stop at the lowest nonzero degree or
-at ``until``, build no higher coboundary, and list only the degrees
-computed.  A ``reduced_cohomology`` call capped at degree 0 or below builds
-no coboundary: degrees -1 and 0 are read off the face list (H^{-1} is
-nonzero for {-} alone, H^0 counts the components of the 1-skeleton less
-one).  Any other call ranks from degree -1, so d^2 = 0 is checked from the
-first pair.
+pivots and ranks the rest for the field.  ``reduced_cohomology`` and
+``_cochain_dims`` take an optional ``until``: they then stop at the lowest
+nonzero degree or at ``until``, build no higher coboundary, and list only
+the degrees computed.  A ``reduced_cohomology`` call capped at degree 0 or
+below builds no coboundary: degrees -1 and 0 are read off the face list
+(H^{-1} is nonzero for {-} alone, H^0 counts the components of the
+1-skeleton less one).  Any other call ranks from degree -1, so d^2 = 0 is
+checked from the first pair.
 
-Over every field but GF(2), ``reduced_cohomology`` ranks the signed rows
-over Z (``linalg._pivots_q``).  When every pivot is +-1, that elimination
-is unimodular: its ranks and clearing sets are those of every prime field,
-so the prefix it found is kept under K alone and answers every field, by
-the universal coefficient theorem (Hatcher, *Algebraic Topology*, 3.1).
-So is a prefix read off the face list, whose groups are free over Z.
-Otherwise the prefix is kept under (K, field): a call over Q keeps its
-ranks over Q, and a call mod an odd p gives up the pass over Z at the first
-pivot that is not +-1 and ranks that matrix mod p.  GF(2) keeps its bitset
-rows and XOR kernel; of the field-free prefixes it reads them all and makes
-only those read off the face list.  After a call,
-``_field_free`` says whether its answer was such a prefix, so the depth
-engines can tell whether their own answer holds over every field.
+The kernel also says whether its answer holds over every field: it does
+when every rank was an elimination over Z with +-1 pivots, whose ranks and
+clearing sets are those of every prime field, by the universal coefficient
+theorem (Hatcher, *Algebraic Topology*, 3.1).  So does a prefix read off
+the face list, whose groups are free over Z.  ``reduced_cohomology`` keeps
+such a prefix under K alone, where it answers every field, and any other
+under (K, field); GF(2) ranks bitsets, which certify nothing, so of the
+field-free prefixes it reads them all and makes only those read off the
+face list.  ``CohomologyProfile.certified`` says whether the answer came
+from a prefix kept under K alone, so the depth engines can tell whether
+their own answer holds over every field.
 
 Local cohomology at an inner point of a nonempty face sigma is *defined*
 through the degree shift by the link and *verified* against the independent
 relative computation for the pair (K, contrastar sigma), whose cochains
 live on the faces containing sigma; the depth engine ranks their rows of
-K's own coboundary, over Z as above for every field but GF(2), and builds
-no contrastar.
+K's own coboundary through the same kernel and builds no contrastar.
 """
 
 from __future__ import annotations
@@ -87,29 +84,33 @@ def _coboundary_rows(lower: list[int], upper: list[int], p) -> list:
 
 
 def _coboundaries(levels: list, field: FieldSpec):
-    """The coboundaries between consecutive ``levels`` over ``field``, each
-    made when pulled; d^2 = 0 is checked over GF(2) for GF(2), else over Z."""
+    """The coboundaries between consecutive ``levels``, each made when
+    pulled: bitset matrices over GF(2) for GF(2), checked there, else the
+    signed integer matrices, checked over Z, which every other field's
+    kernel ranks."""
     ring = GF2 if field.p == 2 else QQ
-    made = _checked(
+    return _checked(
         ExactMatrix.from_sparse(ring, _coboundary_rows(lower, upper, field.p), len(upper))
         for lower, upper in zip(levels, levels[1:])
     )
-    return made if field == ring else (ExactMatrix.from_sparse(field, m.sparse_rows, m.cols) for m in made)
 
 
 def _cochain_dims(levels: list, field: FieldSpec, until: int | None = None) -> list[int]:
     """Cohomology dimensions of the cochain complex with bases ``levels``
     (consecutive cardinalities) and the simplicial coboundary; with
     ``until``, the prefix through the first nonzero one or index ``until``."""
-    return _cohomology(_coboundaries(levels + [[]], field), until)
+    return _cohomology(_coboundaries(levels + [[]], field), field, until)[0]
 
 
 class CohomologyProfile(NamedTuple):
     """Dimensions of reduced cohomology, degree -1 through dim K; ``dims``
-    is read-only, as cached profiles are shared."""
+    is read-only, as cached profiles are shared.  ``certified`` says that
+    they came from a prefix kept under K alone, so they hold over every
+    field."""
 
     field: FieldSpec
     dims: Mapping[int, int]
+    certified: bool = False
 
     def first_nonzero(self):
         """Smallest degree with nonvanishing cohomology, or None."""
@@ -181,41 +182,31 @@ def reduced_cohomology(
     With ``until``, only degrees -1 through the lowest nonzero one or
     ``until``, whichever comes first, are computed and listed; when the cap
     is <= 0 they come from the face list and no matrix is built.  A memo
-    keeps the longest prefix per K if it came from the face list or its
-    ranks over Z had unit pivots, and per (K, field) otherwise, and answers
-    each cap one of them decides (it is complete, holds a nonzero degree,
-    or reaches the cap); ``cache_clear`` empties it."""
+    keeps the longest prefix per K if it came from the face list or the
+    kernel certified it, and per (K, field) otherwise, and answers each cap
+    one of them decides (it is complete, holds a nonzero degree, or reaches
+    the cap); the profile is ``certified`` when its prefix is kept per K.
+    ``cache_clear`` empties the memo."""
     _require_field(field)
     if until is not None:
         _require_int(until, None, "the cap")
-    got = _recall(K, K, until)
+    got, certified = _recall(K, K, until), True
     if got is None:
-        got = _recall((K, field), K, until)
+        got, certified = _recall((K, field), K, until), False
     if got is None and until is not None and until <= 0:
-        got = _keep(K, _lowest_degrees(K, until))
+        got, certified = _keep(K, _lowest_degrees(K, until)), True
     if got is None:  # the kernel from degree -1, so every pair it ranks is checked
         cap = None if until is None else until + 1
-        if field.p == 2:  # bitset rows: their ranks hold over GF(2) alone
-            dims, unimodular = _cochain_dims(K.levels(), field, cap), False
-        else:  # the integer rows, ranked for this field
-            dims, unimodular = _cohomology(_coboundaries(K.levels() + [[]], QQ), cap, field=field)
-        got = _keep(K if unimodular else (K, field), dims)
+        dims, certified = _cohomology(_coboundaries(K.levels() + [[]], field), field, cap)
+        got = _keep(K if certified else (K, field), dims)
     c = next((i for i, h in got.items() if h), None)
     stop = until if c is None or until is not None and until < c else c
-    if until is None or stop >= len(got) - 2:
-        return CohomologyProfile(field, got)
-    return CohomologyProfile(field, MappingProxyType({i: h for i, h in got.items() if i <= stop}))
+    if until is not None and stop < len(got) - 2:
+        got = MappingProxyType({i: h for i, h in got.items() if i <= stop})
+    return CohomologyProfile(field, got, certified)
 
 
 reduced_cohomology.cache_clear = _PREFIXES.clear
-
-
-def _field_free(K: SimplicialComplex, until: int | None) -> bool:
-    """Whether ``reduced_cohomology(K, field, until)`` is the same over every
-    field: a prefix kept under K alone, ranked over Z with unit pivots,
-    decides the cap.  Right after that call, it does exactly when the call
-    read such a prefix or kept the one it computed."""
-    return _recall(K, K, until) is not None
 
 
 def relative_cohomology(K: SimplicialComplex, L: SimplicialComplex, field: FieldSpec) -> dict[int, int]:

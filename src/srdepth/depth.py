@@ -30,24 +30,24 @@ at the degree that could still lower their own running bound, and the
 Hochster walk at the degree that could still raise pd (j - 2 - pd at size
 j).  The cochain kernel then stops there.  No engine reads another's bound.
 
-Depth depends on the field only through these cohomology groups.  Over
-every field but GF(2) each walk ranks integer rows for its field.  A walk
-is *certified* when every prefix it read came from the face list or from an
-elimination over Z with +-1 pivots (or from a prefix kept as such): its
-answer then holds over every field, by the universal coefficient theorem.
-One memo serves the three engines.  It keeps a certified depth under
-(walk, K) and any other under (walk, K, field), so a complex whose walks
-over GF(3) were certified is not walked again over Q.  GF(2) ranks its own
-bitset rows, which certify nothing, but it reads certified prefixes and
-depths, and a GF(2) walk that read only those is certified too.  The field
-and the size guards are checked before the memo is read.
+Depth depends on the field only through these cohomology groups.  A walk
+is *certified* when every cohomology answer it read was certified by the
+cochain kernel of ``linalg`` (``CohomologyProfile.certified`` for the
+links, complexes and induced subcomplexes; the kernel's own flag for the
+face filters): its answer then holds over every field, by the universal
+coefficient theorem.  One memo serves the three engines.  It keeps a
+certified depth under (walk, K) and any other under (walk, K, field), so a
+complex whose walks over GF(3) were certified is not walked again over Q.
+GF(2) ranks bitset rows, which certify nothing, but it reads certified
+prefixes and depths, and a GF(2) walk that read only those is certified
+too.  The field and the size guards are checked before the memo is read.
 
 The three must agree (the equivalence is a theorem); disagreement raises
 ``EngineDisagreement`` as a bug signal, never as a legitimate outcome.
 The first two engines visit at most one face per pair sigma <= tau, sum of
 f_k 2^k, checked up front against ``2**FACE_PAIR_BOUND``.  As each condition
-only weakens as r falls, ``link_condition`` and ``local_condition`` at r are
-the depth comparisons depth_reisner >= r and depth_topological >= r.
+only weakens as r falls, the link condition at r is depth_reisner >= r and
+the point condition at r is depth_topological >= r.
 
 Depth is always computed through these criteria, never by searching for
 explicit regular sequences: over small finite fields low-degree regular
@@ -61,11 +61,11 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .cohomology import HarnessReport, _coboundaries, _field_free, reduced_cohomology
+from .cohomology import HarnessReport, _coboundaries, reduced_cohomology
 from .complexes import SimplicialComplex, _popcount
 from .errors import BadParameter, EngineDisagreement, TooLarge
 from .limits import LimitsProfile, derived_limit_dims
-from .linalg import QQ, FieldSpec, _cohomology, _require_field
+from .linalg import FieldSpec, _cohomology, _require_field
 
 HOCHSTER_VERTEX_BOUND = 14  # log2 of the most induced subcomplexes one call may rank
 HOCHSTER_SUBSET_BOUND = 20  # log2 of the most vertex subsets one call may iterate
@@ -127,18 +127,12 @@ def _reisner_walk(K: SimplicialComplex, field: FieldSpec) -> tuple[int, bool]:
         s = _popcount(mask)
         if s >= r:
             break
-        link, cap = K.link_by_mask(mask), r - s - 2
-        c = reduced_cohomology(link, field, cap).first_nonzero()
-        certified &= _field_free(link, cap)
+        profile = reduced_cohomology(K.link_by_mask(mask), field, r - s - 2)
+        certified &= profile.certified
+        c = profile.first_nonzero()
         if c is not None:
             r = c + s + 1
     return r, certified
-
-
-def link_condition(K: SimplicialComplex, field: FieldSpec, r: int) -> bool:
-    """Condition (links): reduced link cohomology vanishes through degree
-    r - card - 2 at every face."""
-    return depth_reisner(K, field) >= r
 
 
 # -- engine 2: topological criterion via relative pairs -------------------------
@@ -153,9 +147,8 @@ def depth_topological(K: SimplicialComplex, field: FieldSpec) -> int:
     card(sigma) - 1: the walk ends at the first card(sigma) >= r.  They are
     the rows of K's coboundary matrices that hold sigma, found among the
     rows that hold its parent sigma - v (v its top vertex) as those that
-    also hold v.  Over every field but GF(2) they are the integer rows,
-    ranked for the field as ``reduced_cohomology`` ranks them.  The field
-    and the face pairs are checked before the memo is read."""
+    also hold v, ranked for the field as ``reduced_cohomology`` ranks K's.
+    The field and the face pairs are checked before the memo is read."""
     _require_field(field)
     _check_face_pairs(K)
     return _remembered(_topological_walk, K, field)
@@ -163,14 +156,13 @@ def depth_topological(K: SimplicialComplex, field: FieldSpec) -> int:
 
 def _topological_walk(K: SimplicialComplex, field: FieldSpec) -> tuple[int, bool]:
     r = K.krull_dim
-    c = reduced_cohomology(K, field, r - 2).first_nonzero()
-    certified = _field_free(K, r - 2)
+    profile = reduced_cohomology(K, field, r - 2)
+    certified, c = profile.certified, profile.first_nonzero()
     if c is not None:
         r = c + 1
     # the walk ranks d_n for n <= r - 2 only: cardinality n + 1 to n + 2
     levels = K.levels()[1 : r + 1]
-    gf2 = field.p == 2  # bitset rows, whose ranks hold over GF(2) alone
-    mats = list(_coboundaries(levels, field if gf2 else QQ))
+    mats = list(_coboundaries(levels, field))
     # a face's filter: [mask, then for k = 0, 1, ... the ids of the faces of
     # cardinality card + k that hold it], made from its parent's; the empty
     # face's holds all.  In the canonical order parents come in order and
@@ -192,22 +184,12 @@ def _topological_walk(K: SimplicialComplex, field: FieldSpec) -> tuple[int, bool
             for ids, level in zip(parents[at][2:], levels[s - 1 : r - 1])
         ]
         filters.append([mask] + rows)
-        ids = [()] * (s - 1) + rows
-        if gf2:
-            dims, ok = _cohomology(mats, r - 2, ids), False
-        else:
-            dims, ok = _cohomology(mats, r - 2, ids, field=field)
+        dims, ok = _cohomology(mats, field, r - 2, [()] * (s - 1) + rows)
         certified &= ok
         c = next((i for i, h in enumerate(dims) if h), None)
         if c is not None:
             r = c + 1
     return r, certified
-
-
-def local_condition(K: SimplicialComplex, field: FieldSpec, r: int) -> bool:
-    """Condition (points): reduced cohomology of K and all relative-pair
-    local cohomology vanish through degree r - 2."""
-    return depth_topological(K, field) >= r
 
 
 # -- engine 3: Betti table and the Auslander-Buchsbaum count --------------------
@@ -286,9 +268,9 @@ def _hochster_walk(K: SimplicialComplex, field: FieldSpec) -> tuple[int, bool]:
             if K.has_face(subset):  # K_W is a simplex: acyclic
                 continue
             # only a degree c <= j - 2 - pd can raise pd
-            sub, cap = K.induced(subset), j - 2 - pd
-            c = reduced_cohomology(sub, field, cap).first_nonzero()
-            certified &= _field_free(sub, cap)
+            profile = reduced_cohomology(K.induced(subset), field, j - 2 - pd)
+            certified &= profile.certified
+            c = profile.first_nonzero()
             if c is not None:
                 pd = j - c - 1
                 if pd == j - 1:

@@ -6,38 +6,42 @@ so ``ExactMatrix`` takes ints only.  The matrices met here are mostly
 coboundary matrices of small complexes, with a few nonzeros per row, so the
 kernels work on sparse rows.  Each incoming row is reduced against a table
 of pivot rows keyed by their leading column until it either vanishes or
-becomes a new pivot, and a kernel returns those leading columns:
+becomes a new pivot, and a kernel returns those leading columns.
+
+One entry, ``_pivot_columns(rows, p)``, picks the kernel and returns the
+leading columns together with a certificate: whether they are the leading
+columns over every field.
 
 * GF(2): a row is an int bitset (bit j for column j); the pivot table is an
-  XOR basis keyed by the top bit.
-* GF(p), p odd: a row is a dict {column: residue}; pivot rows are scaled to
-  a leading 1 and reduction is mod p.
-* Q: a row is a dict {column: int}; reduction is fraction-free over Z,
-  and a row is divided by the gcd of its entries whenever it could have
-  grown.  The kernel also reports whether every pivot was +-1.  Such an
-  elimination is unimodular over Z: the same rows reduce to the same
-  leading columns mod every prime, so the rank holds over every field
-  (Hatcher, *Algebraic Topology*, 3.1).  Given an odd p, it is a rank mod
-  p: the reduction over Z is given up at the first pivot that is not +-1
-  and the rows are reduced mod p instead.
+  XOR basis keyed by the top bit.  Its ranks hold over GF(2) alone, so the
+  certificate is always false.
+* Q and GF(p), p odd: a row is a dict {column: int}, and the rows are
+  reduced fraction-free over Z (``_pivots_q``).  The certificate says
+  whether every pivot was +-1.  Such an elimination is unimodular over Z:
+  the same rows reduce to the same leading columns mod every prime, so the
+  rank holds over every field (Hatcher, *Algebraic Topology*, 3.1).  Over
+  Q a row is divided by the gcd of its entries whenever it could have
+  grown.  Mod an odd p the pass over Z is given up at the first pivot that
+  is not +-1, and the rows are reduced mod p instead (``_pivots_modp``):
+  pivot rows are scaled to a leading 1.
 
 The rank does not depend on the pivot order, so every result equals that of
 dense Gaussian elimination.  ``ExactMatrix`` holds its rows in the same
 sparse form, whether it was built from dense rows, from dict rows
 {column: int} that list only the entries that may be nonzero, or from rows
 already in kernel form (``ExactMatrix.from_sparse``); ``rank`` keeps the
-leading columns.
+leading columns and the certificate.
 
 One cochain kernel, ``_cohomology``, serves every cohomology computation.
 It takes the differentials lazily with one row per basis vector of the
 source, goes up the degrees, drops the rows of d_n named by the leading
-columns of d_{n-1} (clearing), ranks the rest, and can stop at the first
-nonzero degree; given row ids (a face filter in K's coboundary), it ranks
-only those rows.  Given a field, it ranks integer differentials (over Q)
-for that field with ``_pivots_q`` and also returns whether every pivot was
-+-1, in which case the dimensions are those over every field.  It checks
-nothing: the differentials reach it through the lazy stream ``_checked``,
-which checks d_n d_{n-1} = 0 by sparse composition as d_n is pulled.
+columns of d_{n-1} (clearing), ranks the rest for its field through
+``ExactMatrix.rank``, and can stop at the first nonzero degree; given row
+ids (a face filter in K's coboundary), it ranks only those rows.  It
+returns the dimensions and whether every rank was certified, in which case
+the dimensions are those over every field.  It checks nothing: the
+differentials reach it through the lazy stream ``_checked``, which checks
+d_n d_{n-1} = 0 by sparse composition as d_n is pulled.
 ``cohomology_dims`` is the kernel's public form; it takes the differentials
 in the same orientation, as ``limits`` builds them.
 """
@@ -116,13 +120,13 @@ def _not_int(x):
 
 def _pivot_columns(rows, p: Optional[int]):
     """The leading columns of the reduced rows of a matrix given by sparse
-    rows, one per unit of rank: int bitsets when p == 2, else dicts
-    {column: value} with int values (residues need not be canonical)."""
+    rows, one per unit of rank, and whether they lead over every field:
+    int bitsets when p == 2, ranked over GF(2) alone; else dicts
+    {column: value} with nonzero int values (residues need not be
+    canonical), ranked over Z first by ``_pivots_q``."""
     if p == 2:
-        return _pivots_gf2(rows)
-    if p is None:
-        return _pivots_q(rows)[0]
-    return _pivots_modp(rows, p)
+        return _pivots_gf2(rows), False
+    return _pivots_q(rows, p)
 
 
 def _pivots_gf2(rows):
@@ -221,7 +225,7 @@ class ExactMatrix:
     built from dense rows or from dict rows {column: int}, whose residues
     are made canonical, or from rows already in kernel form."""
 
-    __slots__ = ("field", "rows", "cols", "sparse_rows", "pivots")
+    __slots__ = ("field", "rows", "cols", "sparse_rows", "pivots", "unimodular")
 
     def __init__(self, field: FieldSpec, entries: Sequence, shape=None):
         """Matrix from rows of ints, reduced to canonical form; any other
@@ -286,8 +290,9 @@ class ExactMatrix:
 
     def rank(self) -> int:
         """The rank; the leading columns of the reduced rows are kept as
-        ``pivots``."""
-        self.pivots = _pivot_columns(self.sparse_rows, self.field.p)
+        ``pivots``, and whether they lead over every field as
+        ``unimodular``."""
+        self.pivots, self.unimodular = _pivot_columns(self.sparse_rows, self.field.p)
         return len(self.pivots)
 
     def kernel_dim(self) -> int:
@@ -347,15 +352,17 @@ def cohomology_dims(differentials: Sequence[ExactMatrix]) -> list[int]:
             raise BadParameter(f"shape mismatch between d_{n - 1} and d_{n}")
     m = mats[-1]
     terminal = ExactMatrix.from_sparse(m.field, [0 if m.field.p == 2 else {}] * m.cols, 0)
-    return _cohomology(_checked(mats + [terminal]))
+    return _cohomology(_checked(mats + [terminal]), m.field)[0]
 
 
-def _cohomology(differentials, until: Optional[int] = None, rows=None, field: Optional[FieldSpec] = None):
-    """Cohomology dimensions H^0, H^1, ... of the cochain complex whose
-    differentials arrive one at a time in source-row orientation: the n-th
-    has one row per basis vector of C^n and one column per basis vector of
-    C^{n+1}, and the last one has no columns.  They come through
-    ``_checked``, so d_n d_{n-1} = 0 holds before d_n is ranked here.
+def _cohomology(differentials, field: FieldSpec, until: Optional[int] = None, rows=None):
+    """Cohomology dimensions H^0, H^1, ... over ``field`` of the cochain
+    complex whose differentials arrive one at a time in source-row
+    orientation: the n-th has one row per basis vector of C^n and one column
+    per basis vector of C^{n+1}, and the last one has no columns.  They come
+    through ``_checked``, so d_n d_{n-1} = 0 holds before d_n is ranked
+    here.  Their rows are in the kernel form of ``field``: bitsets over
+    GF(2), else dicts of ints (integer rows serve every odd p).
 
     Degrees are reduced in increasing order, and the rows of d_n named by
     the pivot columns of d_{n-1} are dropped (clearing): the reduced rows of
@@ -370,25 +377,23 @@ def _cohomology(differentials, until: Optional[int] = None, rows=None, field: Op
     alone, a cochain subcomplex closed upward, whose pivot columns are row
     ids of the next matrix; d^2 = 0 on the whole matrices covers it.
 
-    Given ``field`` (Q or an odd p), the differentials hold integer rows and
-    each is ranked for ``field`` by ``_pivots_q``; the result is then the
-    pair (dimensions, whether every pivot was +-1).  If it was, every rank
-    and clearing set, and so every dimension, is the same over every field."""
+    Returns the pair (dimensions, whether every rank was certified for every
+    field).  If it was, every rank and clearing set, and so every dimension,
+    is the same over every field."""
     dims: list[int] = []
     cleared, prev_rank, unimodular = (), 0, True
     for n, mat in enumerate(() if until is not None and until < 0 else differentials):
         ids = range(mat.rows) if rows is None else rows[n]
         src = mat.sparse_rows
         kept = [src[i] for i in ids if i not in cleared]
-        if field is None:
-            m = ExactMatrix.from_sparse(mat.field, kept, mat.cols)
+        if kept:
+            m = ExactMatrix.from_sparse(field, kept, mat.cols)
             m.rank()
-            cleared = m.pivots
-        else:
-            cleared, certified = _pivots_q(kept, field.p)
-            unimodular = unimodular and certified
+            cleared, unimodular = m.pivots, unimodular and m.unimodular
+        else:  # no row: rank 0 over every field
+            cleared = ()
         dims.append(len(ids) - len(cleared) - prev_rank)
         if until is not None and (dims[-1] or n >= until):
             break
         prev_rank = len(cleared)
-    return dims if field is None else (dims, unimodular)
+    return dims, unimodular

@@ -20,7 +20,7 @@ from srdepth import (
 from srdepth.cohomology import _coboundaries, _cochain_dims
 from srdepth.complexes import _popcount
 from srdepth.limits import _functor_matrix, _nonempty_faces, _require_vertex, _star_index
-from srdepth.linalg import _cohomology, cohomology_dims
+from srdepth.linalg import _pivots_gf2, _pivots_modp, _pivots_q, cohomology_dims
 
 
 def flip_one_sign(monkeypatch, card):
@@ -86,16 +86,26 @@ def depth_by_face_filters(K, field):
     return min([K.krull_dim] + [c + 1 for c in firsts if c is not None])
 
 
+def own_kernel_rank(rows, p):
+    """The rank of sparse kernel-form rows by the field's own kernel: the
+    XOR basis over GF(2), reduction of the residues mod an odd p, and
+    fraction-free reduction over Z for Q; never the Z-first pass mod p."""
+    if p == 2:
+        return len(_pivots_gf2(rows))
+    return len(_pivots_q(rows)[0] if p is None else _pivots_modp(rows, p))
+
+
 def topological_walk_per_field(K, field):
-    """The point criterion's capped walk as ``depth_topological`` made it
-    before face filters were ranked over Z: every face filter's rows of K's
-    coboundary over ``field`` itself, ranked by that field's own kernel."""
+    """The point criterion's capped walk, as ``depth_topological`` walks
+    it, but with every face filter's rows of K's coboundary ranked by the
+    field's own kernel and without clearing: as the filter is closed
+    upward, H^n = #rows_n - rank d_n - rank d_{n-1}."""
     r = K.krull_dim
     c = reduced_cohomology(K, field, r - 2).first_nonzero()
     if c is not None:
         r = c + 1
     levels = K.levels()[1 : r + 1]
-    mats = list(_coboundaries(levels, field))
+    mats = [m.sparse_rows for m in _coboundaries(levels, field)]
     filters, card, at = [[0, range(1)] + [range(len(level)) for level in levels[:-1]]], 0, 0
     for mask in K.face_masks[1:]:
         s = _popcount(mask)
@@ -111,9 +121,13 @@ def topological_walk_per_field(K, field):
             for ids, level in zip(parents[at][2:], levels[s - 1 : r - 1])
         ]
         filters.append([mask] + rows)
-        c = next((i for i, h in enumerate(_cohomology(mats, r - 2, [()] * (s - 1) + rows)) if h), None)
-        if c is not None:
-            r = c + 1
+        ids, prev = [()] * (s - 1) + rows, 0
+        for n in range(r - 1):  # degrees 0 .. r - 2
+            rank = own_kernel_rank([mats[n][i] for i in ids[n]], field.p)
+            if len(ids[n]) - rank - prev:
+                r = n + 1
+                break
+            prev = rank
     return r
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import time
 
 import pytest
@@ -475,3 +476,37 @@ def test_verify_too_many_flags_fails_fast(tmp_path):
     assert result.returncode == 2, result.stderr
     assert result.stdout == ""
     assert result.stderr.startswith("error: ") and "545834 flags" in result.stderr
+
+
+# the address space in use once the CLI is imported, plus 16 MiB: about
+# 35 MiB in all, and the depth walks on c6 * c6 * c6 over GF(3) run out of
+# memory under 48 MiB
+_OUT_OF_MEMORY_CHILD = """
+import resource, sys
+from srdepth.cli import main
+size = next(int(line.split()[1]) for line in open("/proc/self/status") if line.startswith("VmSize:"))
+limit = (size + 16 * 1024) * 1024
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmSize is read from /proc/self/status")
+def test_out_of_memory_exits_2_with_one_short_line(tmp_path):
+    import subprocess
+    import sys
+
+    import srdepth
+    from srdepth import cycle, join
+
+    path = tmp_path / "c6c6c6.facets"
+    path.write_text(to_facet_text(join(join(cycle(6), cycle(6)), cycle(6))), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(srdepth.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c", _OUT_OF_MEMORY_CHILD, "depth", str(path), "--field", "p=3"],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == b""
+    assert len(result.stderr) < 200 and b"Traceback" not in result.stderr
+    assert result.stderr.startswith(b"error: ")

@@ -16,6 +16,7 @@ from srdepth import (
     depth,
     disjoint_points,
     local_cohomology,
+    named_corpus,
     random_complex,
     reduced_cohomology,
     relative_cohomology,
@@ -210,7 +211,7 @@ def _filter_rows(K, field):
     def dims(sigma, until=None):
         s = _mask(sigma)
         rows = [[i for i, f in enumerate(level) if f & s == s] for level in levels]
-        return dict(enumerate(_cohomology(mats, until, rows)))
+        return dict(enumerate(_cohomology(mats, field, until, rows)[0]))
 
     return dims
 
@@ -510,4 +511,29 @@ def test_moore_space_asked_over_q_first_never_answers_gf3(monkeypatch):
     built.clear()
     assert reduced_cohomology(M, GF3).dims == {-1: 0, 0: 0, 1: 1, 2: 1}
     assert built  # the capped prefix ends at degree 1: not complete
+    reduced_cohomology.cache_clear()
+
+
+def _kept_for_every_field(K, until):
+    """The certificate as the depth engines once read it from the memo:
+    right after a call, a prefix kept under K alone decides the cap."""
+    return importlib.import_module("srdepth.cohomology")._recall(K, K, until) is not None
+
+
+def test_profile_is_certified_exactly_when_a_prefix_under_k_alone_decides_the_cap():
+    two_bd3 = validate([[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4], [5, 6, 7], [5, 6, 8], [5, 7, 8], [6, 7, 8]], 8)
+    cases = [K for _, K in named_corpus()] + [moore_space_mod3(), two_bd3]
+    for K in cases:
+        caps = [*range(-2, K.dim + 2), None]
+        for order in (caps, caps[::-1]):
+            reduced_cohomology.cache_clear()
+            for field in FIELDS:
+                for cap in order:
+                    certified = reduced_cohomology(K, field, cap).certified
+                    assert certified == _kept_for_every_field(K, cap), (K, str(field), cap)
+        reduced_cohomology.cache_clear()
+        assert reduced_cohomology(K, GF2, 0).certified, K  # read off the face list
+    reduced_cohomology.cache_clear()
+    assert not reduced_cohomology(moore_space_mod3(), GF3, 1).certified  # a pivot of 3 over Z
+    assert not reduced_cohomology(boundary_simplex(4), GF2, 2).certified  # bitset ranks
     reduced_cohomology.cache_clear()

@@ -47,12 +47,7 @@ from srdepth import (
 )
 import srdepth
 from srdepth.complexes import _link
-from srdepth.depth import (
-    _check_face_pairs,
-    _hochster_walk_estimate,
-    link_condition,
-    local_condition,
-)
+from srdepth.depth import _check_face_pairs, _hochster_walk_estimate
 from srdepth.errors import BadParameter, EngineDisagreement, NotAComplex, TooLarge
 
 from oracles import (
@@ -322,8 +317,6 @@ _FIELD_TAKERS = [
     verify_star_link,
     lambda K, f: verify_limit_depth_criterion(K, f, 2),
     lambda K, f: verify_limit_depth_criterion(K, f, profile=derived_limit_dims(K, GF3, 2)),
-    lambda K, f: link_condition(K, f, 1),
-    lambda K, f: local_condition(K, f, 1),
     lambda K, f: limits_complex(K, f, 2),
     lambda K, f: rho(K, f, 2),
     lambda K, f: derived_limit_dims(K, f, 2),
@@ -479,12 +472,13 @@ def test_engine_disagreement_names_a_large_complex_short():
 
 
 def test_conditions_flip_exactly_at_depth():
+    # the link condition at r is depth_reisner >= r, the point condition
+    # depth_topological >= r
     for K in [cycle(4), rp2_minimal(), disjoint_points(3)]:
         for field in (GF2, QQ):
             r_star = depth_reisner(K, field)
             for r in range(-1, K.krull_dim + 3):
-                assert link_condition(K, field, r) == (r <= r_star)
-                assert local_condition(K, field, r) == (r <= r_star)
+                assert (depth_topological(K, field) >= r) == (r <= r_star)
 
 
 def test_field_monotonicity_on_sample():
@@ -656,12 +650,10 @@ def test_depth_report_is_immutable():
 
 @given(small_complexes, three_fields)
 @settings(max_examples=40, deadline=None)
-def test_condition_twins_flip_at_their_engines_depth(K, field):
-    # each condition walks with its own cap r, its engine with the krull dimension
+def test_link_and_point_conditions_flip_at_the_same_r(K, field):
     reisner, topological = depth_reisner(K, field), depth_topological(K, field)
     for r in range(K.krull_dim + 2):
-        assert link_condition(K, field, r) == (reisner >= r), r
-        assert local_condition(K, field, r) == (topological >= r), r
+        assert (reisner >= r) == (topological >= r), r
 
 
 @given(small_complexes, three_fields)

@@ -381,7 +381,7 @@ def test_sparse_ranks_match_brute_force(rows):
     # dict rows, zeros and uncanonical residues included, build the same matrix
     dict_rows, shape = [dict(enumerate(row)) for row in rows], (len(rows), len(rows[0]))
     expected_q = brute_rank(rows)
-    assert len(_pivot_columns(kernel_rows(rows, None), None)) == expected_q
+    assert len(_pivot_columns(kernel_rows(rows, None), None)[0]) == expected_q
     assert rank_bareiss(rows) == expected_q
     assert ExactMatrix(QQ, rows).rank() == expected_q
     assert ExactMatrix(QQ, dict_rows, shape=shape).sparse_rows == ExactMatrix(QQ, rows).sparse_rows
@@ -389,7 +389,7 @@ def test_sparse_ranks_match_brute_force(rows):
     for p in (2, 3, 2147483647):
         field = FieldSpec(p)
         expected = brute_rank(rows, p)
-        assert len(_pivot_columns(kernel_rows(rows, p), p)) == expected
+        assert len(_pivot_columns(kernel_rows(rows, p), p)[0]) == expected
         assert ExactMatrix(field, rows).rank() == expected
         assert ExactMatrix(field, dict_rows, shape=shape).sparse_rows == ExactMatrix(field, rows).sparse_rows
         assert ExactMatrix(field, dict_rows, shape=shape).rank() == expected
@@ -398,9 +398,9 @@ def test_sparse_ranks_match_brute_force(rows):
 @given(mixed_matrix(max_dim=9))
 @settings(max_examples=60, deadline=None)
 def test_sparse_ranks_match_dense_elimination(rows):
-    assert len(_pivot_columns(kernel_rows(rows, None), None)) == rank_bareiss(rows)
+    assert len(_pivot_columns(kernel_rows(rows, None), None)[0]) == rank_bareiss(rows)
     for p in (2, 5, 2147483647):
-        assert len(_pivot_columns(kernel_rows(rows, p), p)) == dense_rank_mod_p(rows, p)
+        assert len(_pivot_columns(kernel_rows(rows, p), p)[0]) == dense_rank_mod_p(rows, p)
 
 
 @given(mixed_matrix(max_dim=6))
@@ -428,6 +428,17 @@ def test_integer_ranks_certify_unit_pivots():
     pivots, unimodular = _pivots_q([{0: 1, 1: 2}, {1: 3}], 3)
     assert len(pivots) == 1 and not unimodular
     assert len(_pivots_q([{0: 1, 1: 2}, {1: 3}])[0]) == 2
+    # every rank keeps its certificate: bitsets certify nothing, and every
+    # other field ranks over Z first
+    for field, rows, certified in [
+        (GF2, [[1, 0], [0, 1]], False),
+        (GF3, [[1, 0], [0, 1]], True),
+        (GF3, [[2, 1], [0, 1]], False),  # the residue 2 leads: a pivot of 2 over Z
+        (QQ, [[1, 1], [1, -1]], False),
+        (QQ, [[1, 5], [0, -1]], True),
+    ]:
+        m = ExactMatrix(field, rows)
+        assert m.rank() == 2 and m.unimodular == certified, (field, rows)
 
 
 @given(st.lists(st.lists(st.sampled_from([-1, 0, 0, 1]), min_size=5, max_size=5), min_size=1, max_size=6))
