@@ -186,15 +186,17 @@ def reduced_cohomology(
     kernel certified it, and per (K, field) otherwise, and answers each cap
     one of them decides (it is complete, holds a nonzero degree, or reaches
     the cap); the profile is ``certified`` when its prefix is kept per K.
+    A cap <= 0 that the prefix per K does not decide is read off the face
+    list before the prefix per (K, field) is tried, so it stays certified.
     ``cache_clear`` empties the memo."""
     _require_field(field)
     if until is not None:
         _require_int(until, None, "the cap")
     got, certified = _recall(K, K, until), True
+    if got is None and until is not None and until <= 0:
+        got = _keep(K, _lowest_degrees(K, until))
     if got is None:
         got, certified = _recall((K, field), K, until), False
-    if got is None and until is not None and until <= 0:
-        got, certified = _keep(K, _lowest_degrees(K, until)), True
     if got is None:  # the kernel from degree -1, so every pair it ranks is checked
         cap = None if until is None else until + 1
         dims, certified = _cohomology(_coboundaries(K.levels() + [[]], field), field, cap)

@@ -16,6 +16,8 @@ Vertex labels of a complex built by :func:`validate` are exactly ``1..m``.
 Subcomplex constructors (star, link, induced, contrastar) keep the ambient
 labels, so their vertex sets may be non-contiguous; all downstream
 computations depend only on the number of vertices actually present.
+Each is one scan of K's face list, and none is cached: the link walk of
+``depth`` carries its parent links and asks each for the link of a vertex.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_left
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
@@ -206,7 +207,12 @@ class SimplicialComplex:
         return _mask_of(face)
 
     def _require_face_mask(self, mask: int) -> int:
-        if type(mask) is not int or mask not in self._face_set:
+        """``mask``, which must be a face of K; the empty face and the
+        vertices are read off the vertex mask, and build no face set."""
+        found = type(mask) is int and (
+            mask & self._vmask == mask if mask & (mask - 1) == 0 else mask in self._face_set
+        )
+        if not found:
             _require_int(mask, 0, "a face mask")  # a bool or a negative int is no mask
             raise FaceNotInComplex(f"mask {_quote(mask)} is not a face")
         return mask
@@ -262,19 +268,13 @@ def _star(K: "SimplicialComplex", s: int) -> "SimplicialComplex":
     return SimplicialComplex([f for f in K._faces if (f | s) in face_set], _closed=True)
 
 
-@lru_cache(maxsize=200_000)
 def _link(K: "SimplicialComplex", s: int) -> "SimplicialComplex":
-    # lk sigma is the link of v in lk(sigma - v), v its top vertex: one scan
-    # of the cached parent link.  Dropping s from the faces that hold it
-    # keeps the canonical order: two equal-size faces compare by the least
-    # vertex of their symmetric difference, which s misses
-    if s & (s - 1):
-        top = 1 << (s.bit_length() - 1)
-        return _link(_link(K, s ^ top), top)
+    # dropping s from the faces that hold it keeps the canonical order: two
+    # equal-size faces compare by the least vertex of their symmetric
+    # difference, which s misses
     return SimplicialComplex([f ^ s for f in K._faces if f & s == s], _closed=True)
 
 
-@lru_cache(maxsize=200_000)
 def _induced(K: "SimplicialComplex", w: int) -> "SimplicialComplex":
     return SimplicialComplex([f for f in K._faces if f & ~w == 0], _closed=True)
 

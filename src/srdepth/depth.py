@@ -24,6 +24,11 @@ verification harnesses for the structural identities they are built on.
   ``2**HOCHSTER_SUBSET_BOUND``.  The engine reads induced subcomplexes
   only, never links or face filters.
 
+The first two walks read the faces through one descent, ``_descend``: it
+hands each face the link or face filter of its parent sigma - v and frees
+a parent once the walk has moved past its children, so at most about one
+level of them is alive and none outlives the call.
+
 Each engine only needs the lowest nonvanishing degree below a bound, and
 asks for no more: the link and face-filter walks cap every cohomology call
 at the degree that could still lower their own running bound, and the
@@ -121,13 +126,36 @@ def depth_reisner(K: SimplicialComplex, field: FieldSpec) -> int:
     return _remembered(_reisner_walk, K, field)
 
 
+def _descend(K: SimplicialComplex, root, child):
+    """Each face of K in canonical order, as (mask, cardinality, item): the
+    empty face's item is ``root``, any other face's is
+    ``child(item of sigma - v, v, card)``, v the top vertex bit of sigma.
+    In the canonical order the parents of one cardinality come in order and
+    each one's children are contiguous, so a parent's item is freed, with
+    those of the childless faces before it, once the walk has moved past
+    its children: at most about one level of items is alive."""
+    yield 0, 0, root
+    parents, items, card, at = None, [(0, root)], 0, 0
+    for mask in K.face_masks[1:]:
+        s = _popcount(mask)
+        if s > card:
+            parents, items, card, at = items, [], s, 0
+        top = 1 << (mask.bit_length() - 1)
+        while parents[at][0] != mask ^ top:
+            parents[at] = None
+            at += 1
+        item = child(parents[at][1], top, s)
+        items.append((mask, item))
+        yield mask, s, item
+
+
 def _reisner_walk(K: SimplicialComplex, field: FieldSpec) -> tuple[int, bool]:
     r, certified = K.krull_dim, True
-    for mask in K.face_masks:
-        s = _popcount(mask)
+    # lk sigma is the link of v in lk(sigma - v): one scan of the parent link
+    for _, s, link in _descend(K, K, lambda parent, v, s: parent.link_by_mask(v)):
         if s >= r:
             break
-        profile = reduced_cohomology(K.link_by_mask(mask), field, r - s - 2)
+        profile = reduced_cohomology(link, field, r - s - 2)
         certified &= profile.certified
         c = profile.first_nonzero()
         if c is not None:
@@ -163,27 +191,19 @@ def _topological_walk(K: SimplicialComplex, field: FieldSpec) -> tuple[int, bool
     # the walk ranks d_n for n <= r - 2 only: cardinality n + 1 to n + 2
     levels = K.levels()[1 : r + 1]
     mats = list(_coboundaries(levels, field))
-    # a face's filter: [mask, then for k = 0, 1, ... the ids of the faces of
-    # cardinality card + k that hold it], made from its parent's; the empty
-    # face's holds all.  In the canonical order parents come in order and
-    # each one's children are contiguous, so a parent is freed, with the
-    # childless faces before it, once the walk has moved past its children
-    filters, card, at = [[0, range(1)] + [range(len(level)) for level in levels[:-1]]], 0, 0
-    for mask in K.face_masks[1:]:
-        s = _popcount(mask)
+
+    def held(parent, v, s):
+        # a face's filter: for k = 0, 1, ... the ids of the faces of
+        # cardinality s + k that hold it, those of its parent's that hold v,
+        # through the levels the running bound r still ranks
+        return [[i for i in ids if level[i] & v] for ids, level in zip(parent[1:], levels[s - 1 : r - 1])]
+
+    # the empty face's filter holds every face
+    for _, s, rows in _descend(K, [range(1)] + [range(len(level)) for level in levels[:-1]], held):
         if s >= r:
             break
-        if s > card:
-            parents, filters, card, at = filters, [], s, 0
-        top = 1 << (mask.bit_length() - 1)
-        while parents[at][0] != mask ^ top:
-            parents[at] = None
-            at += 1
-        rows = [
-            [i for i in ids if level[i] & top]
-            for ids, level in zip(parents[at][2:], levels[s - 1 : r - 1])
-        ]
-        filters.append([mask] + rows)
+        if not s:  # K itself, ranked above with the empty face
+            continue
         dims, ok = _cohomology(mats, field, r - 2, [()] * (s - 1) + rows)
         certified &= ok
         c = next((i for i, h in enumerate(dims) if h), None)

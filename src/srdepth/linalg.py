@@ -30,7 +30,8 @@ dense Gaussian elimination.  ``ExactMatrix`` holds its rows in the same
 sparse form, whether it was built from dense rows, from dict rows
 {column: int} that list only the entries that may be nonzero, or from rows
 already in kernel form (``ExactMatrix.from_sparse``); ``rank`` keeps the
-leading columns and the certificate.
+leading columns and the certificate.  Mod an odd p it holds residues in
+(-p/2, p/2], so an entry written -1 is still a unit pivot over Z.
 
 One cochain kernel, ``_cohomology``, serves every cohomology computation.
 It takes the differentials lazily with one row per basis vector of the
@@ -221,14 +222,15 @@ def _primitive(row: dict) -> dict:
 class ExactMatrix:
     """Exact matrix over a field with int entries, held as sparse rows in
     kernel form: int bitsets over GF(2), otherwise dicts {column: nonzero
-    entry} holding residues mod p, or the ints themselves over Q.  It is
-    built from dense rows or from dict rows {column: int}, whose residues
-    are made canonical, or from rows already in kernel form."""
+    entry} holding residues mod p in (-p/2, p/2], or the ints themselves
+    over Q.  It is built from dense rows or from dict rows {column: int},
+    whose entries are reduced to those residues, or from rows already in
+    kernel form."""
 
     __slots__ = ("field", "rows", "cols", "sparse_rows", "pivots", "unimodular")
 
     def __init__(self, field: FieldSpec, entries: Sequence, shape=None):
-        """Matrix from rows of ints, reduced to canonical form; any other
+        """Matrix from rows of ints, reduced to kernel form; any other
         entry (a Fraction, a float, a bool) raises ``BadParameter``.  A row
         is either dense (a sequence of ``cols`` entries) or a dict
         {column: entry}; dict rows need ``shape``, and entries that reduce
@@ -263,9 +265,10 @@ class ExactMatrix:
         p = _require_field(field).p
         if p is None:
             rows = [{j: x for j, x in row if (x if type(x) is int else _not_int(x))} for row in items]
-        else:
+        else:  # residues in (-p/2, p/2] for odd p: a -1 stays a unit pivot over Z
+            h = p // 2 if p > 2 else 0
             rows = [
-                {j: y for j, x in row if (y := x % p if type(x) is int else _not_int(x))}
+                {j: y for j, x in row if (y := (x + h) % p - h if type(x) is int else _not_int(x))}
                 for row in items
             ]
         if p == 2:

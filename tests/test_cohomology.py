@@ -366,6 +366,17 @@ def test_the_face_list_answers_every_field(monkeypatch, name):
     reduced_cohomology.cache_clear()
 
 
+def test_the_face_list_answers_before_the_per_field_memo():
+    # a complete GF(2) prefix under (K, GF2) decides cap 0 too, but degrees
+    # -1 and 0 read off the face list hold over every field
+    K = boundary_simplex(4)
+    reduced_cohomology.cache_clear()
+    assert not reduced_cohomology(K, GF2).certified
+    assert reduced_cohomology(K, GF2, 0).certified
+    assert reduced_cohomology(K, GF2, 0).dims == {-1: 0, 0: 0}
+    reduced_cohomology.cache_clear()
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_a_short_prefix_never_replaces_a_longer_one(monkeypatch, field):
     module = importlib.import_module("srdepth.cohomology")

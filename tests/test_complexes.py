@@ -40,6 +40,7 @@ from srdepth import (
 import srdepth
 from srdepth import complexes as complexes_module
 from srdepth.complexes import complex_from_json
+from srdepth.depth import _descend
 from srdepth.errors import BadParameter, EmptyFace, InputError, TooLarge
 
 from oracles import link_by_scan, small_complexes
@@ -114,13 +115,12 @@ def test_link_of_empty_face_is_whole_complex():
 @settings(max_examples=40, deadline=None)
 @given(small_complexes)
 def test_links_from_parent_links_match_the_full_scan(K):
-    # each face on its own with the cache cleared, then every face in the
-    # canonical order with each parent link warm
-    for s in K.face_masks:
-        complexes_module._link.cache_clear()
-        assert K.link_by_mask(s) == link_by_scan(K, s)
-    complexes_module._link.cache_clear()
-    for s in K.face_masks:
+    # the links made from their parents', as the walk of depth_reisner
+    # makes them, and each link asked of K on its own
+    links = [(mask, link) for mask, _, link in _descend(K, K, lambda parent, v, s: parent.link_by_mask(v))]
+    assert [mask for mask, _ in links] == list(K.face_masks)
+    for s, link in links:
+        assert link == link_by_scan(K, s)
         assert K.link_by_mask(s) == link_by_scan(K, s)
 
 
@@ -136,19 +136,21 @@ class _ScannedFaces(tuple):
 
 def test_a_link_scans_only_its_parent_link():
     K = boundary_simplex(8)
-    complexes_module._link.cache_clear()
-    try:
-        parent = K.link_by_mask(0b111)
-        chain = (K, K.link_by_mask(0b1), K.link_by_mask(0b11), parent)
-        for L in chain:
-            L._faces = _ScannedFaces(L._faces)
+
+    def child(parent, v, s):
         _ScannedFaces.scans.clear()
-        link = K.link_by_mask(0b1111)
-        # K has 511 faces, the parent link 63
+        link = parent.link_by_mask(v)
         assert _ScannedFaces.scans == [len(parent.face_masks)]
-        assert link == link_by_scan(boundary_simplex(8), 0b1111)
-    finally:
-        complexes_module._link.cache_clear()
+        link._faces = _ScannedFaces(link._faces)
+        return link
+
+    # each link scans its parent's face list alone: the 511 faces of K for
+    # a vertex, 63 for a face of four vertices
+    root = boundary_simplex(8)
+    root._faces = _ScannedFaces(root._faces)
+    links = [(mask, link) for mask, _, link in _descend(K, root, child)]
+    assert len(links) == 511
+    assert all(link == link_by_scan(K, mask) for mask, link in links)
 
 
 def test_star_link_membership_law():

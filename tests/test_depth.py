@@ -1,3 +1,4 @@
+import gc
 import importlib
 import os
 import random
@@ -46,7 +47,6 @@ from srdepth import (
     verify_star_link,
 )
 import srdepth
-from srdepth.complexes import _link
 from srdepth.depth import _check_face_pairs, _hochster_walk_estimate
 from srdepth.errors import BadParameter, EngineDisagreement, NotAComplex, TooLarge
 
@@ -390,17 +390,39 @@ def test_depth_memo_evicts_the_least_recently_used_depth():
         depth.cache_clear()
 
 
-def test_reisner_walk_builds_no_face_set_on_its_links():
-    # the walk only iterates the face list of each link it ranks
+def test_reisner_walk_builds_no_face_set_on_its_links(monkeypatch):
+    # the walk only iterates the face list of each link it ranks, and asks
+    # each parent link for the link of one vertex
     K = boundary_simplex(6)
+    links = []
+    link_by_mask = SimplicialComplex.link_by_mask
+
+    def recorded(L, mask):
+        links.append(link_by_mask(L, mask))
+        return links[-1]
+
+    monkeypatch.setattr(SimplicialComplex, "link_by_mask", recorded)
     depth.cache_clear()
-    _link.cache_clear()
     assert depth_reisner(K, GF3) == 6
-    walked = [mask for mask in K.face_masks if mask.bit_count() < 6]
-    hits = _link.cache_info().hits
-    links = [_link(K, mask) for mask in walked]
-    assert _link.cache_info().hits == hits + len(walked) == hits + 120
+    # the 119 nonempty faces of fewer than 6 vertices, and the first facet,
+    # whose link is made before the walk ends there
+    assert len(links) == 120
     assert all(L._members is None for L in links)
+
+
+def test_no_module_table_keeps_a_complex_once_the_memos_are_cleared():
+    # the memos of reduced_cohomology and the engines are the only tables
+    # that hold complexes: the link walks carry their own parents
+    alive = [o for o in gc.get_objects() if isinstance(o, SimplicialComplex)]
+    before = {id(o) for o in alive}
+    K, L = boundary_simplex(6), join(cycle(4), cycle(5))
+    assert depth(K, GF3).depth == 6 and depth(L, GF3).depth == 4
+    assert verify_star_link(K, GF3).passed
+    reduced_cohomology.cache_clear()
+    depth.cache_clear()
+    gc.collect()
+    kept = [o for o in gc.get_objects() if isinstance(o, SimplicialComplex) and id(o) not in before]
+    assert sorted(map(id, kept)) == sorted([id(K), id(L)])
 
 
 _HOCHSTER_PEAK_CHILD = """

@@ -433,7 +433,8 @@ def test_integer_ranks_certify_unit_pivots():
     for field, rows, certified in [
         (GF2, [[1, 0], [0, 1]], False),
         (GF3, [[1, 0], [0, 1]], True),
-        (GF3, [[2, 1], [0, 1]], False),  # the residue 2 leads: a pivot of 2 over Z
+        (GF5, [[2, 1], [0, 1]], False),  # the residue 2 leads: a pivot of 2 over Z
+        (GF3, [[1, -1], [-1, 0]], True),  # -1 is held as -1, not as the residue 2
         (QQ, [[1, 1], [1, -1]], False),
         (QQ, [[1, 5], [0, -1]], True),
     ]:
