@@ -23,13 +23,13 @@ The kernel also says whether its answer holds over every field: it does
 when every rank was an elimination over Z with +-1 pivots, whose ranks and
 clearing sets are those of every prime field, by the universal coefficient
 theorem (Hatcher, *Algebraic Topology*, 3.1).  So does a prefix read off
-the face list, whose groups are free over Z.  ``reduced_cohomology`` keeps
-such a prefix under K alone, where it answers every field, and any other
-under (K, field); GF(2) ranks bitsets, which certify nothing, so of the
-field-free prefixes it reads them all and makes only those read off the
-face list.  ``CohomologyProfile.certified`` says whether the answer came
-from a prefix kept under K alone, so the depth engines can tell whether
-their own answer holds over every field.
+the face list, whose groups are free over Z; GF(2) ranks bitsets, which
+certify nothing.  ``reduced_cohomology`` keeps each prefix it ranks under
+(K, field), with that certificate beside it, in ``_MEMO``: the one table
+of answers kept across calls, which the depth engines share through
+``_recall`` and ``_keep``.  A prefix read off the face list is never kept.
+``CohomologyProfile.certified`` carries the certificate, so the depth
+engines can tell whether their own answer holds over every field.
 
 Local cohomology at an inner point of a nonempty face sigma is *defined*
 through the degree shift by the link and *verified* against the independent
@@ -104,9 +104,9 @@ def _cochain_dims(levels: list, field: FieldSpec, until: int | None = None) -> l
 
 class CohomologyProfile(NamedTuple):
     """Dimensions of reduced cohomology, degree -1 through dim K; ``dims``
-    is read-only, as cached profiles are shared.  ``certified`` says that
-    they came from a prefix kept under K alone, so they hold over every
-    field."""
+    is read-only, as kept profiles are shared.  ``certified`` says that
+    they came from the face list or from an elimination over Z with +-1
+    pivots, so they hold over every field."""
 
     field: FieldSpec
     dims: Mapping[int, int]
@@ -120,18 +120,27 @@ class CohomologyProfile(NamedTuple):
         return None
 
 
-# K -> the longest prefix certified for every field, (K, field) -> the
-# longest other prefix over that field; least recently used first
-_PREFIXES: dict = {}
+# every answer kept across calls, least recently used first: a cohomology
+# prefix under (K, field), and the depth engines' answers (see ``depth``)
+_MEMO: dict = {}
 
 
-def _keep(key, dims: list[int]) -> Mapping[int, int]:
-    """Keep the prefix ``dims`` (degrees -1, 0, ...) under ``key`` as the most
-    recently used, dropping the least recently used past 200,000."""
-    got = _PREFIXES[key] = MappingProxyType({i - 1: h for i, h in enumerate(dims)})
-    if len(_PREFIXES) > 200_000:
-        del _PREFIXES[next(iter(_PREFIXES))]
+def _recall(key):
+    """The value kept under ``key``, now the most recently used, or None."""
+    got = _MEMO.pop(key, None)
+    if got is not None:
+        _MEMO[key] = got
     return got
+
+
+def _keep(key, value):
+    """Keep ``value`` under ``key``, a key not kept or just recalled, as the
+    most recently used, dropping the least recently used past 200,000, and
+    return it."""
+    _MEMO[key] = value
+    if len(_MEMO) > 200_000:
+        del _MEMO[next(iter(_MEMO))]
+    return value
 
 
 def _lowest_degrees(K: SimplicialComplex, until: int) -> list[int]:
@@ -163,52 +172,39 @@ def _lowest_degrees(K: SimplicialComplex, until: int) -> list[int]:
     return [0, m - 1 - joined]
 
 
-def _recall(key, K: SimplicialComplex, until: int | None):
-    """The prefix kept under ``key``, now the most recently used, if it
-    decides the cap: it is complete, holds a nonzero degree, or reaches it."""
-    got = _PREFIXES.pop(key, None)
-    if got is None:
-        return None
-    _PREFIXES[key] = got
-    if len(got) == K.dim + 2 or until is not None and (len(got) - 2 >= until or any(got.values())):
-        return got
-    return None
-
-
 def reduced_cohomology(
     K: SimplicialComplex, field: FieldSpec, until: int | None = None
 ) -> CohomologyProfile:
     """Reduced cohomology of K via the augmented simplicial cochain complex.
     With ``until``, only degrees -1 through the lowest nonzero one or
     ``until``, whichever comes first, are computed and listed; when the cap
-    is <= 0 they come from the face list and no matrix is built.  A memo
-    keeps the longest prefix per K if it came from the face list or the
-    kernel certified it, and per (K, field) otherwise, and answers each cap
-    one of them decides (it is complete, holds a nonzero degree, or reaches
-    the cap); the profile is ``certified`` when its prefix is kept per K.
-    A cap <= 0 that the prefix per K does not decide is read off the face
-    list before the prefix per (K, field) is tried, so it stays certified.
+    is <= 0 they come from the face list, certified, and no matrix is built
+    or kept.  Any other answer comes from the longest prefix kept under
+    (K, field) if it decides the cap (it is complete, holds a nonzero
+    degree, or reaches the cap), else from the kernel, whose prefix is kept
+    in its place; the profile carries that prefix's certificate.
     ``cache_clear`` empties the memo."""
     _require_field(field)
     if until is not None:
         _require_int(until, None, "the cap")
-    got, certified = _recall(K, K, until), True
-    if got is None and until is not None and until <= 0:
-        got = _keep(K, _lowest_degrees(K, until))
-    if got is None:
-        got, certified = _recall((K, field), K, until), False
-    if got is None:  # the kernel from degree -1, so every pair it ranks is checked
+        if until <= 0:  # read off the face list, certified, never kept
+            return CohomologyProfile(field, MappingProxyType(dict(enumerate(_lowest_degrees(K, until), -1))), True)
+    kept = _recall((K, field))
+    if kept is None or len(kept.dims) < K.dim + 2 and (
+        until is None or len(kept.dims) - 2 < until and not any(kept.dims.values())
+    ):  # the kernel from degree -1, so every pair it ranks is checked
         cap = None if until is None else until + 1
         dims, certified = _cohomology(_coboundaries(K.levels() + [[]], field), field, cap)
-        got = _keep(K if certified else (K, field), dims)
+        kept = _keep((K, field), CohomologyProfile(field, MappingProxyType(dict(enumerate(dims, -1))), certified))
+    got = kept.dims
     c = next((i for i, h in got.items() if h), None)
     stop = until if c is None or until is not None and until < c else c
     if until is not None and stop < len(got) - 2:
-        got = MappingProxyType({i: h for i, h in got.items() if i <= stop})
-    return CohomologyProfile(field, got, certified)
+        return kept._replace(dims=MappingProxyType({i: h for i, h in got.items() if i <= stop}))
+    return kept
 
 
-reduced_cohomology.cache_clear = _PREFIXES.clear
+reduced_cohomology.cache_clear = _MEMO.clear
 
 
 def relative_cohomology(K: SimplicialComplex, L: SimplicialComplex, field: FieldSpec) -> dict[int, int]:

@@ -40,12 +40,14 @@ is *certified* when every cohomology answer it read was certified by the
 cochain kernel of ``linalg`` (``CohomologyProfile.certified`` for the
 links, complexes and induced subcomplexes; the kernel's own flag for the
 face filters): its answer then holds over every field, by the universal
-coefficient theorem.  One memo serves the three engines.  It keeps a
-certified depth under (walk, K) and any other under (walk, K, field), so a
-complex whose walks over GF(3) were certified is not walked again over Q.
-GF(2) ranks bitset rows, which certify nothing, but it reads certified
-prefixes and depths, and a GF(2) walk that read only those is certified
-too.  The field and the size guards are checked before the memo is read.
+coefficient theorem.  The engines keep their depths in the memo of
+``cohomology``, ``_MEMO``, beside the cohomology prefixes: a certified
+depth under (walk, K) and any other under (walk, K, field), so a complex
+whose walks over GF(3) were certified is not walked again over Q.  GF(2)
+ranks bitset rows, which certify nothing, so a GF(2) walk is certified
+only when it ranked no row, as when every prefix it read came off the
+face list (caps <= 0); it reads every certified depth.  The field and the size guards are checked before the
+memo is read.
 
 The three must agree (the equivalence is a theorem); disagreement raises
 ``EngineDisagreement`` as a bug signal, never as a legitimate outcome.
@@ -66,7 +68,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .cohomology import HarnessReport, _coboundaries, reduced_cohomology
+from .cohomology import _MEMO, HarnessReport, _coboundaries, _keep, _recall, reduced_cohomology
 from .complexes import SimplicialComplex, _popcount
 from .errors import BadParameter, EngineDisagreement, TooLarge
 from .limits import LimitsProfile, derived_limit_dims
@@ -89,26 +91,17 @@ def _check_face_pairs(K: SimplicialComplex) -> None:
         )
 
 
-# (walk, K) -> a depth certified for every field, (walk, K, field) -> any
-# other depth over that field; least recently used first
-_DEPTHS: dict = {}
-
-
 def _remembered(walk, K: SimplicialComplex, field: FieldSpec) -> int:
     """The depth ``walk`` finds for K over ``field``, from the memo if it
     holds one for every field or for this one.  A walk returns its depth and
     whether every cohomology prefix it read was certified for every field;
     it is then kept under (walk, K), else under (walk, K, field)."""
     for key in ((walk, K), (walk, K, field)):
-        r = _DEPTHS.pop(key, None)
+        r = _recall(key)
         if r is not None:
-            _DEPTHS[key] = r
             return r
     r, certified = walk(K, field)
-    _DEPTHS[(walk, K) if certified else (walk, K, field)] = r
-    if len(_DEPTHS) > 200_000:
-        del _DEPTHS[next(iter(_DEPTHS))]
-    return r
+    return _keep((walk, K) if certified else (walk, K, field), r)
 
 
 # -- engine 1: link criterion ---------------------------------------------------
@@ -152,7 +145,8 @@ def _descend(K: SimplicialComplex, root, child):
 def _reisner_walk(K: SimplicialComplex, field: FieldSpec) -> tuple[int, bool]:
     r, certified = K.krull_dim, True
     # lk sigma is the link of v in lk(sigma - v): one scan of the parent link
-    for _, s, link in _descend(K, K, lambda parent, v, s: parent.link_by_mask(v)):
+    # past the bound no link is made: the walk ends at the first such face
+    for _, s, link in _descend(K, K, lambda parent, v, s: parent.link_by_mask(v) if s < r else None):
         if s >= r:
             break
         profile = reduced_cohomology(link, field, r - s - 2)
@@ -319,7 +313,8 @@ def depth(K: SimplicialComplex, field: FieldSpec) -> DepthReport:
     """Run all three engines and assert agreement.  The face pairs are
     checked, and ``depth_ab`` runs, before the other engines: every up-front
     ``TooLarge`` check then comes before any engine spends time.
-    ``cache_clear`` empties the engines' memo."""
+    ``cache_clear`` empties the memo, which also holds the cohomology
+    prefixes."""
     _check_face_pairs(K)
     r3 = depth_ab(K, field)
     r1 = depth_reisner(K, field)
@@ -337,7 +332,7 @@ def depth(K: SimplicialComplex, field: FieldSpec) -> DepthReport:
     )
 
 
-depth.cache_clear = _DEPTHS.clear
+depth.cache_clear = _MEMO.clear
 
 
 # -- harnesses --------------------------------------------------------------------

@@ -479,8 +479,8 @@ def test_verify_too_many_flags_fails_fast(tmp_path):
 
 
 # the address space in use once the CLI is imported, plus 16 MiB: about
-# 35 MiB in all, and the depth walks on c6 * c6 * c6 over GF(3) run out of
-# memory under 48 MiB
+# 35 MiB in all, and the depth walks on the boundary of the 12-simplex over
+# GF(3) run out of memory there (c6 * c6 * c6 no longer does)
 _OUT_OF_MEMORY_CHILD = """
 import resource, sys
 from srdepth.cli import main
@@ -497,10 +497,10 @@ def test_out_of_memory_exits_2_with_one_short_line(tmp_path):
     import sys
 
     import srdepth
-    from srdepth import cycle, join
+    from srdepth import boundary_simplex
 
-    path = tmp_path / "c6c6c6.facets"
-    path.write_text(to_facet_text(join(join(cycle(6), cycle(6)), cycle(6))), encoding="utf-8")
+    path = tmp_path / "bd12.facets"
+    path.write_text(to_facet_text(boundary_simplex(12)), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(srdepth.__file__)))
     result = subprocess.run(
         [sys.executable, "-c", _OUT_OF_MEMORY_CHILD, "depth", str(path), "--field", "p=3"],

@@ -351,7 +351,7 @@ def test_capped_calls_agree_with_the_kernel_at_the_edges(name):
 @pytest.mark.parametrize("name", ["points_3", "two_tetrahedra", "cone_cycle_5"])
 def test_the_face_list_answers_every_field(monkeypatch, name):
     K = EDGE_CASES[name]
-    # degrees -1 and 0 are free over Z: GF(2)'s answer is kept for every field
+    # degrees -1 and 0 are free over Z: every field reads them off the face list
     module = importlib.import_module("srdepth.cohomology")
     reduced_cohomology.cache_clear()
     expected = dict(reduced_cohomology(K, GF3, 0).dims)
@@ -377,11 +377,30 @@ def test_the_face_list_answers_before_the_per_field_memo():
     reduced_cohomology.cache_clear()
 
 
+def test_a_cap_at_degree_0_or_below_keeps_nothing(monkeypatch):
+    # the face list answers it, certified, whatever the memo holds
+    module = importlib.import_module("srdepth.cohomology")
+    reduced_cohomology.cache_clear()
+    for K in EDGE_CASES.values():
+        reduced_cohomology(K, QQ)
+    before = list(module._MEMO.items())
+
+    def refuse(*a):
+        raise AssertionError("built a coboundary")
+
+    monkeypatch.setattr(module, "_coboundary_rows", refuse)
+    for K in [*EDGE_CASES.values(), boundary_simplex(4)]:
+        for field in FIELDS:
+            for cap in (-2, -1, 0):
+                assert reduced_cohomology(K, field, cap).certified
+    assert list(module._MEMO.items()) == before
+    reduced_cohomology.cache_clear()
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_a_short_prefix_never_replaces_a_longer_one(monkeypatch, field):
     module = importlib.import_module("srdepth.cohomology")
     K = boundary_simplex(4)
-    key = (K, GF2) if field == GF2 else K  # GF(2)'s bitset ranks hold for it alone
     reduced_cohomology.cache_clear()
     assert reduced_cohomology(K, field, 2).dims == {-1: 0, 0: 0, 1: 0, 2: 0}
     assert reduced_cohomology(K, field, 0).dims == {-1: 0, 0: 0}
@@ -390,7 +409,7 @@ def test_a_short_prefix_never_replaces_a_longer_one(monkeypatch, field):
     monkeypatch.setattr(module, "_coboundary_rows", lambda *a: built.append(a) or rows(*a))
     assert reduced_cohomology(K, field, 2).dims == {-1: 0, 0: 0, 1: 0, 2: 0}
     assert not built
-    assert len(module._PREFIXES[key]) == 4
+    assert len(module._MEMO[K, field].dims) == 4
     reduced_cohomology.cache_clear()
 
 
@@ -409,7 +428,7 @@ def test_munkres_shift_names_the_face_where_the_sides_differ(monkeypatch):
 
 
 def test_memo_evicts_the_least_recently_used_prefix():
-    memo = importlib.import_module("srdepth.cohomology")._PREFIXES
+    memo = importlib.import_module("srdepth.cohomology")._MEMO
     reduced_cohomology.cache_clear()
     try:
         reduced_cohomology(cycle(4), GF2)  # the oldest entry
@@ -507,13 +526,15 @@ def test_answers_do_not_depend_on_the_field_order_with_torsion():
 
 def test_moore_space_asked_over_q_first_never_answers_gf3(monkeypatch):
     # its 3-torsion sits in the coboundary out of the edges, whose pivots
-    # over Z are not all +-1: no prefix through degree 1 is kept for every field
+    # over Z are not all +-1: the prefix over Q is not certified, and it is
+    # kept under (M, Q) alone
     M = moore_space_mod3()
     module = importlib.import_module("srdepth.cohomology")
     reduced_cohomology.cache_clear()
     for cap in (-2, -1, 0, 1, 2, None):
         assert not any(reduced_cohomology(M, QQ, cap).dims.values())
-    assert len(module._PREFIXES.get(M, {})) <= 2
+    assert not module._MEMO[M, QQ].certified
+    assert [key for key in module._MEMO if M in key] == [(M, QQ)]
     built = []
     rows = module._coboundary_rows
     monkeypatch.setattr(module, "_coboundary_rows", lambda *a: built.append(a) or rows(*a))
@@ -525,13 +546,16 @@ def test_moore_space_asked_over_q_first_never_answers_gf3(monkeypatch):
     reduced_cohomology.cache_clear()
 
 
-def _kept_for_every_field(K, until):
-    """The certificate as the depth engines once read it from the memo:
-    right after a call, a prefix kept under K alone decides the cap."""
-    return importlib.import_module("srdepth.cohomology")._recall(K, K, until) is not None
+def _certificate(K, field, cap):
+    """The certificate a call's profile carries: a cap <= 0 is read off the
+    face list, and any other cap is answered from the prefix then kept under
+    (K, field)."""
+    if cap is not None and cap <= 0:
+        return True
+    return importlib.import_module("srdepth.cohomology")._MEMO[K, field].certified
 
 
-def test_profile_is_certified_exactly_when_a_prefix_under_k_alone_decides_the_cap():
+def test_profile_carries_the_face_list_or_its_kept_prefix_certificate():
     two_bd3 = validate([[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4], [5, 6, 7], [5, 6, 8], [5, 7, 8], [6, 7, 8]], 8)
     cases = [K for _, K in named_corpus()] + [moore_space_mod3(), two_bd3]
     for K in cases:
@@ -541,7 +565,9 @@ def test_profile_is_certified_exactly_when_a_prefix_under_k_alone_decides_the_ca
             for field in FIELDS:
                 for cap in order:
                     certified = reduced_cohomology(K, field, cap).certified
-                    assert certified == _kept_for_every_field(K, cap), (K, str(field), cap)
+                    assert certified == _certificate(K, field, cap), (K, str(field), cap)
+                    if field == GF2:  # bitset ranks certify nothing
+                        assert certified == (cap is not None and cap <= 0), (K, cap)
         reduced_cohomology.cache_clear()
         assert reduced_cohomology(K, GF2, 0).certified, K  # read off the face list
     reduced_cohomology.cache_clear()

@@ -338,7 +338,7 @@ def test_every_field_argument_is_a_fieldspec(K, certified, bad):
         if warm:
             for call in _FIELD_TAKERS:
                 call(K, GF3)
-            assert ((DEPTH_MODULE._reisner_walk, K) in DEPTH_MODULE._DEPTHS) == certified
+            assert ((DEPTH_MODULE._reisner_walk, K) in DEPTH_MODULE._MEMO) == certified
         for call in _FIELD_TAKERS:
             with pytest.raises(BadParameter):
                 call(K, bad)
@@ -367,6 +367,7 @@ def test_moore_space_asked_over_q_first_walks_again_over_gf3(monkeypatch):
     depth.cache_clear()
     reduced_cohomology.cache_clear()
     assert depth(M, QQ).reisner == 3
+    assert (DEPTH_MODULE._reisner_walk, M) not in DEPTH_MODULE._MEMO
     module = importlib.import_module("srdepth.cohomology")
     built, rows = [], module._coboundary_rows
     monkeypatch.setattr(module, "_coboundary_rows", lambda *a: built.append(a) or rows(*a))
@@ -375,7 +376,7 @@ def test_moore_space_asked_over_q_first_walks_again_over_gf3(monkeypatch):
 
 
 def test_depth_memo_evicts_the_least_recently_used_depth():
-    memo, walk = DEPTH_MODULE._DEPTHS, DEPTH_MODULE._reisner_walk
+    memo, walk = DEPTH_MODULE._MEMO, DEPTH_MODULE._reisner_walk
     depth.cache_clear()
     try:
         depth_reisner(cycle(4), QQ)  # the oldest entry, certified
@@ -404,9 +405,9 @@ def test_reisner_walk_builds_no_face_set_on_its_links(monkeypatch):
     monkeypatch.setattr(SimplicialComplex, "link_by_mask", recorded)
     depth.cache_clear()
     assert depth_reisner(K, GF3) == 6
-    # the 119 nonempty faces of fewer than 6 vertices, and the first facet,
-    # whose link is made before the walk ends there
-    assert len(links) == 120
+    # the 119 nonempty faces of fewer than 6 vertices: the walk ends at the
+    # first facet without making its link
+    assert len(links) == 119
     assert all(L._members is None for L in links)
 
 
@@ -433,15 +434,16 @@ print(next(line.split()[1] for line in open("/proc/self/status") if line.startsw
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from /proc/self/status")
-def test_hochster_walk_on_c6_c6_c6_peaks_under_64_mb():
-    # its 4,048 induced subcomplexes hold their face lists alone: with a
-    # face set each, the walk peaked at 190 MB
+def test_hochster_walk_on_c6_c6_c6_peaks_under_32_mb():
+    # its 4,048 induced subcomplexes hold their face lists alone, and those
+    # whose calls are capped at degree 0 or below are not kept: with a face
+    # set each, the walk peaked at 190 MB
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(srdepth.__file__)))
     result = subprocess.run(
         [sys.executable, "-c", _HOCHSTER_PEAK_CHILD], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert int(result.stdout) < 64 * 1024  # kB
+    assert int(result.stdout) < 32 * 1024  # kB
 
 
 def test_depth_raises_when_engines_disagree(monkeypatch):
