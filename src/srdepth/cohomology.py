@@ -29,7 +29,9 @@ certify nothing.  ``reduced_cohomology`` keeps each prefix it ranks under
 of answers kept across calls, which the depth engines share through
 ``_recall`` and ``_keep``.  A prefix read off the face list is never kept.
 ``CohomologyProfile.certified`` carries the certificate, so the depth
-engines can tell whether their own answer holds over every field.
+engines can tell whether their own answer holds over every field.  They
+ask through ``_lowest_nonzero``, which reads a cap <= 0 off the face list
+without building a profile and sends any other to ``reduced_cohomology``.
 
 Local cohomology at an inner point of a nonempty face sigma is *defined*
 through the degree shift by the link and *verified* against the independent
@@ -205,6 +207,21 @@ def reduced_cohomology(
 
 
 reduced_cohomology.cache_clear = _MEMO.clear
+
+
+def _lowest_nonzero(K: SimplicialComplex, field: FieldSpec, until: int) -> tuple[int | None, bool]:
+    """The lowest degree <= ``until`` where K's reduced cohomology over
+    ``field`` is nonzero, or None, and whether that holds over every field:
+    ``reduced_cohomology(K, field, until)``'s ``first_nonzero()`` and
+    ``certified``.  A cap <= 0 is read off the face list with no profile
+    built; any other goes through ``reduced_cohomology`` and its memo."""
+    if until > 0:
+        profile = reduced_cohomology(K, field, until)
+        return profile.first_nonzero(), profile.certified
+    for i, h in enumerate(_lowest_degrees(K, until), -1):
+        if h:
+            return i, True
+    return None, True
 
 
 def relative_cohomology(K: SimplicialComplex, L: SimplicialComplex, field: FieldSpec) -> dict[int, int]:

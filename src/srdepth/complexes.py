@@ -3,10 +3,12 @@
 A complex is stored as its face list alone: bitmasks over vertex labels
 (bit v-1 for label v) in canonical (cardinality, lex) order.  Facets are the
 input syntax; the inclusion-maximal faces are recomputed from the face list
-when asked for, and ``levels()`` cuts the list into its cardinalities
-0..dim+1 by binary search.  The empty set is a face of every represented
-complex; the minimal complex is ``{-}`` consisting of the empty face alone
-(no vertices).  The void complex (no faces at all) is not representable.
+when asked for.  Where each cardinality 0..dim+1 starts in the list is
+found by binary search on first use and kept; ``levels()``, ``f_vector``
+and ``faces(card)`` read those cuts.  The empty set is a face of every
+represented complex; the minimal complex is ``{-}`` consisting of the
+empty face alone (no vertices).  The void complex (no faces at all) is
+not representable.
 
 Building from generators enumerates every subset of every distinct
 generator, so the count ``sum 2^|F|`` is checked against ``2**FACE_BOUND``
@@ -27,6 +29,7 @@ import random
 from bisect import bisect_left
 from itertools import combinations
 from math import comb
+from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -73,11 +76,12 @@ _popcount = int.bit_count
 
 class SimplicialComplex:
     """Immutable simplicial complex: its face list, with a set of the faces
-    built on the first membership query.  The depth walks only iterate the
-    face lists of their links and induced subcomplexes, so most complexes
-    never build one."""
+    built on the first membership query and the level cuts on the first
+    level query.  The depth walks read most links and induced subcomplexes
+    only at degrees -1 and 0, off the face list, so most complexes build
+    neither."""
 
-    __slots__ = ("_vmask", "_faces", "_members", "_hash")
+    __slots__ = ("_vmask", "_faces", "_members", "_cuts", "_hash")
 
     def __init__(self, masks: Iterable[int], _closed: bool = False):
         """Complex generated by ``masks``: their subsets are its faces.  The
@@ -98,7 +102,7 @@ class SimplicialComplex:
         self._faces = faces = tuple(masks)
         # a face list is closed downward: its vertices are its one-vertex faces
         self._vmask = sum(faces[1 : bisect_left(faces, 2, 1, key=_popcount)])
-        self._members = None
+        self._members = self._cuts = None
         self._hash = hash(faces)
 
     # -- identity ---------------------------------------------------------
@@ -118,6 +122,18 @@ class SimplicialComplex:
         if self._members is None:
             self._members = frozenset(self._faces)
         return self._members
+
+    @property
+    def _level_cuts(self) -> tuple[int, ...]:
+        """Where each cardinality 0..dim+1 starts in the canonical order,
+        then the number of faces: found by binary search on first use."""
+        if self._cuts is None:
+            faces, cuts = self._faces, [0]
+            for k in range(1, _popcount(faces[-1]) + 1):
+                cuts.append(bisect_left(faces, k, cuts[-1], key=_popcount))
+            cuts.append(len(faces))
+            self._cuts = tuple(cuts)
+        return self._cuts
 
     # -- basic queries ------------------------------------------------------
 
@@ -153,14 +169,9 @@ class SimplicialComplex:
 
     def levels(self) -> list[tuple[int, ...]]:
         """The face masks of cardinality 0..dim+1, each a slice of the
-        canonical order cut where the cardinality steps up."""
-        faces, out, lo = self._faces, [], 0
-        for k in range(1, _popcount(faces[-1]) + 1):
-            hi = bisect_left(faces, k, lo, key=_popcount)
-            out.append(faces[lo:hi])
-            lo = hi
-        out.append(faces[lo:])
-        return out
+        canonical order between two level cuts."""
+        faces, cuts = self._faces, self._level_cuts
+        return [faces[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
     def faces(self, card: int | None = None) -> Iterator[Face]:
         """All faces as sorted vertex tuples, ordered by (cardinality, lex);
@@ -168,14 +179,15 @@ class SimplicialComplex:
         faces = self._faces
         if card is not None:
             _require_int(card, 0, "a cardinality")
-            lo = bisect_left(faces, card, key=_popcount)
-            faces = faces[lo : bisect_left(faces, card + 1, lo, key=_popcount)]
+            cuts = self._level_cuts
+            faces = faces[cuts[card] : cuts[card + 1]] if card < len(cuts) - 1 else ()
         return map(_verts_of, faces)
 
     @property
     def f_vector(self) -> tuple[int, ...]:
         """(f_-1, f_0, ..., f_dim) with f_-1 = 1 for the empty face."""
-        return tuple(map(len, self.levels()))
+        cuts = self._level_cuts
+        return tuple(map(sub, cuts[1:], cuts))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** i * fi for i, fi in enumerate(self.f_vector[1:]))

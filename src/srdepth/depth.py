@@ -36,11 +36,11 @@ Hochster walk at the degree that could still raise pd (j - 2 - pd at size
 j).  The cochain kernel then stops there.  No engine reads another's bound.
 
 Depth depends on the field only through these cohomology groups.  A walk
-is *certified* when every cohomology answer it read was certified by the
-cochain kernel of ``linalg`` (``CohomologyProfile.certified`` for the
-links, complexes and induced subcomplexes; the kernel's own flag for the
-face filters): its answer then holds over every field, by the universal
-coefficient theorem.  The engines keep their depths in the memo of
+is *certified* when every cohomology answer it read was certified, off
+the face list or by the cochain kernel of ``linalg``
+(``cohomology._lowest_nonzero`` for the links, complexes and induced
+subcomplexes; the kernel's own flag for the face filters): its answer then
+holds over every field, by the universal coefficient theorem.  The engines keep their depths in the memo of
 ``cohomology``, ``_MEMO``, beside the cohomology prefixes: a certified
 depth under (walk, K) and any other under (walk, K, field), so a complex
 whose walks over GF(3) were certified is not walked again over Q.  GF(2)
@@ -68,7 +68,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .cohomology import _MEMO, HarnessReport, _coboundaries, _keep, _recall, reduced_cohomology
+from .cohomology import _MEMO, HarnessReport, _coboundaries, _keep, _lowest_nonzero, _recall, reduced_cohomology
 from .complexes import SimplicialComplex, _popcount
 from .errors import BadParameter, EngineDisagreement, TooLarge
 from .limits import LimitsProfile, derived_limit_dims
@@ -149,9 +149,8 @@ def _reisner_walk(K: SimplicialComplex, field: FieldSpec) -> tuple[int, bool]:
     for _, s, link in _descend(K, K, lambda parent, v, s: parent.link_by_mask(v) if s < r else None):
         if s >= r:
             break
-        profile = reduced_cohomology(link, field, r - s - 2)
-        certified &= profile.certified
-        c = profile.first_nonzero()
+        c, ok = _lowest_nonzero(link, field, r - s - 2)
+        certified &= ok
         if c is not None:
             r = c + s + 1
     return r, certified
@@ -178,8 +177,7 @@ def depth_topological(K: SimplicialComplex, field: FieldSpec) -> int:
 
 def _topological_walk(K: SimplicialComplex, field: FieldSpec) -> tuple[int, bool]:
     r = K.krull_dim
-    profile = reduced_cohomology(K, field, r - 2)
-    certified, c = profile.certified, profile.first_nonzero()
+    c, certified = _lowest_nonzero(K, field, r - 2)
     if c is not None:
         r = c + 1
     # the walk ranks d_n for n <= r - 2 only: cardinality n + 1 to n + 2
@@ -282,9 +280,8 @@ def _hochster_walk(K: SimplicialComplex, field: FieldSpec) -> tuple[int, bool]:
             if K.has_face(subset):  # K_W is a simplex: acyclic
                 continue
             # only a degree c <= j - 2 - pd can raise pd
-            profile = reduced_cohomology(K.induced(subset), field, j - 2 - pd)
-            certified &= profile.certified
-            c = profile.first_nonzero()
+            c, ok = _lowest_nonzero(K.induced(subset), field, j - 2 - pd)
+            certified &= ok
             if c is not None:
                 pd = j - c - 1
                 if pd == j - 1:

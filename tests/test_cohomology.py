@@ -26,7 +26,7 @@ from srdepth import (
     validate,
     verify_munkres_shift,
 )
-from srdepth.cohomology import _coboundaries, _cochain_dims
+from srdepth.cohomology import _MEMO, _coboundaries, _cochain_dims, _lowest_nonzero
 from srdepth.errors import EmptyFace, FaceNotInComplex, NotAComplex, NotASubcomplex, RepeatedVertex
 from srdepth.linalg import _cohomology
 
@@ -394,6 +394,25 @@ def test_a_cap_at_degree_0_or_below_keeps_nothing(monkeypatch):
             for cap in (-2, -1, 0):
                 assert reduced_cohomology(K, field, cap).certified
     assert list(module._MEMO.items()) == before
+    reduced_cohomology.cache_clear()
+
+
+def test_lowest_nonzero_reads_what_the_profile_reads():
+    # the depth walks' helper answers as reduced_cohomology does, and a cap
+    # <= 0, read off the face list, leaves the memo as it was
+    for K in [K for _, K in named_corpus()] + [moore_space_mod3()]:
+        for field in FIELDS:
+            for cap in range(-1, K.dim + 2):
+                reduced_cohomology.cache_clear()
+                profile = reduced_cohomology(K, field, cap)
+                reduced_cohomology.cache_clear()
+                got = _lowest_nonzero(K, field, cap)
+                assert got == (profile.first_nonzero(), profile.certified), (K, str(field), cap)
+                if cap <= 0:
+                    reduced_cohomology(K, field)
+                    before = list(_MEMO.items())
+                    assert _lowest_nonzero(K, field, cap) == got
+                    assert list(_MEMO.items()) == before
     reduced_cohomology.cache_clear()
 
 

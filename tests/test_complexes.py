@@ -27,6 +27,7 @@ from srdepth import (
     graded_dim,
     join,
     local_cohomology,
+    named_corpus,
     parse_facet_text,
     random_complex,
     random_corpus,
@@ -419,6 +420,24 @@ def test_parameter_gates_refuse_non_ints_and_bad_masks(call, error, isolated):
             eval(call, names)
         name, length = type(err.value).__name__, len(str(err.value))
     assert name == error and int(length) < 200
+
+
+def test_level_cuts_match_a_popcount_recount():
+    # levels, f-vector and faces(card) read the cuts kept on the complex;
+    # each must equal the faces of that cardinality counted one by one
+    cases = [K for _, K in named_corpus()] + [K for _, _, K in random_corpus(60, 7, 8)]
+    cases += [simplex(0), boundary_simplex(6)]
+    for K in cases:
+        by_card = [[] for _ in range(K.dim + 2)]
+        for mask in K.face_masks:
+            by_card[mask.bit_count()].append(mask)
+        assert K._cuts is None
+        assert K.levels() == [tuple(level) for level in by_card], K
+        assert K._cuts is not None
+        assert K.f_vector == tuple(map(len, by_card)), K
+        for card in range(K.dim + 4):
+            level = by_card[card] if card < len(by_card) else []
+            assert list(K.faces(card)) == [complexes_module._verts_of(f) for f in level], (K, card)
 
 
 def test_membership_queries_build_the_face_set_on_first_use():

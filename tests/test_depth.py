@@ -62,6 +62,7 @@ from oracles import (
 
 ALL_FIELDS = (GF2, GF3, GF5, QQ)
 DEPTH_MODULE = importlib.import_module("srdepth.depth")  # srdepth.depth is also the function
+complexes_module = importlib.import_module("srdepth.complexes")
 IRRELEVANT = validate([[]], 0)
 
 
@@ -393,22 +394,52 @@ def test_depth_memo_evicts_the_least_recently_used_depth():
 
 def test_reisner_walk_builds_no_face_set_on_its_links(monkeypatch):
     # the walk only iterates the face list of each link it ranks, and asks
-    # each parent link for the link of one vertex
+    # each parent link for the link of one vertex; a link read at a cap <= 0
+    # is read off its face list, so it does not cut its levels either
     K = boundary_simplex(6)
-    links = []
+    links, caps = [], {}
     link_by_mask = SimplicialComplex.link_by_mask
+    lowest_nonzero = DEPTH_MODULE._lowest_nonzero
 
     def recorded(L, mask):
         links.append(link_by_mask(L, mask))
         return links[-1]
 
+    def read(L, field, until):
+        caps[id(L)] = until
+        return lowest_nonzero(L, field, until)
+
     monkeypatch.setattr(SimplicialComplex, "link_by_mask", recorded)
+    monkeypatch.setattr(DEPTH_MODULE, "_lowest_nonzero", read)
     depth.cache_clear()
     assert depth_reisner(K, GF3) == 6
     # the 119 nonempty faces of fewer than 6 vertices: the walk ends at the
     # first facet without making its link
     assert len(links) == 119
     assert all(L._members is None for L in links)
+    # the links of the 35 + 21 faces of 4 and 5 vertices, capped at 0 and -1
+    at_most_0 = [L for L in links if caps[id(L)] <= 0]
+    assert len(at_most_0) == 56
+    assert all(L._cuts is None for L in at_most_0)
+
+
+def test_a_certified_memo_hit_cuts_no_levels(monkeypatch):
+    # the size guards read the f-vector off the cuts that the first call
+    # kept on K, so a depth the memo holds for every field costs no search
+    K = boundary_simplex(4)
+    depth.cache_clear()
+    assert depth(K, GF3).depth == 4
+    calls = []
+    bisect_left = complexes_module.bisect_left
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return bisect_left(*args, **kwargs)
+
+    monkeypatch.setattr(complexes_module, "bisect_left", counted)
+    assert depth(K, QQ).depth == 4
+    assert calls == []
+    depth.cache_clear()
 
 
 def test_no_module_table_keeps_a_complex_once_the_memos_are_cleared():
