@@ -19,7 +19,7 @@ from . import corpus as corpus_mod
 from .cohomology import reduced_cohomology, verify_munkres_shift
 from .complexes import SimplicialComplex, load_complex, to_facet_text
 from .depth import depth, verify_limit_depth_criterion, verify_star_link
-from .errors import InputError, InternalInvariantError, _quote, _require_int
+from .errors import InputError, InternalInvariantError, _parse_int, _quote, _require_int
 from .limits import default_degree_bound, verify_limit_decomposition
 from .linalg import FieldSpec
 
@@ -186,7 +186,7 @@ def cmd_corpus(args) -> int:
 
 def _int_arg(text: str) -> int:
     try:
-        return int(text)
+        return _parse_int(text)
     except ValueError:  # argparse's own message would repeat the whole text
         raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)}") from None
 

@@ -41,6 +41,7 @@ from .errors import (
     TooLarge,
     UnusedVertex,
     VertexOutOfRange,
+    _parse_int,
     _quote,
     _require_int,
 )
@@ -459,12 +460,12 @@ def parse_facet_text(text: str) -> SimplicialComplex:
             if len(parts) != 2:
                 raise EmptyInput(f"bad header line: {_quote(raw_line)}")
             try:
-                m = int(parts[1])
+                m = _parse_int(parts[1])
             except ValueError:
                 raise EmptyInput(f"bad header line: {_quote(raw_line)}") from None
             continue
         try:
-            facets.append([int(p) for p in parts])
+            facets.append([_parse_int(p) for p in parts])
         except ValueError:
             raise EmptyInput(f"bad facet line: {_quote(raw_line)}") from None
     if m is None:

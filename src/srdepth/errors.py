@@ -2,8 +2,11 @@
 
 Two families: input errors (bad user data, CLI exit code 2) and internal
 invariant violations (bugs, CLI exit code 3).  Input errors name the
-value they refuse through ``_quote``; ``_require_int`` gates int parameters.
+value they refuse through ``_quote``; ``_require_int`` gates int parameters,
+and ``_parse_int`` the ints read from text.
 """
+
+import re
 
 
 def _quote(value, limit: int = 30) -> str:
@@ -77,6 +80,15 @@ def _require_int(value, least: int | None, what: str, error=BadParameter) -> int
         bound = "" if least is None else f" >= {least}"
         raise error(f"{what} must be an int{bound}, got {_quote(value)}")
     return value
+
+
+def _parse_int(text: str) -> int:
+    """``text`` as an int if it is an optional minus sign and ASCII digits,
+    else ``ValueError``: ``int`` alone also takes ``_``, ``+``, surrounding
+    whitespace and non-ASCII digits."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"not an int: {_quote(text)}")
+    return int(text)
 
 
 class NotAComplex(InternalInvariantError):

@@ -16,14 +16,14 @@ Two evaluation paths are provided and are exact:
   complex splits into one block per monomial, and the block of a monomial
   with support tau is the simplicial cochain complex of the order complex
   of the nonempty-face poset of star(tau) (of the whole poset for the empty
-  support in degree 0).  That order complex is the barycentric subdivision
-  of the star, so a star block is the cohomology of the star's own cochain
-  complex: tens of faces instead of thousands of chains.  The whole-poset
-  block stays on the literal order complex, assembled from the flags, so
-  the limit decomposition check, which compares it with K's own cochains,
-  compares two different complexes and is not true by construction.
-  Blocks are computed with exact ranks and combined with multiplicities.
-  This is what makes degree bounds like 4m affordable.
+  support in degree 0).  A star of a nonempty face is a cone, so is that
+  order complex, and the block has the cohomology of a point (Bjorner,
+  "Topological methods", 1995, section 10): in degree d > 0, lim^0 is the
+  degree-d piece of the face ring, counted from the f-vector, and the
+  higher limits vanish.  Only the whole-poset block is ranked, on the
+  literal order complex of the flags, so in degree 0 the limit
+  decomposition check compares two different complexes; in degree d > 0
+  it restates the decomposition, which the direct path checks.
 
 Both paths are cross-checked in the test suite.
 """
@@ -172,18 +172,6 @@ def _whole_block(K: SimplicialComplex, field: FieldSpec) -> tuple[int, ...]:
     return tuple(_cochain_dims(levels, field))
 
 
-def _star_block(K: SimplicialComplex, f: int, field: FieldSpec) -> tuple[int, ...]:
-    """Unreduced cohomology dims (degrees 0..max(dim K, 0)) of the order
-    complex of the nonempty-face poset of star(f).  That order complex is the
-    barycentric subdivision of the star, so the star's own cochains give it."""
-    dims = reduced_cohomology(K.star_by_mask(f), field).dims
-    if dims.get(-1, 0):
-        raise InternalInvariantError("augmentation survived on a nonempty star")
-    out = [dims.get(i, 0) for i in range(max(K.dim, 0) + 1)]
-    out[0] += 1
-    return tuple(out)
-
-
 class LimitsProfile(NamedTuple):
     """Degreewise dimensions of the derived limits and of the comparison
     map's kernel/cokernel (the modules indexed -1 and 0 in the vanishing
@@ -215,8 +203,9 @@ def derived_limit_dims(
 ) -> LimitsProfile:
     """Derived limit dimensions for all even internal degrees up to d_max.
 
-    ``grouped`` (default) evaluates the monomial-block decomposition of the
-    assembled complex; ``direct`` runs on the literal matrices and is meant
+    ``grouped`` (default) ranks only the whole-poset block of degree 0 and
+    reads every degree d > 0 off the f-vector, as its blocks are cones;
+    ``direct`` runs on the literal matrices in every degree and is meant
     for small inputs and cross-checks.  Both refuse, before any work, a
     profile of more than ``FLAG_BOUND`` values (even degrees times lim^i).
     """
@@ -243,26 +232,17 @@ def derived_limit_dims(
     if method != "grouped":
         raise BadParameter(f"unknown method {_quote(method)}")
 
-    whole = _whole_block(K, field)
-    # level_h[c][i]: H^i summed over the stars of the faces on c + 1 vertices,
-    # each of which supports comb(t - 1, c) monomials of degree t
-    level_h = [
-        [sum(h) for h in zip(*(_star_block(K, f, field) for f in level))]
-        for level in K.levels()[1:]
-    ]
-    lim = {i: {} for i in range(top + 1)}
-    rker, rcok = {}, {}
-    for d in degrees:
-        t = d // 2
-        for i in range(top + 1):
-            if d == 0:
-                lim[i][d] = whole[i] if i < len(whole) else 0
-            else:
-                lim[i][d] = sum(comb(t - 1, c) * h[i] for c, h in enumerate(level_h))
-        # every monomial block carries the nonzero constant family, so the
-        # comparison map has full column rank
-        rker[d] = 0
-        rcok[d] = lim[0][d] - graded_dim(K, d)
+    # the block of a nonempty support is the order complex of a star, a cone:
+    # for d > 0, lim^0_d is the degree-d ring and the higher limits vanish
+    lim = {i: dict.fromkeys(degrees, 0) for i in range(top + 1)}
+    lim[0] = {d: graded_dim(K, d) for d in degrees}
+    for i, h in enumerate(_whole_block(K, field)):
+        lim[i][0] = h
+    # every monomial block carries the nonzero constant family, so the
+    # comparison map has full column rank; its cokernel is the extra H^0
+    # of the whole block
+    rker = dict.fromkeys(degrees, 0)
+    rcok = {**rker, 0: lim[0][0] - 1}
     return LimitsProfile(field, d_max, lim, rker, rcok)
 
 

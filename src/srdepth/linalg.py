@@ -53,7 +53,7 @@ from collections import namedtuple
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
-from .errors import BadParameter, NotAComplex, _quote
+from .errors import BadParameter, NotAComplex, _parse_int, _quote
 
 
 def _is_prime(n: int) -> bool:
@@ -76,12 +76,13 @@ class FieldSpec(namedtuple("FieldSpec", "p")):
 
     @classmethod
     def parse(cls, text: str) -> "FieldSpec":
-        """CLI grammar: ``q`` for the rationals, ``p=<prime>`` for GF(p)."""
+        """CLI grammar: ``q`` for the rationals, ``p=<prime>`` for GF(p), the
+        prime in ASCII digits."""
         if text == "q":
             return cls(None)
         if text.startswith("p="):
             try:
-                return cls(int(text[2:]))
+                return cls(_parse_int(text[2:]))
             except ValueError:
                 raise BadParameter(f"bad field spec {_quote(text)}") from None
         raise BadParameter(f"bad field spec {_quote(text)}; use 'q' or 'p=<prime>'")

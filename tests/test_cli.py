@@ -237,6 +237,52 @@ def test_bad_field_exits_2(capsys, rp2_file):
     assert code == 2
 
 
+# int() alone takes "_", "+", surrounding whitespace and non-ASCII digits,
+# so each of these would run as p=13, p=3, d_max=4 or a vertex 3
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("depth", "--field", "p=1_3"),
+        ("depth", "--field", "p=+3"),
+        ("depth", "--field", "p= 3"),
+        ("depth", "--field", "p=\u0663"),  # ARABIC-INDIC DIGIT THREE
+        ("limits", "--d-max", "0_4"),
+        ("limits", "--d-max", "+4"),
+        ("limits", "--d-max", "4 "),
+        ("limits", "--d-max", "\u0664"),
+    ],
+    ids=["field_underscore", "field_plus", "field_space", "field_arabic", "dmax_underscore", "dmax_plus", "dmax_space", "dmax_arabic"],
+)
+def test_loose_int_argument_exits_2(capsys, rp2_file, argv):
+    command, *rest = argv
+    try:
+        code = main([command, rp2_file, *rest])
+    except SystemExit as exc:  # argparse refuses the text itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert repr(rest[-1]) in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, what",
+    [
+        ("1 2\n2 0_3\n", "facet"),
+        ("1 2\n2 +3\n", "facet"),
+        ("1 2\n2 \u0663\n", "facet"),
+        ("m 0_3\n1 2\n2 3\n", "header"),
+        ("m +3\n1 2\n2 3\n", "header"),
+    ],
+    ids=["facet_underscore", "facet_plus", "facet_arabic", "header_underscore", "header_plus"],
+)
+def test_loose_int_in_a_facet_file_exits_2(capsys, tmp_path, text, what):
+    path = tmp_path / "loose.facets"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "depth", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: bad {what} line: ")
+
+
 def test_depth_deterministic_output(capsys, rp2_file):
     _, out1, _ = run_cli(capsys, "depth", rp2_file, "--field", "p=2", "--json")
     _, out2, _ = run_cli(capsys, "depth", rp2_file, "--field", "p=2", "--json")

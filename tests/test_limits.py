@@ -28,10 +28,9 @@ from srdepth import (
     verify_limit_decomposition,
 )
 from srdepth.cohomology import _cochain_dims
-from srdepth.cli import main
-from srdepth.complexes import _popcount, to_facet_text
+from srdepth.complexes import _popcount
 from srdepth.errors import BadParameter, InternalInvariantError, NotAComplex, TooLarge
-from srdepth.limits import _flag_count, _nonempty_faces, _star_block, _whole_block, flag_chains
+from srdepth.limits import _flag_count, _nonempty_faces, _whole_block, flag_chains
 from srdepth.linalg import _product_is_zero, cohomology_dims
 
 from oracles import flip_one_sign, three_fields, unnormalized_h01
@@ -137,23 +136,6 @@ def test_rho_refuses_a_map_that_misses_lim0(monkeypatch):
         rho(cycle(4), QQ, 2)
 
 
-def test_augmentation_on_a_star_is_an_internal_error(monkeypatch, tmp_path, capsys):
-    module = importlib.import_module("srdepth.limits")
-    real = module.reduced_cohomology
-
-    def augmented(K, field, until=None):
-        profile = real(K, field, until)
-        return profile._replace(dims={**profile.dims, -1: 1})
-
-    monkeypatch.setattr(module, "reduced_cohomology", augmented)
-    with pytest.raises(InternalInvariantError, match="augmentation survived on a nonempty star"):
-        derived_limit_dims(cycle(4), GF2, 2)
-    path = tmp_path / "c4.facets"
-    path.write_text(to_facet_text(cycle(4)), encoding="utf-8")
-    assert main(["limits", str(path)]) == 3
-    assert "augmentation survived on a nonempty star" in capsys.readouterr().err
-
-
 def test_requires_a_vertex():
     with pytest.raises(BadParameter):
         limits_complex(validate([[]], 0), QQ, 0)
@@ -172,7 +154,6 @@ def test_degree_bound_past_the_report_guard_fails_before_any_work(monkeypatch, m
         raise AssertionError("work started before the size check")
 
     module = importlib.import_module("srdepth.limits")
-    monkeypatch.setattr(module, "_star_block", refuse)
     monkeypatch.setattr(module, "flag_chains", refuse)
     K = simplex(3)  # a triangle: lim^0..lim^2 in each even degree
     for d_max, values in [(10**8, 150_000_003), (10**20 - 1, 15 * 10**19), (66_666, 100_002)]:
@@ -207,7 +188,7 @@ def test_grouped_equals_direct():
         (rp2_minimal(), 4),
     ]
     for K, d_max in grid:
-        for field in (QQ, GF2):
+        for field in (QQ, GF2, GF3):
             direct = derived_limit_dims(K, field, d_max, method="direct")
             grouped = derived_limit_dims(K, field, d_max, method="grouped")
             assert direct.lim == grouped.lim, (K, str(field))
@@ -507,13 +488,13 @@ def test_nerve_engine_matches_star_posets():
             dense = reduced_cohomology(oc, field).dims
             expected = [dense.get(i, 0) for i in range(len(fast))]
             expected[0] += 1
-            assert fast == expected
-            assert _trimmed(_star_block(K, f, field)) == fast
+            assert fast == expected == [1]
 
 
 def test_grouped_blocks_match_nerve_oracle_on_named_corpus():
     # whole block = chain-level nerve = K's own cohomology (unreduced);
-    # every star block = its nerve = a point's, since a star is a cone
+    # every star block (the nerve of a star's face poset) is a point's,
+    # since a star is a cone
     for name, K in named_corpus():
         for field in (GF2, GF3, QQ):
             h = reduced_cohomology(K, field).dims
@@ -523,7 +504,30 @@ def test_grouped_blocks_match_nerve_oracle_on_named_corpus():
             assert list(oracle) == _trimmed(_whole_block(K, field)) == _trimmed(own), (name, str(field))
             for f in _nonempty_faces(K):
                 star_oracle = poset_nerve_unreduced(tuple(_nonempty_faces(K.star_by_mask(f))), field)
-                assert list(star_oracle) == _trimmed(_star_block(K, f, field)) == [1], (name, f, str(field))
+                assert list(star_oracle) == [1], (name, f, str(field))
+
+
+def _assert_stars_acyclic(K, field):
+    for f in _nonempty_faces(K):
+        dims = reduced_cohomology(K.star_by_mask(f), field).dims
+        assert not any(dims.values()), (K, f, str(field), dims)
+
+
+def test_stars_are_acyclic_on_named_corpus():
+    # the grouped engine reads every degree d > 0 off the f-vector because
+    # the star of a nonempty face is a cone
+    for _, K in named_corpus():
+        for field in (GF2, GF3, QQ):
+            _assert_stars_acyclic(K, field)
+
+
+@given(
+    st.builds(random_complex, st.integers(1, 6), st.integers(0, 5), st.sampled_from([0.2, 0.4, 0.6]), st.integers(0, 10**6)),
+    three_fields,
+)
+@settings(max_examples=60, deadline=None)
+def test_stars_are_acyclic_on_random_complexes(K, field):
+    _assert_stars_acyclic(K, field)
 
 
 def test_profile_l_totals():
