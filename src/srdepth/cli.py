@@ -245,7 +245,9 @@ def main(argv=None) -> int:
         rerun = f" ({args.input}, --field {args.field})" if hasattr(args, "field") else ""
         print(f"internal invariant violated: {exc}{rerun}", file=sys.stderr)
         return EXIT_INTERNAL
-    except MemoryError:
+    # an allocation that fails inside a C call may surface as SystemError,
+    # "error return without exception set", instead of MemoryError
+    except (MemoryError, SystemError):
         pass  # reported below, once the frames of the failed call are freed
     print("error: out of memory", file=sys.stderr)
     return EXIT_INPUT

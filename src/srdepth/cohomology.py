@@ -24,14 +24,10 @@ when every rank was an elimination over Z with +-1 pivots, whose ranks and
 clearing sets are those of every prime field, by the universal coefficient
 theorem (Hatcher, *Algebraic Topology*, 3.1).  So does a prefix read off
 the face list, whose groups are free over Z; GF(2) ranks bitsets, which
-certify nothing.  ``reduced_cohomology`` keeps each prefix it ranks under
-(K, field), with that certificate beside it, in ``_MEMO``: the one table
-of answers kept across calls, which the depth engines share through
-``_recall`` and ``_keep``.  A prefix read off the face list is never kept.
-``CohomologyProfile.certified`` carries the certificate, so the depth
-engines can tell whether their own answer holds over every field.  They
-ask through ``_lowest_nonzero``, which reads a cap <= 0 off the face list
-without building a profile and sends any other to ``reduced_cohomology``.
+certify nothing.  ``CohomologyProfile.certified`` carries the certificate
+of the call's own computation.  Nothing here is kept across calls: the
+depth engines keep what their walks read in their own memo (see
+``depth``).
 
 Local cohomology at an inner point of a nonempty face sigma is *defined*
 through the degree shift by the link and *verified* against the independent
@@ -106,9 +102,9 @@ def _cochain_dims(levels: list, field: FieldSpec, until: int | None = None) -> l
 
 class CohomologyProfile(NamedTuple):
     """Dimensions of reduced cohomology, degree -1 through dim K; ``dims``
-    is read-only, as kept profiles are shared.  ``certified`` says that
-    they came from the face list or from an elimination over Z with +-1
-    pivots, so they hold over every field."""
+    is read-only, as results are immutable.  ``certified`` says that they
+    came from the face list or from an elimination over Z with +-1 pivots,
+    so they hold over every field."""
 
     field: FieldSpec
     dims: Mapping[int, int]
@@ -120,29 +116,6 @@ class CohomologyProfile(NamedTuple):
             if self.dims[i]:
                 return i
         return None
-
-
-# every answer kept across calls, least recently used first: a cohomology
-# prefix under (K, field), and the depth engines' answers (see ``depth``)
-_MEMO: dict = {}
-
-
-def _recall(key):
-    """The value kept under ``key``, now the most recently used, or None."""
-    got = _MEMO.pop(key, None)
-    if got is not None:
-        _MEMO[key] = got
-    return got
-
-
-def _keep(key, value):
-    """Keep ``value`` under ``key``, a key not kept or just recalled, as the
-    most recently used, dropping the least recently used past 200,000, and
-    return it."""
-    _MEMO[key] = value
-    if len(_MEMO) > 200_000:
-        del _MEMO[next(iter(_MEMO))]
-    return value
 
 
 def _lowest_degrees(K: SimplicialComplex, until: int) -> list[int]:
@@ -180,48 +153,17 @@ def reduced_cohomology(
     """Reduced cohomology of K via the augmented simplicial cochain complex.
     With ``until``, only degrees -1 through the lowest nonzero one or
     ``until``, whichever comes first, are computed and listed; when the cap
-    is <= 0 they come from the face list, certified, and no matrix is built
-    or kept.  Any other answer comes from the longest prefix kept under
-    (K, field) if it decides the cap (it is complete, holds a nonzero
-    degree, or reaches the cap), else from the kernel, whose prefix is kept
-    in its place; the profile carries that prefix's certificate.
-    ``cache_clear`` empties the memo."""
+    is <= 0 they come from the face list, certified, and no matrix is built.
+    Any other call ranks from degree -1, so every pair it ranks is
+    checked."""
     _require_field(field)
     if until is not None:
         _require_int(until, None, "the cap")
-        if until <= 0:  # read off the face list, certified, never kept
+        if until <= 0:
             return CohomologyProfile(field, MappingProxyType(dict(enumerate(_lowest_degrees(K, until), -1))), True)
-    kept = _recall((K, field))
-    if kept is None or len(kept.dims) < K.dim + 2 and (
-        until is None or len(kept.dims) - 2 < until and not any(kept.dims.values())
-    ):  # the kernel from degree -1, so every pair it ranks is checked
-        cap = None if until is None else until + 1
-        dims, certified = _cohomology(_coboundaries(K.levels() + [[]], field), field, cap)
-        kept = _keep((K, field), CohomologyProfile(field, MappingProxyType(dict(enumerate(dims, -1))), certified))
-    got = kept.dims
-    c = next((i for i, h in got.items() if h), None)
-    stop = until if c is None or until is not None and until < c else c
-    if until is not None and stop < len(got) - 2:
-        return kept._replace(dims=MappingProxyType({i: h for i, h in got.items() if i <= stop}))
-    return kept
-
-
-reduced_cohomology.cache_clear = _MEMO.clear
-
-
-def _lowest_nonzero(K: SimplicialComplex, field: FieldSpec, until: int) -> tuple[int | None, bool]:
-    """The lowest degree <= ``until`` where K's reduced cohomology over
-    ``field`` is nonzero, or None, and whether that holds over every field:
-    ``reduced_cohomology(K, field, until)``'s ``first_nonzero()`` and
-    ``certified``.  A cap <= 0 is read off the face list with no profile
-    built; any other goes through ``reduced_cohomology`` and its memo."""
-    if until > 0:
-        profile = reduced_cohomology(K, field, until)
-        return profile.first_nonzero(), profile.certified
-    for i, h in enumerate(_lowest_degrees(K, until), -1):
-        if h:
-            return i, True
-    return None, True
+    cap = None if until is None else until + 1
+    dims, certified = _cohomology(_coboundaries(K.levels() + [[]], field), field, cap)
+    return CohomologyProfile(field, MappingProxyType(dict(enumerate(dims, -1))), certified)
 
 
 def relative_cohomology(K: SimplicialComplex, L: SimplicialComplex, field: FieldSpec) -> dict[int, int]:

@@ -3,6 +3,8 @@ complexes.  All output is reproducible byte for byte from the seed."""
 
 from __future__ import annotations
 
+from math import comb
+
 from .complexes import (
     SimplicialComplex,
     boundary_simplex,
@@ -51,6 +53,7 @@ def random_corpus(
     Parameters cycle deterministically through vertex counts 4..max_m,
     dimensions 1..3 and a ladder of densities; each entry gets its own
     derived seed so single complexes can be regenerated in isolation.
+    The entries are built largest first and returned in index order.
     """
     _require_int(max_m, 4, "the vertex bound")
     _require_int(count, 0, "the count")
@@ -58,14 +61,17 @@ def random_corpus(
     n = max_m - 3  # vertex counts 4..max_m, cycled by arithmetic, never listed
     dims = [1, 2, 3, 2]
     densities = [0.2, 0.35, 0.5, 0.65]
-    out = []
-    for i in range(count):
-        params = {
+    params = [
+        {
             "m": 4 + i % n,
             "d": dims[(i // n) % len(dims)],
             "density": densities[(i // (n * len(dims))) % len(densities)],
             "seed": seed + i,
         }
-        K = random_complex(params["m"], params["d"], params["density"], params["seed"])
-        out.append((f"random_{i:03d}", params, K))
-    return out
+        for i in range(count)
+    ]
+    # built largest first, by expected faces density * C(m, d+1) * 2^(d+1):
+    # a corpus that holds one too large is refused before the rest is built
+    order = sorted(params, key=lambda p: p["density"] * comb(p["m"], p["d"] + 1) * 2 ** (p["d"] + 1), reverse=True)
+    built = {p["seed"]: random_complex(**p) for p in order}
+    return [(f"random_{i:03d}", p, built[p["seed"]]) for i, p in enumerate(params)]

@@ -20,9 +20,9 @@ verification harnesses for the structural identities they are built on.
   visits only the subsets of size >= m - dim K, and ranks only the
   non-faces among them (a face is skipped with one set lookup): their
   number, sum of C(m, k) - f_k over those sizes, is checked up front
-  against ``2**HOCHSTER_VERTEX_BOUND``, and the subsets against the looser
-  ``2**HOCHSTER_SUBSET_BOUND``.  The engine reads induced subcomplexes
-  only, never links or face filters.
+  against ``2**HOCHSTER_VERTEX_BOUND``; the subsets are those and the
+  faces that large, at most 2^18 (``FACE_BOUND``).  The engine reads
+  induced subcomplexes only, never links or face filters.
 
 The first two walks read the faces through one descent, ``_descend``: it
 hands each face the link or face filter of its parent sigma - v and frees
@@ -37,17 +37,19 @@ j).  The cochain kernel then stops there.  No engine reads another's bound.
 
 Depth depends on the field only through these cohomology groups.  A walk
 is *certified* when every cohomology answer it read was certified, off
-the face list or by the cochain kernel of ``linalg``
-(``cohomology._lowest_nonzero`` for the links, complexes and induced
-subcomplexes; the kernel's own flag for the face filters): its answer then
-holds over every field, by the universal coefficient theorem.  The engines keep their depths in the memo of
-``cohomology``, ``_MEMO``, beside the cohomology prefixes: a certified
-depth under (walk, K) and any other under (walk, K, field), so a complex
-whose walks over GF(3) were certified is not walked again over Q.  GF(2)
-ranks bitset rows, which certify nothing, so a GF(2) walk is certified
-only when it ranked no row, as when every prefix it read came off the
-face list (caps <= 0); it reads every certified depth.  The field and the size guards are checked before the
-memo is read.
+the face list or by the cochain kernel of ``linalg`` (``_lowest_nonzero``
+for the links, complexes and induced subcomplexes; the kernel's own flag
+for the face filters): its answer then holds over every field, by the
+universal coefficient theorem.  GF(2) ranks bitset rows, which certify
+nothing, so a GF(2) walk is certified only when it ranked no row, as when
+every answer it read came off the face list (caps <= 0).
+
+``_MEMO`` is the one table kept across calls: under (L, field) what the
+walks read of L's cohomology (``_lowest_nonzero``), and beside it a
+certified depth under (walk, K) and any other under (walk, K, field), so
+a complex whose walks over GF(3) were certified is not walked again over
+Q, and a GF(2) walk reads every certified depth.  The field and the size
+guards are checked before the memo is read.
 
 The three must agree (the equivalence is a theorem); disagreement raises
 ``EngineDisagreement`` as a bug signal, never as a legitimate outcome.
@@ -68,14 +70,13 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .cohomology import _MEMO, HarnessReport, _coboundaries, _keep, _lowest_nonzero, _recall, reduced_cohomology
+from .cohomology import HarnessReport, _coboundaries, _lowest_degrees, reduced_cohomology
 from .complexes import SimplicialComplex, _popcount
 from .errors import BadParameter, EngineDisagreement, TooLarge
 from .limits import LimitsProfile, derived_limit_dims
 from .linalg import FieldSpec, _cohomology, _require_field
 
 HOCHSTER_VERTEX_BOUND = 14  # log2 of the most induced subcomplexes one call may rank
-HOCHSTER_SUBSET_BOUND = 20  # log2 of the most vertex subsets one call may iterate
 FACE_PAIR_BOUND = 21  # log2 of the most face pairs one link or face-filter walk may visit
 
 
@@ -89,6 +90,46 @@ def _check_face_pairs(K: SimplicialComplex) -> None:
             f"the link and face-filter engines walk {pairs} face pairs "
             f"(m={K.m}); more than 2^{FACE_PAIR_BOUND}"
         )
+
+
+# every answer kept across calls, least recently used first
+_MEMO: dict = {}
+
+
+def _recall(key):
+    """The value kept under ``key``, now the most recently used, or None."""
+    got = _MEMO.pop(key, None)
+    if got is not None:
+        _MEMO[key] = got
+    return got
+
+
+def _keep(key, value):
+    """Keep ``value`` under ``key``, a key not kept or just recalled, as the
+    most recently used, dropping the least recently used past 200,000, and
+    return it."""
+    _MEMO[key] = value
+    if len(_MEMO) > 200_000:
+        del _MEMO[next(iter(_MEMO))]
+    return value
+
+
+def _lowest_nonzero(L: SimplicialComplex, field: FieldSpec, until: int) -> tuple[int | None, bool]:
+    """The lowest degree <= ``until`` where L's reduced cohomology over
+    ``field`` is nonzero, or None, and whether that holds over every field.
+    A cap <= 0 is read off the face list and never kept.  Under (L, field)
+    the memo keeps the lowest nonzero degree or None, the highest degree
+    known and the certificate: a nonzero degree answers every cap, a zero
+    prefix each cap up to its reach, and a complete one every cap.  Any
+    other cap calls ``reduced_cohomology``, whose longer answer is kept."""
+    if until <= 0:
+        return next((i for i, h in enumerate(_lowest_degrees(L, until), -1) if h), None), True
+    kept = _recall((L, field))
+    if kept is None or kept[0] is None and kept[1] < min(until, L.dim):
+        profile = reduced_cohomology(L, field, until)
+        kept = _keep((L, field), (profile.first_nonzero(), max(profile.dims), profile.certified))
+    c, _, certified = kept
+    return (c if c is not None and c <= until else None), certified
 
 
 def _remembered(walk, K: SimplicialComplex, field: FieldSpec) -> int:
@@ -256,15 +297,13 @@ def depth_ab(K: SimplicialComplex, field: FieldSpec) -> int:
     the largest |W| - c_W - 1 over the vertex subsets W whose induced
     subcomplex has lowest nonvanishing reduced cohomology degree c_W.  The
     field and the walk's size are checked before the memo is read: at most
-    ``2**HOCHSTER_VERTEX_BOUND`` non-faces to rank among at most
-    ``2**HOCHSTER_SUBSET_BOUND`` subsets, sum of C(m, k) for k < krull."""
+    ``2**HOCHSTER_VERTEX_BOUND`` non-faces to rank."""
     _require_field(field)
-    subsets, estimate = sum(comb(K.m, k) for k in range(K.krull_dim)), _hochster_walk_estimate(K)
-    if estimate > 2**HOCHSTER_VERTEX_BOUND or subsets > 2**HOCHSTER_SUBSET_BOUND:
+    estimate = _hochster_walk_estimate(K)
+    if estimate > 2**HOCHSTER_VERTEX_BOUND:
         raise TooLarge(
-            f"the Hochster walk may rank {estimate} non-faces among {subsets} vertex subsets "
-            f"(m={K.m}, krull dimension {K.krull_dim}); more than 2^{HOCHSTER_VERTEX_BOUND} "
-            f"or 2^{HOCHSTER_SUBSET_BOUND}"
+            f"the Hochster walk may rank {estimate} non-faces "
+            f"(m={K.m}, krull dimension {K.krull_dim}); more than 2^{HOCHSTER_VERTEX_BOUND}"
         )
     return _remembered(_hochster_walk, K, field)
 
@@ -310,8 +349,7 @@ def depth(K: SimplicialComplex, field: FieldSpec) -> DepthReport:
     """Run all three engines and assert agreement.  The face pairs are
     checked, and ``depth_ab`` runs, before the other engines: every up-front
     ``TooLarge`` check then comes before any engine spends time.
-    ``cache_clear`` empties the memo, which also holds the cohomology
-    prefixes."""
+    ``cache_clear`` empties the memo, the one table kept across calls."""
     _check_face_pairs(K)
     r3 = depth_ab(K, field)
     r1 = depth_reisner(K, field)

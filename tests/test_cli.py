@@ -524,21 +524,23 @@ def test_verify_too_many_flags_fails_fast(tmp_path):
     assert result.stderr.startswith("error: ") and "545834 flags" in result.stderr
 
 
-# the address space in use once the CLI is imported, plus 16 MiB: about
-# 35 MiB in all, and the depth walks on the boundary of the 12-simplex over
-# GF(3) run out of memory there (c6 * c6 * c6 no longer does)
+# the address space in use once the CLI is imported, plus a margin in MiB
+# (argv[1]): at 16 MiB about 35 MiB in all, and the depth walks on the
+# boundary of the 12-simplex over GF(3) run out of memory there (c6 * c6 *
+# c6 no longer does); each margin fails an allocation at another call
 _OUT_OF_MEMORY_CHILD = """
 import resource, sys
 from srdepth.cli import main
 size = next(int(line.split()[1]) for line in open("/proc/self/status") if line.startswith("VmSize:"))
-limit = (size + 16 * 1024) * 1024
+limit = (size + int(sys.argv[1]) * 1024) * 1024
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-sys.exit(main(sys.argv[1:]))
+sys.exit(main(sys.argv[2:]))
 """
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmSize is read from /proc/self/status")
-def test_out_of_memory_exits_2_with_one_short_line(tmp_path):
+@pytest.mark.parametrize("margin", [8, 12, 16])
+def test_out_of_memory_exits_2_with_one_short_line(tmp_path, margin):
     import subprocess
     import sys
 
@@ -549,7 +551,7 @@ def test_out_of_memory_exits_2_with_one_short_line(tmp_path):
     path.write_text(to_facet_text(boundary_simplex(12)), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(srdepth.__file__)))
     result = subprocess.run(
-        [sys.executable, "-c", _OUT_OF_MEMORY_CHILD, "depth", str(path), "--field", "p=3"],
+        [sys.executable, "-c", _OUT_OF_MEMORY_CHILD, str(margin), "depth", str(path), "--field", "p=3"],
         env=env, capture_output=True, timeout=120,
     )
     assert result.returncode == 2, result.stderr

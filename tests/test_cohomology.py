@@ -10,6 +10,7 @@ from srdepth import (
     GF3,
     GF5,
     QQ,
+    betti_table,
     boundary_simplex,
     cone,
     cycle,
@@ -26,7 +27,8 @@ from srdepth import (
     validate,
     verify_munkres_shift,
 )
-from srdepth.cohomology import _MEMO, _coboundaries, _cochain_dims, _lowest_nonzero
+from srdepth.cohomology import _coboundaries, _cochain_dims
+from srdepth.depth import _MEMO, _lowest_nonzero
 from srdepth.errors import EmptyFace, FaceNotInComplex, NotAComplex, NotASubcomplex, RepeatedVertex
 from srdepth.linalg import _cohomology
 
@@ -256,7 +258,6 @@ def test_reduced_cohomology_checks_its_coboundaries(monkeypatch, field, card):
     # not answer it, so it checks them all
     flip_one_sign(monkeypatch, card)
     for until in (None, 1) if card <= 2 else (None,):
-        reduced_cohomology.cache_clear()
         with pytest.raises(NotAComplex) as err:
             reduced_cohomology(boundary_simplex(4), field, until)
         assert err.value.position == max(card - 1, 0)
@@ -278,7 +279,6 @@ def test_odd_characteristic_checks_d_squared_over_z(monkeypatch, field, card):
         return out
 
     monkeypatch.setattr(module, "_coboundary_rows", one_entry_times_four)
-    reduced_cohomology.cache_clear()
     with pytest.raises(NotAComplex) as err:
         reduced_cohomology(boundary_simplex(4), field)
     assert err.value.position == max(card - 1, 0)
@@ -299,7 +299,6 @@ def test_until_builds_no_later_coboundary(monkeypatch):
     built = []
     rows = module._coboundary_rows
     monkeypatch.setattr(module, "_coboundary_rows", lambda *a: built.append(a) or rows(*a))
-    reduced_cohomology.cache_clear()  # a cached profile would build nothing
     # the 4-sphere, asked through degree 1: coboundaries out of degrees -1, 0, 1
     assert reduced_cohomology(boundary_simplex(5), QQ, 1).dims == {-1: 0, 0: 0, 1: 0}
     assert len(built) == 3
@@ -309,7 +308,6 @@ def test_until_builds_no_later_coboundary(monkeypatch):
     assert len(built) == 2
     # capped at degree 0, the face list answers
     built.clear()
-    reduced_cohomology.cache_clear()
     assert reduced_cohomology(disjoint_points(3), GF3, 0).dims == {-1: 0, 0: 2}
     assert len(built) == 0
 
@@ -322,7 +320,6 @@ def _disjoint_tetrahedra():
 def _check_capped_against_the_kernel(K):
     for field in ALL_FIELDS:
         for cap in range(-2, K.dim + 2):
-            reduced_cohomology.cache_clear()
             kernel = {i - 1: h for i, h in enumerate(_cochain_dims(K.levels(), field, cap + 1))}
             assert reduced_cohomology(K, field, cap).dims == kernel, (K, field, cap)
 
@@ -353,9 +350,7 @@ def test_the_face_list_answers_every_field(monkeypatch, name):
     K = EDGE_CASES[name]
     # degrees -1 and 0 are free over Z: every field reads them off the face list
     module = importlib.import_module("srdepth.cohomology")
-    reduced_cohomology.cache_clear()
     expected = dict(reduced_cohomology(K, GF3, 0).dims)
-    reduced_cohomology.cache_clear()
     assert reduced_cohomology(K, GF2, 0).dims == expected
 
     def refuse(*a):
@@ -363,27 +358,11 @@ def test_the_face_list_answers_every_field(monkeypatch, name):
 
     monkeypatch.setattr(module, "_coboundary_rows", refuse)
     assert reduced_cohomology(K, GF3, 0).dims == expected
-    reduced_cohomology.cache_clear()
 
 
-def test_the_face_list_answers_before_the_per_field_memo():
-    # a complete GF(2) prefix under (K, GF2) decides cap 0 too, but degrees
-    # -1 and 0 read off the face list hold over every field
-    K = boundary_simplex(4)
-    reduced_cohomology.cache_clear()
-    assert not reduced_cohomology(K, GF2).certified
-    assert reduced_cohomology(K, GF2, 0).certified
-    assert reduced_cohomology(K, GF2, 0).dims == {-1: 0, 0: 0}
-    reduced_cohomology.cache_clear()
-
-
-def test_a_cap_at_degree_0_or_below_keeps_nothing(monkeypatch):
-    # the face list answers it, certified, whatever the memo holds
+def test_a_cap_at_degree_0_or_below_builds_no_coboundary(monkeypatch):
+    # the face list answers it, certified, over every field
     module = importlib.import_module("srdepth.cohomology")
-    reduced_cohomology.cache_clear()
-    for K in EDGE_CASES.values():
-        reduced_cohomology(K, QQ)
-    before = list(module._MEMO.items())
 
     def refuse(*a):
         raise AssertionError("built a coboundary")
@@ -393,43 +372,35 @@ def test_a_cap_at_degree_0_or_below_keeps_nothing(monkeypatch):
         for field in FIELDS:
             for cap in (-2, -1, 0):
                 assert reduced_cohomology(K, field, cap).certified
-    assert list(module._MEMO.items()) == before
-    reduced_cohomology.cache_clear()
 
 
-def test_lowest_nonzero_reads_what_the_profile_reads():
-    # the depth walks' helper answers as reduced_cohomology does, and a cap
-    # <= 0, read off the face list, leaves the memo as it was
-    for K in [K for _, K in named_corpus()] + [moore_space_mod3()]:
+def _public_calls(K, field):
+    """Every public cohomology call on K over ``field``."""
+    for cap in [*range(-2, K.dim + 2), None]:
+        reduced_cohomology(K, field, cap)
+    relative_cohomology(K, K.contrastar((1,)), field)
+    local_cohomology(K, (1,), field)
+    verify_munkres_shift(K, field)
+    if K.m <= 8:
+        betti_table(K, field)
+
+
+def test_public_cohomology_calls_keep_nothing():
+    # only the depth engines keep answers, in their memo: a public call
+    # neither adds to it nor reorders it, and so keeps no complex alive
+    cases = [boundary_simplex(4), rp2_minimal(), moore_space_mod3(), cone(cycle(5)), _disjoint_tetrahedra()]
+    depth.cache_clear()
+    for K in cases:
+        depth(K, GF3)
+    before = list(_MEMO.items())
+    assert before
+    for K in cases:
         for field in FIELDS:
-            for cap in range(-1, K.dim + 2):
-                reduced_cohomology.cache_clear()
-                profile = reduced_cohomology(K, field, cap)
-                reduced_cohomology.cache_clear()
-                got = _lowest_nonzero(K, field, cap)
-                assert got == (profile.first_nonzero(), profile.certified), (K, str(field), cap)
-                if cap <= 0:
-                    reduced_cohomology(K, field)
-                    before = list(_MEMO.items())
-                    assert _lowest_nonzero(K, field, cap) == got
-                    assert list(_MEMO.items()) == before
-    reduced_cohomology.cache_clear()
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_a_short_prefix_never_replaces_a_longer_one(monkeypatch, field):
-    module = importlib.import_module("srdepth.cohomology")
-    K = boundary_simplex(4)
-    reduced_cohomology.cache_clear()
-    assert reduced_cohomology(K, field, 2).dims == {-1: 0, 0: 0, 1: 0, 2: 0}
-    assert reduced_cohomology(K, field, 0).dims == {-1: 0, 0: 0}
-    built = []
-    rows = module._coboundary_rows
-    monkeypatch.setattr(module, "_coboundary_rows", lambda *a: built.append(a) or rows(*a))
-    assert reduced_cohomology(K, field, 2).dims == {-1: 0, 0: 0, 1: 0, 2: 0}
-    assert not built
-    assert len(module._MEMO[K, field].dims) == 4
-    reduced_cohomology.cache_clear()
+            _public_calls(K, field)
+            assert list(_MEMO.items()) == before, (K, str(field))
+    depth.cache_clear()
+    _public_calls(cases[0], QQ)
+    assert not _MEMO
 
 
 def test_munkres_shift_names_the_face_where_the_sides_differ(monkeypatch):
@@ -446,69 +417,17 @@ def test_munkres_shift_names_the_face_where_the_sides_differ(monkeypatch):
     assert rep.witness == ((1,), 1, 0, 1)
 
 
-def test_memo_evicts_the_least_recently_used_prefix():
-    memo = importlib.import_module("srdepth.cohomology")._MEMO
-    reduced_cohomology.cache_clear()
-    try:
-        reduced_cohomology(cycle(4), GF2)  # the oldest entry
-        memo.update((i, None) for i in range(199_999))  # placeholders fill the memo
-        reduced_cohomology(cycle(4), GF2)  # asked again: now the newest
-        assert len(memo) == 200_000
-        reduced_cohomology(cycle(5), GF2)  # one past the bound: one entry goes
-        assert len(memo) == 200_000
-        assert 0 not in memo and 1 in memo
-        assert (cycle(4), GF2) in memo and (cycle(5), GF2) in memo
-    finally:
-        reduced_cohomology.cache_clear()
-
-
-def test_memo_answers_the_caps_its_prefix_decides(monkeypatch):
-    module = importlib.import_module("srdepth.cohomology")
-    built = []
-    rows = module._coboundary_rows
-    monkeypatch.setattr(module, "_coboundary_rows", lambda *a: built.append(a) or rows(*a))
-    point_and_circle = validate([[1], [2, 3], [3, 4], [2, 4]], 4)  # nonzero in degrees 0 and 1
-    cases = [boundary_simplex(3), rp2_minimal(), point_and_circle, cone(cycle(5))]
-    for K in cases:
-        for field in (GF2, GF3, QQ):
-            fresh = {}
-            for cap in (-2, -1, 0, 1, 2, None):
-                reduced_cohomology.cache_clear()
-                fresh[cap] = dict(reduced_cohomology(K, field, cap).dims)
-            for order in ((0, None, 1), (None, 0), (1, 0, -1, 2, None)):
-                reduced_cohomology.cache_clear()
-                held = None  # the prefix a decided cap is answered from
-                for cap in order:
-                    built.clear()
-                    dims = reduced_cohomology(K, field, cap).dims
-                    assert dims == fresh[cap], (K, field, order, cap)
-                    assert isinstance(dims, MappingProxyType)
-                    decided = held is not None and (
-                        len(held) == K.dim + 2
-                        or cap is not None
-                        and (any(held.values()) or max(held, default=-2) >= cap)
-                    )
-                    low = cap is not None and cap <= 0  # the face list answers
-                    assert (not built) == (decided or low), (K, field, order, cap)
-                    if not decided:
-                        held = dims
-    # a full request after a capped one that stopped at a nonzero degree
-    reduced_cohomology.cache_clear()
-    assert reduced_cohomology(point_and_circle, GF2, 1).dims == {-1: 0, 0: 1}
-    built.clear()
-    assert reduced_cohomology(point_and_circle, GF2).dims == {-1: 0, 0: 1, 1: 1}
-    assert built
-
-
 def _asked(K, fields):
-    """``reduced_cohomology`` at every cap, then ``depth``, over each field
-    in turn, the memos cleared once before the first."""
-    reduced_cohomology.cache_clear()
+    """``reduced_cohomology`` and the depth walks' ``_lowest_nonzero`` at
+    every cap, then ``depth``, over each field in turn, the memo cleared
+    once before the first."""
     depth.cache_clear()
     out = {}
     for field in fields:
         for cap in [*range(-2, K.dim + 2), None]:
             out[field, cap] = dict(reduced_cohomology(K, field, cap).dims)
+            if cap is not None:
+                out[field, cap, "lowest"] = _lowest_nonzero(K, field, cap)
         out[field, "depth"] = depth(K, field)
     return out
 
@@ -543,53 +462,26 @@ def test_answers_do_not_depend_on_the_field_order_with_torsion():
         _check_field_order_independence(K)
 
 
-def test_moore_space_asked_over_q_first_never_answers_gf3(monkeypatch):
-    # its 3-torsion sits in the coboundary out of the edges, whose pivots
-    # over Z are not all +-1: the prefix over Q is not certified, and it is
-    # kept under (M, Q) alone
-    M = moore_space_mod3()
-    module = importlib.import_module("srdepth.cohomology")
-    reduced_cohomology.cache_clear()
-    for cap in (-2, -1, 0, 1, 2, None):
-        assert not any(reduced_cohomology(M, QQ, cap).dims.values())
-    assert not module._MEMO[M, QQ].certified
-    assert [key for key in module._MEMO if M in key] == [(M, QQ)]
-    built = []
-    rows = module._coboundary_rows
-    monkeypatch.setattr(module, "_coboundary_rows", lambda *a: built.append(a) or rows(*a))
-    assert reduced_cohomology(M, GF3, 1).dims == {-1: 0, 0: 0, 1: 1}
-    assert built
-    built.clear()
-    assert reduced_cohomology(M, GF3).dims == {-1: 0, 0: 0, 1: 1, 2: 1}
-    assert built  # the capped prefix ends at degree 1: not complete
-    reduced_cohomology.cache_clear()
-
-
-def _certificate(K, field, cap):
-    """The certificate a call's profile carries: a cap <= 0 is read off the
-    face list, and any other cap is answered from the prefix then kept under
-    (K, field)."""
-    if cap is not None and cap <= 0:
-        return True
-    return importlib.import_module("srdepth.cohomology")._MEMO[K, field].certified
-
-
-def test_profile_carries_the_face_list_or_its_kept_prefix_certificate():
-    two_bd3 = validate([[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4], [5, 6, 7], [5, 6, 8], [5, 7, 8], [6, 7, 8]], 8)
+def test_profile_carries_its_own_certificate():
+    # a cap <= 0 is read off the face list; any other call carries the
+    # kernel's certificate for the prefix it ranked, whatever came before
+    two_bd3 = _disjoint_tetrahedra()
     cases = [K for _, K in named_corpus()] + [moore_space_mod3(), two_bd3]
     for K in cases:
         caps = [*range(-2, K.dim + 2), None]
-        for order in (caps, caps[::-1]):
-            reduced_cohomology.cache_clear()
-            for field in FIELDS:
+        for field in FIELDS:
+            kernel = {
+                cap: _cohomology(_coboundaries(K.levels() + [[]], field), field, None if cap is None else cap + 1)[1]
+                for cap in caps
+            }
+            for order in (caps, caps[::-1]):
                 for cap in order:
-                    certified = reduced_cohomology(K, field, cap).certified
-                    assert certified == _certificate(K, field, cap), (K, str(field), cap)
+                    profile = reduced_cohomology(K, field, cap)
+                    assert isinstance(profile.dims, MappingProxyType)  # results are immutable
+                    certified = profile.certified
+                    assert certified == (cap is not None and cap <= 0 or kernel[cap]), (K, str(field), cap)
                     if field == GF2:  # bitset ranks certify nothing
                         assert certified == (cap is not None and cap <= 0), (K, cap)
-        reduced_cohomology.cache_clear()
-        assert reduced_cohomology(K, GF2, 0).certified, K  # read off the face list
-    reduced_cohomology.cache_clear()
     assert not reduced_cohomology(moore_space_mod3(), GF3, 1).certified  # a pivot of 3 over Z
     assert not reduced_cohomology(boundary_simplex(4), GF2, 2).certified  # bitset ranks
-    reduced_cohomology.cache_clear()
+    assert reduced_cohomology(boundary_simplex(4), GF3, 2).certified  # unit pivots over Z

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -482,6 +483,24 @@ def test_random_corpus_cycles_its_parameters():
     assert [p["m"] for p in params] == [4, 5, 6] * 4 + [4]
     assert [p["d"] for p in params] == [1] * 3 + [2] * 3 + [3] * 3 + [2] * 3 + [1]
     assert [p["seed"] for p in params] == list(range(7, 20))
+
+
+def test_random_corpus_builds_its_largest_entry_first(monkeypatch):
+    # max_m 40 holds entries whose faces pass 2^18: the first complex built
+    # is refused, before any of the small ones is drawn
+    corpus_module = importlib.import_module("srdepth.corpus")
+    calls = []
+    draw = corpus_module.random_complex
+    monkeypatch.setattr(corpus_module, "random_complex", lambda *a, **k: calls.append(k) or draw(*a, **k))
+    with pytest.raises(TooLarge):
+        random_corpus(200, 20240101, 40)
+    assert len(calls) == 1 and calls[0]["m"] == 40
+    # the entries still come in index order, each from its own seed
+    calls.clear()
+    entries = random_corpus(13, 7, 6)
+    assert [name for name, _, _ in entries] == [f"random_{i:03d}" for i in range(13)]
+    assert calls[0] == entries[8][1]  # m=6, d=3: C(6, 4) * 2^4 * 0.2, the largest
+    assert all(K == random_complex(**p) for _, p, K in entries)
 
 
 def test_every_int_is_a_seed():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import warnings
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +203,18 @@ def test_depth_ab_reads_induced_subcomplexes_only(monkeypatch):
         assert len(visits) <= _hochster_walk_estimate(K), K
 
 
+def test_hochster_subsets_are_the_estimate_plus_the_large_faces():
+    # C(m, k) = C(m, m - k): the subsets of size >= m - krull + 1 are the
+    # non-faces the walk may rank and the faces that large, so no walk the
+    # estimate admits has 2^14 + 2^18 subsets (FACE_BOUND) to iterate
+    corpus = [K for _, K in named_corpus()] + [K for _, _, K in random_corpus(200, 7, 10)]
+    corpus += [boundary_simplex(m) for m in range(1, 15)] + [IRRELEVANT, moore_space_mod3()]
+    for K in corpus:
+        subsets = sum(comb(K.m, k) for k in range(K.krull_dim))
+        large = sum(1 for f in K.face_masks if f.bit_count() >= K.m - K.krull_dim + 1)
+        assert subsets == _hochster_walk_estimate(K) + large, K
+
+
 def test_depth_ab_too_large_fails_before_any_work(monkeypatch):
     # m=21, krull 6: no face among the sizes 16..21 the walk may visit, so
     # all sum of C(21, k) for k <= 5 subsets are non-faces; 79,507 face pairs
@@ -297,7 +310,7 @@ def test_topological_engine_checks_its_coboundary(monkeypatch, field, n):
     # d^2 = 0 next to it; the walk's matrices come from the checked producer
     K = boundary_simplex(4)  # depth 4: the walk ranks out of cardinalities 1..3
     depth.cache_clear()  # a remembered depth would rank nothing
-    reduced_cohomology(K, field)  # warm: the memo answers, so the walk must raise
+    DEPTH_MODULE._lowest_nonzero(K, field, 3)  # warm: the memo answers K, so the filters must raise
     flip_one_sign(monkeypatch, n + 1)
     with pytest.raises(NotAComplex):
         depth_topological(K, field)
@@ -334,7 +347,6 @@ def test_every_field_argument_is_a_fieldspec(K, certified, bad):
     # (3,) == GF3 would let a cache warmed over GF(3) answer (3,); the
     # sphere's walks are certified, so their depths are kept for every field
     depth.cache_clear()
-    reduced_cohomology.cache_clear()
     for warm in (False, True):
         if warm:
             for call in _FIELD_TAKERS:
@@ -352,7 +364,6 @@ def test_one_field_answers_every_field_when_certified(monkeypatch, K):
     # every walk over GF(3) read prefixes certified by unit pivots over Z,
     # so depth over any other field builds no coboundary, link or subset
     depth.cache_clear()
-    reduced_cohomology.cache_clear()
     rep = depth(K, GF3)
     monkeypatch.setattr(importlib.import_module("srdepth.cohomology"), "_coboundary_rows", refuse)
     monkeypatch.setattr(SimplicialComplex, "link_by_mask", refuse)
@@ -366,7 +377,6 @@ def test_moore_space_asked_over_q_first_walks_again_over_gf3(monkeypatch):
     # is certified, so GF(3) walks again and sees depth 2
     M = moore_space_mod3()
     depth.cache_clear()
-    reduced_cohomology.cache_clear()
     assert depth(M, QQ).reisner == 3
     assert (DEPTH_MODULE._reisner_walk, M) not in DEPTH_MODULE._MEMO
     module = importlib.import_module("srdepth.cohomology")
@@ -390,6 +400,149 @@ def test_depth_memo_evicts_the_least_recently_used_depth():
         assert (walk, cycle(4)) in memo and (walk, cycle(5)) in memo
     finally:
         depth.cache_clear()
+
+
+_lowest_nonzero = DEPTH_MODULE._lowest_nonzero
+
+
+def _counted_coboundaries(monkeypatch):
+    """The coboundaries built from now on, one entry each."""
+    module = importlib.import_module("srdepth.cohomology")
+    built, rows = [], module._coboundary_rows
+    monkeypatch.setattr(module, "_coboundary_rows", lambda *a: built.append(a) or rows(*a))
+    return built
+
+
+def test_lowest_nonzero_reads_what_the_profile_reads():
+    # the depth walks' helper answers as reduced_cohomology does, and a cap
+    # <= 0, read off the face list, leaves the memo as it was
+    for K in [K for _, K in named_corpus()] + [moore_space_mod3()]:
+        for field in (GF2, GF3, QQ):
+            for cap in range(-1, K.dim + 2):
+                profile = reduced_cohomology(K, field, cap)
+                depth.cache_clear()
+                got = _lowest_nonzero(K, field, cap)
+                assert got == (profile.first_nonzero(), profile.certified), (K, str(field), cap)
+                if cap <= 0:
+                    _lowest_nonzero(K, field, K.dim + 1)
+                    before = list(DEPTH_MODULE._MEMO.items())
+                    assert _lowest_nonzero(K, field, cap) == got
+                    assert list(DEPTH_MODULE._MEMO.items()) == before
+    depth.cache_clear()
+
+
+def test_the_face_list_answers_before_the_memo():
+    # a complete GF(2) answer under (K, GF2) decides cap 0 too, but degrees
+    # -1 and 0 read off the face list hold over every field
+    K = boundary_simplex(4)
+    depth.cache_clear()
+    assert _lowest_nonzero(K, GF2, 3) == (3, False)
+    assert _lowest_nonzero(K, GF2, 0) == (None, True)
+    depth.cache_clear()
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+def test_a_short_prefix_never_replaces_a_longer_one(monkeypatch, field):
+    K = boundary_simplex(4)  # the 3-sphere
+    depth.cache_clear()
+    assert _lowest_nonzero(K, field, 2)[0] is None
+    built = _counted_coboundaries(monkeypatch)
+    for cap in (1, 0, 2):
+        assert _lowest_nonzero(K, field, cap)[0] is None
+    assert not built
+    assert DEPTH_MODULE._MEMO[K, field][:2] == (None, 2)
+    assert _lowest_nonzero(K, field, 3)[0] == 3  # past the reach: ranked again
+    assert built
+    built.clear()
+    for cap in (1, 2, 3):
+        assert _lowest_nonzero(K, field, cap)[0] == (3 if cap == 3 else None)
+    assert not built
+    assert DEPTH_MODULE._MEMO[K, field][:2] == (3, 3)
+    depth.cache_clear()
+
+
+def test_memo_evicts_the_least_recently_used_prefix():
+    memo = DEPTH_MODULE._MEMO
+    depth.cache_clear()
+    try:
+        _lowest_nonzero(cycle(4), GF2, 1)  # the oldest entry
+        memo.update((i, None) for i in range(199_999))  # placeholders fill the memo
+        _lowest_nonzero(cycle(4), GF2, 1)  # asked again: now the newest
+        assert len(memo) == 200_000
+        _lowest_nonzero(cycle(5), GF2, 1)  # one past the bound: one entry goes
+        assert len(memo) == 200_000
+        assert 0 not in memo and 1 in memo
+        assert (cycle(4), GF2) in memo and (cycle(5), GF2) in memo
+    finally:
+        depth.cache_clear()
+
+
+def test_memo_answers_the_caps_its_prefix_decides(monkeypatch):
+    built = _counted_coboundaries(monkeypatch)
+    point_and_circle = validate([[1], [2, 3], [3, 4], [2, 4]], 4)  # nonzero in degrees 0 and 1
+    cases = [boundary_simplex(3), rp2_minimal(), point_and_circle, cone(cycle(5))]
+    for K in cases:
+        for field in (GF2, GF3, QQ):
+            fresh = {cap: reduced_cohomology(K, field, cap) for cap in (-2, -1, 0, 1, 2, 3)}
+            for order in ((0, 3, 1), (3, 0), (1, 0, -1, 2, 3), (2, 1, 3)):
+                depth.cache_clear()
+                held = None  # the triple a decided cap is answered from
+                for cap in order:
+                    built.clear()
+                    c, certified = _lowest_nonzero(K, field, cap)
+                    assert c == fresh[cap].first_nonzero(), (K, field, order, cap)
+                    low = cap <= 0  # the face list answers, and nothing is kept
+                    decided = held is not None and (held[0] is not None or held[1] >= min(cap, K.dim))
+                    assert (not built) == (decided or low), (K, field, order, cap)
+                    if not (decided or low):
+                        held = DEPTH_MODULE._MEMO[K, field]
+                        assert held == (c, max(fresh[cap].dims), fresh[cap].certified)
+                    assert certified == (low or held[2])
+    # a kept nonzero degree answers every cap, the full one too
+    depth.cache_clear()
+    assert _lowest_nonzero(point_and_circle, GF2, 1) == (0, False)
+    built.clear()
+    assert _lowest_nonzero(point_and_circle, GF2, 5) == (0, False)
+    assert not built
+    depth.cache_clear()
+
+
+def test_moore_space_asked_over_q_first_never_answers_gf3(monkeypatch):
+    # its 3-torsion sits in the coboundary out of the edges, whose pivots
+    # over Z are not all +-1: the answer over Q is not certified, and it is
+    # kept under (M, Q) alone
+    M = moore_space_mod3()
+    depth.cache_clear()
+    for cap in (-2, -1, 0, 1, 2, 3):
+        assert _lowest_nonzero(M, QQ, cap)[0] is None
+    assert DEPTH_MODULE._MEMO[M, QQ] == (None, 2, False)
+    assert [key for key in DEPTH_MODULE._MEMO if M in key] == [(M, QQ)]
+    built = _counted_coboundaries(monkeypatch)
+    assert _lowest_nonzero(M, GF3, 1) == (1, False)
+    assert built
+    built.clear()
+    assert _lowest_nonzero(M, GF3, 2) == (1, False)
+    assert not built  # a kept nonzero degree answers every cap
+    depth.cache_clear()
+
+
+def test_lowest_nonzero_carries_the_face_list_or_its_kept_certificate():
+    two_bd3 = validate([[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4], [5, 6, 7], [5, 6, 8], [5, 7, 8], [6, 7, 8]], 8)
+    cases = [K for _, K in named_corpus()] + [moore_space_mod3(), two_bd3]
+    for K in cases:
+        caps = list(range(-2, K.dim + 2))
+        for order in (caps, caps[::-1]):
+            depth.cache_clear()
+            for field in (GF2, GF3, QQ):
+                for cap in order:
+                    certified = _lowest_nonzero(K, field, cap)[1]
+                    assert certified == (cap <= 0 or DEPTH_MODULE._MEMO[K, field][2]), (K, str(field), cap)
+                    if field == GF2:  # bitset ranks certify nothing
+                        assert certified == (cap <= 0), (K, cap)
+    depth.cache_clear()
+    assert not _lowest_nonzero(moore_space_mod3(), GF3, 1)[1]  # a pivot of 3 over Z
+    assert not _lowest_nonzero(boundary_simplex(4), GF2, 2)[1]  # bitset ranks
+    depth.cache_clear()
 
 
 def test_reisner_walk_builds_no_face_set_on_its_links(monkeypatch):
@@ -443,14 +596,13 @@ def test_a_certified_memo_hit_cuts_no_levels(monkeypatch):
 
 
 def test_no_module_table_keeps_a_complex_once_the_memos_are_cleared():
-    # the memos of reduced_cohomology and the engines are the only tables
-    # that hold complexes: the link walks carry their own parents
+    # the engines' memo is the only table that holds complexes: the link
+    # walks carry their own parents, and public calls keep nothing
     alive = [o for o in gc.get_objects() if isinstance(o, SimplicialComplex)]
     before = {id(o) for o in alive}
     K, L = boundary_simplex(6), join(cycle(4), cycle(5))
     assert depth(K, GF3).depth == 6 and depth(L, GF3).depth == 4
     assert verify_star_link(K, GF3).passed
-    reduced_cohomology.cache_clear()
     depth.cache_clear()
     gc.collect()
     kept = [o for o in gc.get_objects() if isinstance(o, SimplicialComplex) and id(o) not in before]
