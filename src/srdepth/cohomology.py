@@ -10,13 +10,12 @@ int bitsets over GF(2), and over every other field one signed form, rows
 {column: +-1}, whose d^2 = 0 is checked over Z, which implies it mod every
 prime.  The check runs there as the next coboundary is made; the cochain
 kernel of ``linalg`` then clears the rows named by the previous degree's
-pivots and ranks the rest for the field.  ``reduced_cohomology`` and
-``_cochain_dims`` take an optional ``until``: they then stop at the lowest
-nonzero degree or at ``until``, build no higher coboundary, and list only
-the degrees computed.  A ``reduced_cohomology`` call capped at degree 0 or
-below builds no coboundary: degrees -1 and 0 are read off the face list
-(H^{-1} is nonzero for {-} alone, H^0 counts the components of the
-1-skeleton less one).  Any other call ranks from degree -1, so d^2 = 0 is
+pivots and ranks the rest for the field.  ``reduced_cohomology`` takes an
+optional ``until``: it then stops at the lowest nonzero degree or at
+``until``, builds no higher coboundary, and lists only the degrees
+computed.  A call capped at degree 0 or below builds no coboundary:
+degrees -1 and 0 are read off the face list (H^{-1} is nonzero for {-}
+alone, H^0 counts the components of the 1-skeleton less one).  Any other call ranks from degree -1, so d^2 = 0 is
 checked from the first pair.
 
 The kernel also says whether its answer holds over every field: it does
@@ -93,11 +92,10 @@ def _coboundaries(levels: list, field: FieldSpec):
     )
 
 
-def _cochain_dims(levels: list, field: FieldSpec, until: int | None = None) -> list[int]:
+def _cochain_dims(levels: list, field: FieldSpec) -> list[int]:
     """Cohomology dimensions of the cochain complex with bases ``levels``
-    (consecutive cardinalities) and the simplicial coboundary; with
-    ``until``, the prefix through the first nonzero one or index ``until``."""
-    return _cohomology(_coboundaries(levels + [[]], field), field, until)[0]
+    (consecutive cardinalities) and the simplicial coboundary."""
+    return _cohomology(_coboundaries(levels + [[]], field), field)[0]
 
 
 class CohomologyProfile(NamedTuple):

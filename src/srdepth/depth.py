@@ -48,8 +48,8 @@ every answer it read came off the face list (caps <= 0).
 walks read of L's cohomology (``_lowest_nonzero``), and beside it a
 certified depth under (walk, K) and any other under (walk, K, field), so
 a complex whose walks over GF(3) were certified is not walked again over
-Q, and a GF(2) walk reads every certified depth.  The field and the size
-guards are checked before the memo is read.
+Q, and a GF(2) walk reads every certified depth.  A hit reads only the
+memo; a walk checks its own size bound before it starts.
 
 The three must agree (the equivalence is a theorem); disagreement raises
 ``EngineDisagreement`` as a bug signal, never as a legitimate outcome.
@@ -92,22 +92,14 @@ def _check_face_pairs(K: SimplicialComplex) -> None:
         )
 
 
-# every answer kept across calls, least recently used first
+# every answer kept across calls, oldest first
 _MEMO: dict = {}
 
 
-def _recall(key):
-    """The value kept under ``key``, now the most recently used, or None."""
-    got = _MEMO.pop(key, None)
-    if got is not None:
-        _MEMO[key] = got
-    return got
-
-
 def _keep(key, value):
-    """Keep ``value`` under ``key``, a key not kept or just recalled, as the
-    most recently used, dropping the least recently used past 200,000, and
-    return it."""
+    """Keep ``value`` under ``key``, dropping the oldest entry past 200,000,
+    and return it.  A key kept again keeps its place; a read never writes
+    the memo."""
     _MEMO[key] = value
     if len(_MEMO) > 200_000:
         del _MEMO[next(iter(_MEMO))]
@@ -124,7 +116,7 @@ def _lowest_nonzero(L: SimplicialComplex, field: FieldSpec, until: int) -> tuple
     other cap calls ``reduced_cohomology``, whose longer answer is kept."""
     if until <= 0:
         return next((i for i, h in enumerate(_lowest_degrees(L, until), -1) if h), None), True
-    kept = _recall((L, field))
+    kept = _MEMO.get((L, field))
     if kept is None or kept[0] is None and kept[1] < min(until, L.dim):
         profile = reduced_cohomology(L, field, until)
         kept = _keep((L, field), (profile.first_nonzero(), max(profile.dims), profile.certified))
@@ -134,13 +126,18 @@ def _lowest_nonzero(L: SimplicialComplex, field: FieldSpec, until: int) -> tuple
 
 def _remembered(walk, K: SimplicialComplex, field: FieldSpec) -> int:
     """The depth ``walk`` finds for K over ``field``, from the memo if it
-    holds one for every field or for this one.  A walk returns its depth and
-    whether every cohomology prefix it read was certified for every field;
-    it is then kept under (walk, K), else under (walk, K, field)."""
-    for key in ((walk, K), (walk, K, field)):
-        r = _recall(key)
-        if r is not None:
-            return r
+    holds one for every field or for this one.  The field is checked first;
+    a hit then reads only the memo.  On a miss the walk checks its own size
+    bound and returns its depth and whether every cohomology prefix it read
+    was certified for every field; it is then kept under (walk, K), else
+    under (walk, K, field).  A walk that raises keeps nothing: each bound
+    depends on K alone, so a kept depth shows that its bound held."""
+    _require_field(field)
+    r = _MEMO.get((walk, K))
+    if r is None:
+        r = _MEMO.get((walk, K, field))
+    if r is not None:
+        return r
     r, certified = walk(K, field)
     return _keep((walk, K) if certified else (walk, K, field), r)
 
@@ -154,9 +151,8 @@ def depth_reisner(K: SimplicialComplex, field: FieldSpec) -> int:
     A link with lowest nonzero degree c lowers the running bound r to
     c + card(sigma) + 1 >= 0, and is computed only through degree
     r - card(sigma) - 2; the walk ends at the first card(sigma) >= r.
-    The field and the face pairs are checked before the memo is read."""
-    _require_field(field)
-    _check_face_pairs(K)
+    A memo hit reads only the memo; the walk checks the face pairs before
+    it starts."""
     return _remembered(_reisner_walk, K, field)
 
 
@@ -184,6 +180,7 @@ def _descend(K: SimplicialComplex, root, child):
 
 
 def _reisner_walk(K: SimplicialComplex, field: FieldSpec) -> tuple[int, bool]:
+    _check_face_pairs(K)
     r, certified = K.krull_dim, True
     # lk sigma is the link of v in lk(sigma - v): one scan of the parent link
     # past the bound no link is made: the walk ends at the first such face
@@ -210,13 +207,13 @@ def depth_topological(K: SimplicialComplex, field: FieldSpec) -> int:
     the rows of K's coboundary matrices that hold sigma, found among the
     rows that hold its parent sigma - v (v its top vertex) as those that
     also hold v, ranked for the field as ``reduced_cohomology`` ranks K's.
-    The field and the face pairs are checked before the memo is read."""
-    _require_field(field)
-    _check_face_pairs(K)
+    A memo hit reads only the memo; the walk checks the face pairs before
+    it starts."""
     return _remembered(_topological_walk, K, field)
 
 
 def _topological_walk(K: SimplicialComplex, field: FieldSpec) -> tuple[int, bool]:
+    _check_face_pairs(K)
     r = K.krull_dim
     c, certified = _lowest_nonzero(K, field, r - 2)
     if c is not None:
@@ -295,20 +292,19 @@ def _hochster_walk_estimate(K: SimplicialComplex) -> int:
 def depth_ab(K: SimplicialComplex, field: FieldSpec) -> int:
     """Depth as (number of generators) - (projective dimension), with pd
     the largest |W| - c_W - 1 over the vertex subsets W whose induced
-    subcomplex has lowest nonvanishing reduced cohomology degree c_W.  The
-    field and the walk's size are checked before the memo is read: at most
-    ``2**HOCHSTER_VERTEX_BOUND`` non-faces to rank."""
-    _require_field(field)
+    subcomplex has lowest nonvanishing reduced cohomology degree c_W.  A
+    memo hit reads only the memo; the walk checks its size before it starts:
+    at most ``2**HOCHSTER_VERTEX_BOUND`` non-faces to rank."""
+    return _remembered(_hochster_walk, K, field)
+
+
+def _hochster_walk(K: SimplicialComplex, field: FieldSpec) -> tuple[int, bool]:
     estimate = _hochster_walk_estimate(K)
     if estimate > 2**HOCHSTER_VERTEX_BOUND:
         raise TooLarge(
             f"the Hochster walk may rank {estimate} non-faces "
             f"(m={K.m}, krull dimension {K.krull_dim}); more than 2^{HOCHSTER_VERTEX_BOUND}"
         )
-    return _remembered(_hochster_walk, K, field)
-
-
-def _hochster_walk(K: SimplicialComplex, field: FieldSpec) -> tuple[int, bool]:
     pd, certified = 0, True  # beta(0, 0) = 1 from the empty subset
     verts = K.vertices
     for j in range(K.m, 0, -1):

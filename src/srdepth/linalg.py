@@ -285,10 +285,6 @@ class ExactMatrix:
         self.field, self.rows, self.cols, self.sparse_rows = field, len(rows), cols, rows
         return self
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
     def __repr__(self):
         return f"ExactMatrix({self.field}, {self.rows}x{self.cols})"
 
@@ -298,9 +294,6 @@ class ExactMatrix:
         ``unimodular``."""
         self.pivots, self.unimodular = _pivot_columns(self.sparse_rows, self.field.p)
         return len(self.pivots)
-
-    def kernel_dim(self) -> int:
-        return self.cols - self.rank()
 
 
 def _product_is_zero(left: ExactMatrix, right: ExactMatrix) -> bool:

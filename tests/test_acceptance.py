@@ -19,6 +19,7 @@ from srdepth import (
     depth,
     depth_reisner,
     depth_topological,
+    derived_limit_dims,
     betti_table,
     graded_dim,
     hilbert_series,
@@ -141,6 +142,16 @@ def test_criterion_7_limit_depth_criterion(corpus):
             assert report.passed, (name, str(field), report.witness)
             assert report.almost_trivial
             assert report.l_totals[-1] == 0, (name, str(field))
+    # the grouped profile sets every d > 0 part to zero by construction;
+    # the direct one ranks the literal matrices in every degree
+    for name, K in named_corpus():
+        if K.is_irrelevant:
+            continue
+        for field in TWO_FIELDS:
+            profile = derived_limit_dims(K, field, 4, method="direct")
+            report = verify_limit_depth_criterion(K, field, profile=profile)
+            assert report.passed, (name, str(field), report.witness)
+            assert report.almost_trivial, (name, str(field))
     print(
         "\nACCEPTANCE 7 PASS: depth >= r iff L^i = 0 for i <= r-2, for all r up "
         "to the minimum star depth, corpus-wide; comparison kernel always zero"

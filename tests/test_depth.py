@@ -386,18 +386,18 @@ def test_moore_space_asked_over_q_first_walks_again_over_gf3(monkeypatch):
     assert built
 
 
-def test_depth_memo_evicts_the_least_recently_used_depth():
+def test_depth_memo_evicts_the_oldest_depth():
     memo, walk = DEPTH_MODULE._MEMO, DEPTH_MODULE._reisner_walk
     depth.cache_clear()
     try:
         depth_reisner(cycle(4), QQ)  # the oldest entry, certified
         memo.update((i, None) for i in range(199_999))  # placeholders fill the memo
-        depth_reisner(cycle(4), QQ)  # asked again: now the newest
+        assert depth_reisner(cycle(4), QQ) == 2  # read again: still the oldest
         assert len(memo) == 200_000
-        depth_reisner(cycle(5), QQ)  # one past the bound: one entry goes
+        depth_reisner(cycle(5), QQ)  # one past the bound: the oldest goes
         assert len(memo) == 200_000
-        assert 0 not in memo and 1 in memo
-        assert (walk, cycle(4)) in memo and (walk, cycle(5)) in memo
+        assert (walk, cycle(4)) not in memo and 0 in memo
+        assert (walk, cycle(5)) in memo
     finally:
         depth.cache_clear()
 
@@ -411,6 +411,52 @@ def _counted_coboundaries(monkeypatch):
     built, rows = [], module._coboundary_rows
     monkeypatch.setattr(module, "_coboundary_rows", lambda *a: built.append(a) or rows(*a))
     return built
+
+
+def _counted_guards(monkeypatch):
+    """How often each size guard of the depth module runs from now on."""
+    counts = {"_check_face_pairs": 0, "_hochster_walk_estimate": 0}
+    for name in counts:
+        guard = getattr(DEPTH_MODULE, name)
+
+        def counted(K, name=name, guard=guard):
+            counts[name] += 1
+            return guard(K)
+
+        monkeypatch.setattr(DEPTH_MODULE, name, counted)
+    return counts
+
+
+def test_a_memo_hit_runs_no_guard(monkeypatch):
+    # the walks over GF(3) are certified, so Q is answered from the memo:
+    # depth() checks the face pairs once up front, and no engine checks more
+    K = join(cycle(5), cycle(4))
+    depth.cache_clear()
+    rep = depth(K, GF3)
+    assert (DEPTH_MODULE._hochster_walk, K) in DEPTH_MODULE._MEMO
+    counts = _counted_guards(monkeypatch)
+    assert depth(K, QQ) == rep._replace(field=QQ)
+    assert counts == {"_check_face_pairs": 1, "_hochster_walk_estimate": 0}
+    for engine in (depth_reisner, depth_topological, depth_ab):
+        counts.update(dict.fromkeys(counts, 0))
+        assert engine(K, QQ) == rep.reisner
+        assert counts == {"_check_face_pairs": 0, "_hochster_walk_estimate": 0}, engine
+    depth.cache_clear()
+
+
+def test_a_memo_hit_writes_nothing(monkeypatch):
+    # a read leaves the memo's entries and their order as they were
+    K = join(cycle(5), cycle(4))
+    depth.cache_clear()
+    depth(K, GF3)
+    _lowest_nonzero(K, GF3, 1)
+    built = _counted_coboundaries(monkeypatch)
+    before = list(DEPTH_MODULE._MEMO.items())
+    depth(K, QQ)
+    _lowest_nonzero(K, GF3, 1)
+    assert not built
+    assert list(DEPTH_MODULE._MEMO.items()) == before
+    depth.cache_clear()
 
 
 def test_lowest_nonzero_reads_what_the_profile_reads():
@@ -461,18 +507,18 @@ def test_a_short_prefix_never_replaces_a_longer_one(monkeypatch, field):
     depth.cache_clear()
 
 
-def test_memo_evicts_the_least_recently_used_prefix():
+def test_memo_evicts_the_oldest_prefix():
     memo = DEPTH_MODULE._MEMO
     depth.cache_clear()
     try:
         _lowest_nonzero(cycle(4), GF2, 1)  # the oldest entry
         memo.update((i, None) for i in range(199_999))  # placeholders fill the memo
-        _lowest_nonzero(cycle(4), GF2, 1)  # asked again: now the newest
+        assert _lowest_nonzero(cycle(4), GF2, 1)[0] == 1  # read again: still the oldest
         assert len(memo) == 200_000
-        _lowest_nonzero(cycle(5), GF2, 1)  # one past the bound: one entry goes
+        _lowest_nonzero(cycle(5), GF2, 1)  # one past the bound: the oldest goes
         assert len(memo) == 200_000
-        assert 0 not in memo and 1 in memo
-        assert (cycle(4), GF2) in memo and (cycle(5), GF2) in memo
+        assert (cycle(4), GF2) not in memo and 0 in memo
+        assert (cycle(5), GF2) in memo
     finally:
         depth.cache_clear()
 

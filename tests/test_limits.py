@@ -92,13 +92,13 @@ def test_flag_count_estimate_is_the_number_listed():
 
 def test_two_points_degree_zero():
     mats = limits_complex(disjoint_points(2), QQ, 0)
-    assert [m.shape for m in mats] == [(2, 0)]
+    assert [(m.rows, m.cols) for m in mats] == [(2, 0)]
     assert cohomology_dims(mats) == [2, 0]
 
 
 def test_single_edge_degree_zero_matrix():
     mats = limits_complex(EDGE, QQ, 0)
-    assert [m.shape for m in mats] == [(3, 2)]
+    assert [(m.rows, m.cols) for m in mats] == [(3, 2)]
     # written with one row per target flag, 1 < 12 and 2 < 12, and one
     # column per source flag, (1), (2), (12)
     assert dense(mats[0]) == transpose(((-1, 0, 1), (0, -1, 1)))
@@ -107,7 +107,7 @@ def test_single_edge_degree_zero_matrix():
     # degree 2 has real restriction blocks: every star of the edge is the
     # edge, with basis x1, x2 inside each flag's block, rows and columns alike
     (mat,) = limits_complex(EDGE, QQ, 2)
-    assert mat.shape == (6, 4)
+    assert (mat.rows, mat.cols) == (6, 4)
     assert dense(mat) == transpose((
         (-1, 0, 0, 0, 1, 0),
         (0, -1, 0, 0, 0, 1),

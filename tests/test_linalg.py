@@ -167,10 +167,12 @@ def test_rank_reduction_changes_rank():
 
 
 def test_kernel_cokernel_examples():
-    assert zeros(QQ, 2, 3).kernel_dim() == 3
+    z = zeros(QQ, 2, 3)
+    assert z.cols - z.rank() == 3
     eye = identity(GF3, 4)
-    assert eye.kernel_dim() == 0 and eye.rows - eye.rank() == 0
-    assert ExactMatrix(GF2, [[1, 1]]).kernel_dim() == 1
+    assert eye.cols - eye.rank() == 0 and eye.rows - eye.rank() == 0
+    m = ExactMatrix(GF2, [[1, 1]])
+    assert m.cols - m.rank() == 1
 
 
 def test_fraction_entries():
@@ -200,7 +202,8 @@ def test_dict_row_keys_and_entries_are_gated():
 def test_empty_shapes():
     assert zeros(QQ, 0, 5).rank() == 0
     assert zeros(GF2, 5, 0).rank() == 0
-    assert zeros(GF3, 2, 3).shape == (2, 3)
+    z = zeros(GF3, 2, 3)
+    assert (z.rows, z.cols) == (2, 3)
     with pytest.raises(BadParameter):
         ExactMatrix(QQ, [{0: 1}, {3: 1}], shape=(2, 3))  # column >= cols
     with pytest.raises(BadParameter):
@@ -254,13 +257,6 @@ def test_rank_equals_transpose_rank(rows):
 @settings(max_examples=60, deadline=None)
 def test_rank_over_q_at_least_rank_mod_p(rows, p):
     assert ExactMatrix(QQ, rows).rank() >= ExactMatrix(FieldSpec(p), rows).rank()
-
-
-@given(int_matrix())
-@settings(max_examples=40, deadline=None)
-def test_rank_plus_kernel_is_cols(rows):
-    a = ExactMatrix(GF3, rows)
-    assert a.rank() + a.kernel_dim() == a.cols
 
 
 # -- cohomology of explicit complexes ---------------------------------------------------
