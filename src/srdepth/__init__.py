@@ -63,12 +63,7 @@ from .errors import (
     UnusedVertex,
     VertexOutOfRange,
 )
-from .face_ring import (
-    HilbertSeries,
-    graded_dim,
-    hilbert_series,
-    monomial_basis,
-)
+from .face_ring import graded_dim, monomial_basis
 from .limits import (
     LimitsProfile,
     derived_limit_dims,

@@ -1,21 +1,19 @@
-"""The graded face ring of a complex: monomial bases of the ring and of its
-star rings, and the Hilbert series.
+"""The graded face ring of a complex: its graded dimensions and the
+monomial bases of the ring and of its star rings.
 
 Generators carry internal degree 2 (the topological grading), so every
 graded piece lives in an even degree; degree d holds the monomials of
 polynomial degree d/2 whose support is a face.  Monomials are exponent
 vectors over the complex's vertex tuple, listed in lexicographic order.
 Every count here is binomial: a face of c vertices supports C(t-1, c-1)
-monomials of degree t, one per choice of c-1 cut points among 1..t-1,
-and the Hilbert series numerator takes its coefficients from the
-binomial expansion of (1-t^2)^k.
+monomials of degree t, one per choice of c-1 cut points among 1..t-1.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .complexes import SimplicialComplex, _verts_of
 from .errors import OddDegree, _quote, _require_int
@@ -63,41 +61,6 @@ def monomial_basis(K: SimplicialComplex, d: int) -> tuple[tuple[int, ...], ...]:
     """Lex-sorted exponent vectors (over K.vertices) of the degree-d piece."""
     t = _check_degree(d)
     return tuple(_monomials(K.vertices, K.face_masks, t))
-
-
-class HilbertSeries(NamedTuple):
-    """Rational form numerator(t) / (1 - t^2)^denominator_exponent with the
-    denominator exponent equal to the Krull dimension."""
-
-    numerator: tuple[int, ...]  # coefficient of t^k at index k
-    denominator_exponent: int
-
-    def expansion(self, d_max: int) -> list[int]:
-        """Power series coefficients in degrees 0..d_max, an int >= 0."""
-        _require_int(d_max, 0, "the top degree")
-        n = self.denominator_exponent
-        out = [0] * (d_max + 1)
-        for k in range(0, d_max + 1, 2):
-            # coefficient of t^k in 1/(1-t^2)^n is comb(k/2 + n - 1, n - 1)
-            geom = 1 if n == 0 and k == 0 else (comb(k // 2 + n - 1, n - 1) if n else 0)
-            for j, cj in enumerate(self.numerator):
-                if cj and j + k <= d_max:
-                    out[j + k] += cj * geom
-        return out
-
-
-def hilbert_series(K: SimplicialComplex) -> HilbertSeries:
-    """Sum over faces of t^(2 card) / (1-t^2)^card, cleared to the common
-    denominator (1-t^2)^(dim K + 1): f_c times t^(2c) (1-t^2)^(n-c), whose
-    coefficient of t^(2c+2j) is (-1)^j C(n-c, j)."""
-    n = K.krull_dim
-    numerator = [0] * (2 * n + 1)
-    for c, f in enumerate(K.f_vector):
-        for j in range(n - c + 1):
-            numerator[2 * c + 2 * j] += (-1) ** j * comb(n - c, j) * f
-    while len(numerator) > 1 and numerator[-1] == 0:
-        numerator.pop()
-    return HilbertSeries(tuple(numerator), n)
 
 
 def star_basis(K: SimplicialComplex, sigma_mask: int, d: int) -> tuple[tuple[int, ...], ...]:

@@ -36,26 +36,42 @@ from typing import NamedTuple
 from .cohomology import _cochain_dims, reduced_cohomology
 from .complexes import SimplicialComplex
 from .errors import BadParameter, InternalInvariantError, TooLarge, _quote, _require_int
-from .face_ring import graded_dim, monomial_basis, star_basis
+from .face_ring import _check_degree, graded_dim, monomial_basis, star_basis
 from .linalg import ExactMatrix, FieldSpec, _product_is_zero, _require_field, cohomology_dims
 
 
-FLAG_BOUND = 100_000  # most flags flag_chains may list, and most values a limits report may list
+# most flags flag_chains may list, most values a limits report may list, and
+# most basis vectors the direct path may assemble in one degree
+FLAG_BOUND = 100_000
 
 
 def _nonempty_faces(K: SimplicialComplex) -> list[int]:
     return [f for f in K.face_masks if f]
 
 
-def _flag_count(K: SimplicialComplex) -> int:
-    """Number of strictly increasing chains of nonempty faces, from the
-    f-vector: a face of cardinality k ends a_k = 1 + sum_{0<j<k} C(k, j) a_j
-    of them."""
-    f_vector = K.f_vector
-    a = [0]
+def _direct_size(K: SimplicialComplex, d: int) -> int:
+    """Basis vectors in all the terms of the degree-d limit complex, from the
+    f-vector; in degree 0 that is the number of strictly increasing chains
+    of nonempty faces, and it does not decrease in d.  A face of cardinality k
+    ends a_k = 1 + sum_{0<j<k} C(k, j) a_j flags, and a flag ending at sigma
+    carries the constant if t = d/2 is 0, else C(t-1, |tau|-1) monomials on
+    each nonempty face tau of star(sigma).  A face of k vertices is
+    sigma | tau for C(k, i) C(i, j+i-k) pairs with |sigma| = i, |tau| = j."""
+    t = _check_degree(d)
+    f_vector, a = K.f_vector, [0]
     for k in range(1, len(f_vector)):
         a.append(1 + sum(comb(k, j) * a[j] for j in range(1, k)))
-    return sum(f * n for f, n in zip(f_vector, a))
+    if t == 0:
+        return sum(f * n for f, n in zip(f_vector, a))
+    return sum(
+        f * a[i] * comb(k, i) * comb(i, j + i - k) * comb(t - 1, j - 1)
+        for k, f in enumerate(f_vector) for i in range(1, k + 1) for j in range(max(k - i, 1), k + 1)
+    )
+
+
+def _check_direct_size(K: SimplicialComplex, d: int) -> None:
+    if (count := _direct_size(K, d)) > FLAG_BOUND:
+        raise TooLarge(f"the degree-{d} limit complex has {count} basis vectors; more than {FLAG_BOUND}")
 
 
 def flag_chains(K: SimplicialComplex) -> list[list[tuple[int, ...]]]:
@@ -65,7 +81,7 @@ def flag_chains(K: SimplicialComplex) -> list[list[tuple[int, ...]]]:
     face; those come after it in the canonical order, so every level is in
     lexicographic order as built.  Raises ``TooLarge`` above ``FLAG_BOUND``
     chains."""
-    count = _flag_count(K)
+    count = _direct_size(K, 0)
     if count > FLAG_BOUND:
         raise TooLarge(f"the order complex has {count} flags; more than {FLAG_BOUND}")
     objs = _nonempty_faces(K)
@@ -86,9 +102,11 @@ def _require_vertex(K: SimplicialComplex):
 def limits_complex(K: SimplicialComplex, field: FieldSpec, d: int) -> list[ExactMatrix]:
     """Assembled differentials d_0, d_1, ... of the degree-d normalized
     cochain complex, d_n of shape (dim C^n, dim C^{n+1}); rows and columns
-    follow flag order, then the lex monomial order inside each star block."""
+    follow flag order, then the lex monomial order inside each star block;
+    more than ``FLAG_BOUND`` basis vectors in all raise ``TooLarge`` first."""
     _require_field(field)
     _require_vertex(K)
+    _check_direct_size(K, d)
     index = _star_index(K, d)
     flags = flag_chains(K)
     levels = list(zip(flags, flags[1:])) or [(flags[0], [])]
@@ -207,7 +225,9 @@ def derived_limit_dims(
     reads every degree d > 0 off the f-vector, as its blocks are cones;
     ``direct`` runs on the literal matrices in every degree and is meant
     for small inputs and cross-checks.  Both refuse, before any work, a
-    profile of more than ``FLAG_BOUND`` values (even degrees times lim^i).
+    profile of more than ``FLAG_BOUND`` values (even degrees times lim^i),
+    and ``direct`` refuses a top degree whose limit complex holds more than
+    ``FLAG_BOUND`` basis vectors.
     """
     _require_field(field)
     _require_vertex(K)
@@ -220,6 +240,7 @@ def derived_limit_dims(
         raise TooLarge(f"the limits report would list {_quote(values)} values; more than {FLAG_BOUND}")
     degrees = list(range(0, d_max + 1, 2))
     if method == "direct":
+        _check_direct_size(K, degrees[-1])
         lim = {i: {} for i in range(top + 1)}
         rker, rcok = {}, {}
         for d in degrees:

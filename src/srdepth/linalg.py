@@ -27,11 +27,11 @@ columns over every field.
 
 The rank does not depend on the pivot order, so every result equals that of
 dense Gaussian elimination.  ``ExactMatrix`` holds its rows in the same
-sparse form, whether it was built from dense rows, from dict rows
-{column: int} that list only the entries that may be nonzero, or from rows
-already in kernel form (``ExactMatrix.from_sparse``); ``rank`` keeps the
-leading columns and the certificate.  Mod an odd p it holds residues in
-(-p/2, p/2], so an entry written -1 is still a unit pivot over Z.
+sparse form, whether it was built from dict rows {column: int} that list
+only the entries that may be nonzero, or from rows already in kernel form
+(``ExactMatrix.from_sparse``); ``rank`` keeps the leading columns and the
+certificate.  Mod an odd p it holds residues in (-p/2, p/2], so an entry
+written -1 is still a unit pivot over Z.
 
 One cochain kernel, ``_cohomology``, serves every cohomology computation.
 It takes the differentials lazily with one row per basis vector of the
@@ -224,53 +224,39 @@ class ExactMatrix:
     """Exact matrix over a field with int entries, held as sparse rows in
     kernel form: int bitsets over GF(2), otherwise dicts {column: nonzero
     entry} holding residues mod p in (-p/2, p/2], or the ints themselves
-    over Q.  It is built from dense rows or from dict rows {column: int},
-    whose entries are reduced to those residues, or from rows already in
-    kernel form."""
+    over Q.  It is built from dict rows {column: int}, whose entries are
+    reduced to those residues, or from rows already in kernel form."""
 
     __slots__ = ("field", "rows", "cols", "sparse_rows", "pivots", "unimodular")
 
-    def __init__(self, field: FieldSpec, entries: Sequence, shape=None):
-        """Matrix from rows of ints, reduced to kernel form; any other
-        entry (a Fraction, a float, a bool) raises ``BadParameter``.  A row
-        is either dense (a sequence of ``cols`` entries) or a dict
-        {column: entry}; dict rows need ``shape``, and entries that reduce
-        to zero are dropped.  With ``shape`` given, empty ``entries`` mean
-        the zero matrix.  Anything but a sequence of rows, or a dict key
-        that is no int column (a bool is not), raises ``BadParameter`` too."""
+    def __init__(self, field: FieldSpec, entries: Sequence[dict], shape: tuple[int, int]):
+        """Matrix of ``shape`` (rows, cols) from dict rows {column: int},
+        reduced to kernel form: entries that reduce to zero are dropped, and
+        empty ``entries`` mean the zero matrix.  Any other entry (a Fraction,
+        a float, a bool), a key that is no int column (a bool is not), a row
+        that is no dict, a shape that is not two ints >= 0, or anything but
+        a sequence of rows raises ``BadParameter``."""
+        if not (type(shape) is tuple and len(shape) == 2 and all(type(n) is int and n >= 0 for n in shape)):
+            raise BadParameter(f"a shape needs two ints >= 0, got {_quote(shape)}")
+        r, c = shape
         if not isinstance(entries, Sequence):
             raise BadParameter(f"entries must be a sequence of rows, got {_quote(entries)}")
-        if shape is None:
-            r = len(entries)
-            c = len(entries[0]) if entries and isinstance(entries[0], Sequence) else 0
-        else:
-            r, c = shape
-            if not all(type(n) is int and n >= 0 for n in (r, c)):
-                raise BadParameter(f"a shape needs two ints >= 0, got {_quote(shape)}")
-            if entries and len(entries) != r:
-                raise BadParameter("shape disagrees with entries")
-        items = []
-        for row in entries or [{}] * r:
-            if isinstance(row, dict):
-                if shape is None:
-                    raise BadParameter("dict rows need a shape")
-                if not all(type(j) is int and 0 <= j < c for j in row):
-                    raise BadParameter(f"a dict row has a key that is no int column 0..{c - 1}")
-                items.append(row.items())
-            elif not isinstance(row, Sequence):
-                raise BadParameter(f"a row must be a sequence or a dict, got {_quote(row)}")
-            elif len(row) != c:
-                raise BadParameter("ragged rows" if shape is None else "shape disagrees with entries")
-            else:
-                items.append(enumerate(row))
+        if entries and len(entries) != r:
+            raise BadParameter("shape disagrees with entries")
+        for row in entries:
+            if not isinstance(row, dict):
+                raise BadParameter(f"a row must be a dict {{column: int}}, got {_quote(row)}")
+            if not all(type(j) is int and 0 <= j < c for j in row):
+                raise BadParameter(f"a dict row has a key that is no int column 0..{c - 1}")
+        entries = entries or [{}] * r
         p = _require_field(field).p
         if p is None:
-            rows = [{j: x for j, x in row if (x if type(x) is int else _not_int(x))} for row in items]
+            rows = [{j: x for j, x in row.items() if (x if type(x) is int else _not_int(x))} for row in entries]
         else:  # residues in (-p/2, p/2] for odd p: a -1 stays a unit pivot over Z
             h = p // 2 if p > 2 else 0
             rows = [
-                {j: y for j, x in row if (y := (x + h) % p - h if type(x) is int else _not_int(x))}
-                for row in items
+                {j: y for j, x in row.items() if (y := (x + h) % p - h if type(x) is int else _not_int(x))}
+                for row in entries
             ]
         if p == 2:
             rows = [sum(1 << j for j in row) for row in rows]

@@ -3,6 +3,7 @@ shared mutation used only by the test suite."""
 
 import importlib
 from math import comb
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from srdepth import (
 )
 from srdepth.cohomology import _coboundaries, _cochain_dims
 from srdepth.complexes import _popcount
+from srdepth.errors import _require_int
 from srdepth.limits import _functor_matrix, _nonempty_faces, _require_vertex, _star_index
 from srdepth.linalg import _pivots_gf2, _pivots_modp, _pivots_q, cohomology_dims
 
@@ -154,6 +156,41 @@ def graded_dim_by_faces(K, d):
     t = d/2, and degree 0 holds the constants."""
     t = d // 2
     return 1 if t == 0 else sum(comb(t - 1, len(f) - 1) for f in K.faces() if f)
+
+
+class HilbertSeries(NamedTuple):
+    """Rational form numerator(t) / (1 - t^2)^denominator_exponent with the
+    denominator exponent equal to the Krull dimension."""
+
+    numerator: tuple[int, ...]  # coefficient of t^k at index k
+    denominator_exponent: int
+
+    def expansion(self, d_max: int) -> list[int]:
+        """Power series coefficients in degrees 0..d_max, an int >= 0."""
+        _require_int(d_max, 0, "the top degree")
+        n = self.denominator_exponent
+        out = [0] * (d_max + 1)
+        for k in range(0, d_max + 1, 2):
+            # coefficient of t^k in 1/(1-t^2)^n is comb(k/2 + n - 1, n - 1)
+            geom = 1 if n == 0 and k == 0 else (comb(k // 2 + n - 1, n - 1) if n else 0)
+            for j, cj in enumerate(self.numerator):
+                if cj and j + k <= d_max:
+                    out[j + k] += cj * geom
+        return out
+
+
+def hilbert_series(K) -> HilbertSeries:
+    """Sum over faces of t^(2 card) / (1-t^2)^card, cleared to the common
+    denominator (1-t^2)^(dim K + 1): f_c times t^(2c) (1-t^2)^(n-c), whose
+    coefficient of t^(2c+2j) is (-1)^j C(n-c, j)."""
+    n = K.krull_dim
+    numerator = [0] * (2 * n + 1)
+    for c, f in enumerate(K.f_vector):
+        for j in range(n - c + 1):
+            numerator[2 * c + 2 * j] += (-1) ** j * comb(n - c, j) * f
+    while len(numerator) > 1 and numerator[-1] == 0:
+        numerator.pop()
+    return HilbertSeries(tuple(numerator), n)
 
 
 def hilbert_expansion_by_faces(K, d_max):

@@ -22,7 +22,6 @@ from srdepth import (
     derived_limit_dims,
     betti_table,
     graded_dim,
-    hilbert_series,
     named_corpus,
     random_corpus,
     reduced_cohomology,
@@ -37,6 +36,8 @@ from srdepth import (
 from srdepth.cli import main as cli_main
 from srdepth.limits import limits_complex
 from srdepth.linalg import _product_is_zero
+
+from oracles import hilbert_series
 
 ALL_FIELDS = (GF2, GF3, GF5, QQ)
 TWO_FIELDS = (GF2, QQ)  # the two characteristic regimes

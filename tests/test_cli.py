@@ -414,8 +414,9 @@ def _cli_process(*argv):
         ("utf16.facets", "1 2\n".encode("utf-16")),
         ("deep.json", b'{"m": 1, "facets": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"),
         ("long_int.json", b'{"m": ' + b"9" * 5000 + b', "facets": [[1]]}'),
+        ("truncated.json", b'{"m": 1, "facets": [[1]'),
     ],
-    ids=["not_utf8", "json_nested_100000_deep", "json_int_of_5000_digits"],
+    ids=["not_utf8", "json_nested_100000_deep", "json_int_of_5000_digits", "json_truncated"],
 )
 def test_unreadable_file_exits_2_without_traceback(tmp_path, name, data):
     path = tmp_path / name

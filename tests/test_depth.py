@@ -54,6 +54,7 @@ from srdepth.errors import BadParameter, EngineDisagreement, NotAComplex, TooLar
 from oracles import (
     depth_by_face_filters,
     flip_one_sign,
+    hilbert_series,
     join_additivity_observations,
     moore_space_mod3,
     small_complexes,
@@ -852,8 +853,6 @@ def test_betti_alternating_sums_match_hilbert_numerator():
     # Euler characteristics of the resolution recover the Hilbert numerator
     # over the full polynomial ring: sum_i (-1)^i beta(i,j) t^{2j} equals
     # numerator(t) * (1 - t^2)^(m - krull), independently of the field
-    from srdepth import hilbert_series
-
     def poly_mul(a, b):
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):

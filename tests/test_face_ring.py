@@ -10,7 +10,6 @@ from srdepth import (
     cycle,
     disjoint_points,
     graded_dim,
-    hilbert_series,
     limits_complex,
     monomial_basis,
     random_complex,
@@ -22,7 +21,7 @@ from srdepth.errors import OddDegree
 from srdepth.face_ring import star_basis
 from srdepth.limits import flag_chains
 
-from oracles import graded_dim_by_faces, hilbert_expansion_by_faces, small_complexes
+from oracles import graded_dim_by_faces, hilbert_expansion_by_faces, hilbert_series, small_complexes
 
 
 def brute_monomials(K, d, support_in=None):

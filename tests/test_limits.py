@@ -1,4 +1,5 @@
 import importlib
+import time
 from collections import deque
 from itertools import combinations
 
@@ -24,13 +25,15 @@ from srdepth import (
     rho,
     rp2_minimal,
     simplex,
+    to_facet_text,
     validate,
     verify_limit_decomposition,
 )
+from srdepth.cli import main as cli_main
 from srdepth.cohomology import _cochain_dims
 from srdepth.complexes import _popcount
 from srdepth.errors import BadParameter, InternalInvariantError, NotAComplex, TooLarge
-from srdepth.limits import _flag_count, _nonempty_faces, _whole_block, flag_chains
+from srdepth.limits import _direct_size, _nonempty_faces, _whole_block, flag_chains
 from srdepth.linalg import _product_is_zero, cohomology_dims
 
 from oracles import flip_one_sign, three_fields, unnormalized_h01
@@ -87,7 +90,7 @@ def test_flags_are_the_chains_among_position_subsets():
 
 def test_flag_count_estimate_is_the_number_listed():
     for K in _enumeration_inputs() + [boundary_simplex(5)]:
-        assert _flag_count(K) == sum(map(len, flag_chains(K))), K
+        assert _direct_size(K, 0) == sum(map(len, flag_chains(K))), K
 
 
 def test_two_points_degree_zero():
@@ -159,9 +162,45 @@ def test_degree_bound_past_the_report_guard_fails_before_any_work(monkeypatch, m
     for d_max, values in [(10**8, 150_000_003), (10**20 - 1, 15 * 10**19), (66_666, 100_002)]:
         with pytest.raises(TooLarge, match=f"list {values} values"):
             derived_limit_dims(K, GF2, d_max, method)
-    # 33,333 degrees of 3 values each are admitted, and the work starts
-    with pytest.raises(AssertionError, match="work started"):
-        derived_limit_dims(K, GF2, 66_665, method)
+    # 33,333 degrees of 3 values each pass the report guard: the grouped
+    # path starts its work, and the direct path refuses its top degree's
+    # 13,889,027,775 basis vectors, still before any work
+    if method == "grouped":
+        with pytest.raises(AssertionError, match="work started"):
+            derived_limit_dims(K, GF2, 66_665, method)
+    else:
+        with pytest.raises(TooLarge, match="13889027775 basis vectors"):
+            derived_limit_dims(K, GF2, 66_665, method)
+
+
+def test_direct_size_counts_the_assembled_basis():
+    # the estimate read off the f-vector is the number of rows and columns
+    # the direct path assembles, and it does not decrease in the degree
+    for name, K in named_corpus():
+        if K.is_irrelevant or _direct_size(K, 0) > 2_000:
+            continue
+        sizes = [_direct_size(K, d) for d in range(0, 10, 2)]
+        assert sizes == sorted(sizes), name
+        for d in (0, 2, 4):
+            mats = limits_complex(K, GF2, d)
+            assert sizes[d // 2] == sum(m.rows for m in mats) + mats[-1].cols, (name, d)
+
+
+def test_direct_path_refuses_a_large_limit_complex_before_any_work(monkeypatch):
+    # the boundary of the 5-simplex at the default d_max = 24 did not finish
+    # in 95 s; its top degree holds 10,832,126 basis vectors
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the size check")
+
+    monkeypatch.setattr(importlib.import_module("srdepth.limits"), "flag_chains", refuse)
+    start = time.process_time()
+    with pytest.raises(TooLarge, match="degree-24 limit complex has 10832126 basis vectors"):
+        derived_limit_dims(boundary_simplex(5), QQ, method="direct")
+    with pytest.raises(TooLarge, match="382926"):
+        limits_complex(boundary_simplex(5), GF3, 8)
+    with pytest.raises(TooLarge, match="1179990"):
+        rho(simplex(6), GF2, 8)
+    assert time.process_time() - start < 1
 
 
 def test_rho_examples():
@@ -263,6 +302,25 @@ def test_decomposition_names_the_first_wrong_dimension(monkeypatch):
     report = verify_limit_decomposition(boundary_simplex(3), QQ, 8)
     assert not report.passed
     assert report.first_failure == (0, 2, 5, 4)
+
+
+def test_decomposition_names_a_wrong_higher_limit(monkeypatch, capsys, tmp_path):
+    module = importlib.import_module("srdepth.limits")
+    whole_block = module._whole_block
+
+    def one_more_h1(K, field):
+        h = list(whole_block(K, field))
+        h[1] += 1
+        return tuple(h)
+
+    monkeypatch.setattr(module, "_whole_block", one_more_h1)
+    report = verify_limit_decomposition(cycle(4), QQ, 4)
+    assert not report.passed
+    assert report.first_failure == (1, 0, 2, 1)
+    path = tmp_path / "c4.facets"
+    path.write_text(to_facet_text(cycle(4)), encoding="utf-8")
+    assert cli_main(["limits", str(path), "--field", "q"]) == 1
+    assert "verdicts: srdec=fail" in capsys.readouterr().out.splitlines()
 
 
 def test_decomposition_two_points_cokernel():

@@ -69,8 +69,14 @@ def zeros(field, rows, cols):
     return ExactMatrix(field, [], shape=(rows, cols))
 
 
+def dense(field, rows):
+    """The matrix with the dense int ``rows``, given to ``ExactMatrix`` as
+    dict rows with every entry, zeros included."""
+    return ExactMatrix(field, [dict(enumerate(row)) for row in rows], shape=(len(rows), len(rows[0])))
+
+
 def identity(field, n):
-    return ExactMatrix(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    return dense(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def transposed(field, rows, shape=None):
@@ -79,7 +85,7 @@ def transposed(field, rows, shape=None):
     of the source that ``cohomology_dims`` takes; ``shape`` is that of
     ``rows``, needed when they are empty."""
     r, c = shape or (len(rows), len(rows[0]))
-    return ExactMatrix(field, [[row[j] for row in rows] for j in range(c)] if rows else [], shape=(c, r))
+    return ExactMatrix(field, [{i: row[j] for i, row in enumerate(rows)} for j in range(c)], shape=(c, r))
 
 
 # -- field spec -------------------------------------------------------------------
@@ -141,7 +147,7 @@ def test_fieldspec_equals_no_plain_tuple():
     assert QQ != (None,) and {GF3: 1}.get((3,)) is None
     for bad in (3, (3,), "q", None, [3]):
         with pytest.raises(BadParameter):
-            ExactMatrix(bad, [[1]])
+            dense(bad, [[1]])
 
 
 # -- rank examples ------------------------------------------------------------------
@@ -153,17 +159,17 @@ def test_rank_identity():
 
 
 def test_rank_proportional_rows():
-    assert ExactMatrix(QQ, [[2, 4], [1, 2]]).rank() == 1
+    assert dense(QQ, [[2, 4], [1, 2]]).rank() == 1
 
 
 def test_rank_mod_two():
-    assert ExactMatrix(GF2, [[1, 1], [1, 1]]).rank() == 1
+    assert dense(GF2, [[1, 1], [1, 1]]).rank() == 1
 
 
 def test_rank_reduction_changes_rank():
     a = [[1, 3], [3, 1]]
-    assert ExactMatrix(QQ, a).rank() == 2
-    assert ExactMatrix(GF2, a).rank() == 1
+    assert dense(QQ, a).rank() == 2
+    assert dense(GF2, a).rank() == 1
 
 
 def test_kernel_cokernel_examples():
@@ -171,7 +177,7 @@ def test_kernel_cokernel_examples():
     assert z.cols - z.rank() == 3
     eye = identity(GF3, 4)
     assert eye.cols - eye.rank() == 0 and eye.rows - eye.rank() == 0
-    m = ExactMatrix(GF2, [[1, 1]])
+    m = dense(GF2, [[1, 1]])
     assert m.cols - m.rank() == 1
 
 
@@ -181,7 +187,7 @@ def test_fraction_entries():
     for field in (QQ, GF2, GF3):
         for bad in (Fraction(1, 2), Fraction(0), 0.5, 0.0, True):
             with pytest.raises(BadParameter):
-                ExactMatrix(field, [[1, bad]])
+                dense(field, [[1, bad]])
             with pytest.raises(BadParameter):
                 ExactMatrix(field, [{1: bad}], shape=(1, 2))
 
@@ -192,8 +198,9 @@ def test_dict_row_keys_and_entries_are_gated():
         ([{True: 1}], (1, 2)),
         ([{"a": 1}], (1, 2)),
         ([{0.5: 1}], (1, 2)),
-        (5, None),
-        ([5], None),
+        (5, (1, 1)),
+        ([5], (1, 1)),
+        ([[1, 0]], (1, 2)),  # a dense row
     ):
         with pytest.raises(BadParameter):
             ExactMatrix(GF2, entries, shape=shape)
@@ -206,16 +213,16 @@ def test_empty_shapes():
     assert (z.rows, z.cols) == (2, 3)
     with pytest.raises(BadParameter):
         ExactMatrix(QQ, [{0: 1}, {3: 1}], shape=(2, 3))  # column >= cols
-    with pytest.raises(BadParameter):
-        ExactMatrix(GF2, [{0: 1}, {1: 1}])  # dict rows need a shape
-    for shape in ((-1, 2), (2, -1), (1.5, 2)):
+    with pytest.raises(TypeError):
+        ExactMatrix(GF2, [{0: 1}, {1: 1}])  # the shape is required
+    for shape in ((-1, 2), (2, -1), (1.5, 2), 5, (1, 2, 3), (), None):
         with pytest.raises(BadParameter):
             ExactMatrix(QQ, [], shape=shape)
 
 
 def test_big_entries_go_through_object_path():
     big = 2**40
-    a = ExactMatrix(QQ, [[big, 1], [1, big]])
+    a = dense(QQ, [[big, 1], [1, big]])
     assert a.rank() == 2
     assert rank_bareiss([[big, big], [big, big]]) == 1
 
@@ -236,13 +243,13 @@ def int_matrix(draw, max_dim=4):
 @given(int_matrix())
 @settings(max_examples=80, deadline=None)
 def test_rank_matches_brute_force_over_q(rows):
-    assert ExactMatrix(QQ, rows).rank() == brute_rank(rows)
+    assert dense(QQ, rows).rank() == brute_rank(rows)
 
 
 @given(int_matrix(), st.sampled_from([2, 3, 5]))
 @settings(max_examples=80, deadline=None)
 def test_rank_matches_brute_force_mod_p(rows, p):
-    assert ExactMatrix(FieldSpec(p), rows).rank() == brute_rank(rows, p)
+    assert dense(FieldSpec(p), rows).rank() == brute_rank(rows, p)
 
 
 @given(int_matrix(max_dim=5))
@@ -250,13 +257,13 @@ def test_rank_matches_brute_force_mod_p(rows, p):
 def test_rank_equals_transpose_rank(rows):
     for field in (QQ, GF2, GF5):
         transposed = [list(col) for col in zip(*rows)]
-        assert ExactMatrix(field, rows).rank() == ExactMatrix(field, transposed).rank()
+        assert dense(field, rows).rank() == dense(field, transposed).rank()
 
 
 @given(int_matrix(max_dim=5), st.sampled_from([2, 3, 5]))
 @settings(max_examples=60, deadline=None)
 def test_rank_over_q_at_least_rank_mod_p(rows, p):
-    assert ExactMatrix(QQ, rows).rank() >= ExactMatrix(FieldSpec(p), rows).rank()
+    assert dense(QQ, rows).rank() >= dense(FieldSpec(p), rows).rank()
 
 
 # -- cohomology of explicit complexes ---------------------------------------------------
@@ -321,8 +328,8 @@ def test_cohomology_dims_refuses_mixed_fields_and_non_matrices():
     # each used to fail inside the d^2 = 0 check with a bare TypeError or
     # AttributeError
     for mats in (
-        [ExactMatrix(GF2, [[1, 1]]), ExactMatrix(QQ, [[1], [1]])],
-        [ExactMatrix(GF3, [[1, 1]]), ExactMatrix(GF2, [[1], [1]])],
+        [dense(GF2, [[1, 1]]), dense(QQ, [[1], [1]])],
+        [dense(GF3, [[1, 1]]), dense(GF2, [[1], [1]])],
         [[1]],
     ):
         with pytest.raises(BadParameter):
@@ -374,21 +381,16 @@ def mixed_matrix(draw, max_dim=4):
 @given(mixed_matrix())
 @settings(max_examples=80, deadline=None)
 def test_sparse_ranks_match_brute_force(rows):
-    # dict rows, zeros and uncanonical residues included, build the same matrix
-    dict_rows, shape = [dict(enumerate(row)) for row in rows], (len(rows), len(rows[0]))
+    # dict rows with zeros and uncanonical residues give the same rank
     expected_q = brute_rank(rows)
     assert len(_pivot_columns(kernel_rows(rows, None), None)[0]) == expected_q
     assert rank_bareiss(rows) == expected_q
-    assert ExactMatrix(QQ, rows).rank() == expected_q
-    assert ExactMatrix(QQ, dict_rows, shape=shape).sparse_rows == ExactMatrix(QQ, rows).sparse_rows
-    assert ExactMatrix(QQ, dict_rows, shape=shape).rank() == expected_q
+    assert dense(QQ, rows).rank() == expected_q
     for p in (2, 3, 2147483647):
         field = FieldSpec(p)
         expected = brute_rank(rows, p)
         assert len(_pivot_columns(kernel_rows(rows, p), p)[0]) == expected
-        assert ExactMatrix(field, rows).rank() == expected
-        assert ExactMatrix(field, dict_rows, shape=shape).sparse_rows == ExactMatrix(field, rows).sparse_rows
-        assert ExactMatrix(field, dict_rows, shape=shape).rank() == expected
+        assert dense(field, rows).rank() == expected
 
 
 @given(mixed_matrix(max_dim=9))
@@ -405,7 +407,7 @@ def test_pivot_columns_carry_the_rank(rows):
     # clearing relies on it: the row space maps onto its pivot columns
     # one to one, so those columns alone have the full rank
     for field in (QQ, GF2, GF3):
-        m = ExactMatrix(field, rows)
+        m = dense(field, rows)
         r = m.rank()
         sub = [[row[j] for j in sorted(m.pivots)] for row in rows]
         assert len(m.pivots) == r
@@ -416,7 +418,7 @@ def test_integer_ranks_certify_unit_pivots():
     # determinant -2: rank 2 over Q, 1 over GF(2), and a pivot of -2 over Z
     pivots, unimodular = _pivots_q([{0: 1, 1: 1}, {0: 1, 1: -1}])
     assert len(pivots) == 2 and not unimodular
-    assert ExactMatrix(GF2, [[1, 1], [1, -1]]).rank() == 1
+    assert dense(GF2, [[1, 1], [1, -1]]).rank() == 1
     # unitriangular: every pivot is +-1, so the rank holds over every field
     pivots, unimodular = _pivots_q([{0: 1, 1: 5, 2: -3}, {1: -1, 2: 7}, {2: 1}])
     assert sorted(pivots) == [0, 1, 2] and unimodular
@@ -434,7 +436,7 @@ def test_integer_ranks_certify_unit_pivots():
         (QQ, [[1, 1], [1, -1]], False),
         (QQ, [[1, 5], [0, -1]], True),
     ]:
-        m = ExactMatrix(field, rows)
+        m = dense(field, rows)
         assert m.rank() == 2 and m.unimodular == certified, (field, rows)
 
 
@@ -443,9 +445,9 @@ def test_integer_ranks_certify_unit_pivots():
 def test_unit_pivots_give_the_rank_and_pivots_of_every_field(rows):
     sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
     pivots, unimodular = _pivots_q(sparse)
-    assert len(pivots) == ExactMatrix(QQ, rows).rank()
+    assert len(pivots) == dense(QQ, rows).rank()
     for p in (2, 3, 5):
-        mod_p = ExactMatrix(FieldSpec(p), rows)
+        mod_p = dense(FieldSpec(p), rows)
         assert mod_p.rank() == brute_rank(rows, p)
         if p > 2:
             # ranked for GF(p), the integer rows give the rank mod p either way
@@ -491,7 +493,7 @@ def test_every_row_producer_makes_zero_free_rows():
             assert _zero_free(_coboundary_rows(list(lower), list(upper), None))
             assert _zero_free(_coboundary_rows(list(lower), list(upper), 3))
     for field in (QQ, GF3):
-        assert _zero_free(ExactMatrix(field, [[0, 2, -3], [3, 0, 0], [0, 0, 0]]).sparse_rows)
+        assert _zero_free(dense(field, [[0, 2, -3], [3, 0, 0], [0, 0, 0]]).sparse_rows)
         assert _zero_free(ExactMatrix(field, [{0: 0, 1: 3}, {2: -6}, {}], shape=(3, 3)).sparse_rows)
         for mat in limits_complex(rp2_minimal(), field, 2):
             assert _zero_free(mat.sparse_rows)
