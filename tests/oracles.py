@@ -2,6 +2,7 @@
 shared mutation used only by the test suite."""
 
 import importlib
+import random
 from math import comb
 from typing import NamedTuple
 
@@ -55,6 +56,44 @@ def moore_space_mod3():
         tris.append([ip, inner(i), inner(ip)])
         tris.append([i, ip, 13])
     return validate(tris, 13)
+
+
+def _bits(mask):
+    while mask:
+        yield mask & -mask
+        mask &= mask - 1
+
+
+def flipped_sphere(d, m, moves, seed):
+    """A PL d-sphere on the vertices 1..m, d >= 1 and m >= d + 2, seeded:
+    the boundary of the (d + 1)-simplex, with random facets subdivided
+    stellarly up to m vertices, then ``moves`` random bistellar moves
+    (Pachner), each replacing A * dB by dA * B for a face A of 2..d
+    vertices whose link is the boundary dB of a simplex B that is no face.
+    Every move keeps the PL type, so the result is Cohen-Macaulay over
+    every field and its depth is d + 1; unlike the simplex boundaries, its
+    links fall into many relabeling classes."""
+    _require_int(d, 1, "d")
+    _require_int(m, d + 2, "m")
+    rng = random.Random(seed)
+    full = (1 << (d + 2)) - 1
+    facets = {full ^ b for b in _bits(full)}
+    for v in range(d + 2, m):
+        f = rng.choice(sorted(facets))
+        facets.remove(f)
+        facets.update(f ^ b | 1 << v for b in _bits(f))
+    for _ in range(moves):
+        K = SimplicialComplex(facets)
+        faces = [a for a in K.face_masks if 2 <= _popcount(a) <= d]
+        for a in rng.sample(faces, len(faces)):
+            link = K.link_by_mask(a)
+            b = sum(1 << (v - 1) for v in link.vertices)
+            k = _popcount(b)
+            if k + _popcount(a) == d + 2 and len(link.face_masks) == 2**k - 1 and not K.has_face_mask(b):
+                facets.difference_update(a | b ^ x for x in _bits(b))
+                facets.update(a ^ y | b for y in _bits(a))
+                break
+    return SimplicialComplex(facets)
 
 
 def join_additivity_observations(pairs, field):

@@ -526,9 +526,10 @@ def test_verify_too_many_flags_fails_fast(tmp_path):
 
 
 # the address space in use once the CLI is imported, plus a margin in MiB
-# (argv[1]): at 16 MiB about 35 MiB in all, and the depth walks on the
-# boundary of the 12-simplex over GF(3) run out of memory there (c6 * c6 *
-# c6 no longer does); each margin fails an allocation at another call
+# (argv[1]): at 16 MiB about 35 MiB in all, and verify on the boundary of
+# the 6-simplex over GF(2) runs out of memory there (the depth walks on the
+# boundary of the 12-simplex, which key links by relabeling class, and c6 *
+# c6 * c6 no longer do); each margin fails an allocation at another call
 _OUT_OF_MEMORY_CHILD = """
 import resource, sys
 from srdepth.cli import main
@@ -548,11 +549,11 @@ def test_out_of_memory_exits_2_with_one_short_line(tmp_path, margin):
     import srdepth
     from srdepth import boundary_simplex
 
-    path = tmp_path / "bd12.facets"
-    path.write_text(to_facet_text(boundary_simplex(12)), encoding="utf-8")
+    path = tmp_path / "bd6.facets"
+    path.write_text(to_facet_text(boundary_simplex(6)), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(srdepth.__file__)))
     result = subprocess.run(
-        [sys.executable, "-c", _OUT_OF_MEMORY_CHILD, str(margin), "depth", str(path), "--field", "p=3"],
+        [sys.executable, "-c", _OUT_OF_MEMORY_CHILD, str(margin), "verify", str(path), "--field", "p=2"],
         env=env, capture_output=True, timeout=120,
     )
     assert result.returncode == 2, result.stderr

@@ -186,6 +186,10 @@ def test_face_not_in_complex():
         cycle(4).star((1, 3))
     with pytest.raises(FaceNotInComplex):
         cycle(4).link((5,))
+    # a mask is checked as a face is: a non-edge, or a vertex past K's
+    for mask in (0b101, 1 << 9):
+        with pytest.raises(FaceNotInComplex):
+            cycle(4).link_by_mask(mask)
     # labels below 1 are an input error, not a bare shift-count ValueError
     for call in (
         lambda: cycle(4).has_face((0,)),
@@ -524,6 +528,13 @@ def test_face_index_bound_counts_subsets_of_distinct_generators():
     assert time.process_time() - start < 0.5
 
 
+def test_simplex_past_the_face_bound_fails_before_any_mask():
+    start = time.process_time()
+    with pytest.raises(TooLarge, match="2\\^19"):
+        simplex(19)
+    assert time.process_time() - start < 0.1
+
+
 @given(
     st.lists(
         st.lists(st.integers(1, 6), min_size=1, max_size=4),
@@ -610,6 +621,12 @@ def test_text_header_and_comments():
 def test_json_roundtrip():
     for K in [cycle(5), validate([[]], 0)]:
         assert complex_from_json(to_json_obj(K)) == K
+
+
+def test_json_without_m_or_facets_is_empty_input():
+    for obj in ({}, {"m": 3}, {"facets": [[1]]}, [], None):
+        with pytest.raises(EmptyInput, match="needs keys 'm' and 'facets'"):
+            complex_from_json(obj)
 
 
 def parses_or_refuses(parse, arg):

@@ -54,6 +54,7 @@ from srdepth.errors import BadParameter, EngineDisagreement, NotAComplex, TooLar
 from oracles import (
     depth_by_face_filters,
     flip_one_sign,
+    flipped_sphere,
     hilbert_series,
     join_additivity_observations,
     moore_space_mod3,
@@ -595,21 +596,28 @@ def test_lowest_nonzero_carries_the_face_list_or_its_kept_certificate():
 def test_reisner_walk_builds_no_face_set_on_its_links(monkeypatch):
     # the walk only iterates the face list of each link it ranks, and asks
     # each parent link for the link of one vertex; a link read at a cap <= 0
-    # is read off its face list, so it does not cut its levels either
+    # is read off its face list, so it does not cut its levels either; one
+    # read at a cap > 0 is ranked as the complex of its relabeling class,
+    # which builds no face set either
     K = boundary_simplex(6)
-    links, caps = [], {}
+    links, caps, relabeled = [], {}, {}
     link_by_mask = SimplicialComplex.link_by_mask
-    lowest_nonzero = DEPTH_MODULE._lowest_nonzero
+    lowest_nonzero, canonical = DEPTH_MODULE._lowest_nonzero, DEPTH_MODULE._canonical
 
     def recorded(L, mask):
         links.append(link_by_mask(L, mask))
         return links[-1]
+
+    def relabel(L):
+        relabeled[id(L)] = canonical(L)  # kept alive, so no id is reused
+        return relabeled[id(L)]
 
     def read(L, field, until):
         caps[id(L)] = until
         return lowest_nonzero(L, field, until)
 
     monkeypatch.setattr(SimplicialComplex, "link_by_mask", recorded)
+    monkeypatch.setattr(DEPTH_MODULE, "_canonical", relabel)
     monkeypatch.setattr(DEPTH_MODULE, "_lowest_nonzero", read)
     depth.cache_clear()
     assert depth_reisner(K, GF3) == 6
@@ -617,10 +625,15 @@ def test_reisner_walk_builds_no_face_set_on_its_links(monkeypatch):
     # first facet without making its link
     assert len(links) == 119
     assert all(L._members is None for L in links)
+    # K and the links of the 7 + 21 + 35 faces of 1 to 3 vertices, capped at
+    # 4 to 1, are relabeled: each is the boundary of a simplex on 1..k
+    assert len(relabeled) == 64
+    assert all(R._members is None for R in relabeled.values())
+    assert set(relabeled.values()) == {boundary_simplex(k) for k in (3, 4, 5, 6)}
     # the links of the 35 + 21 faces of 4 and 5 vertices, capped at 0 and -1
-    at_most_0 = [L for L in links if caps[id(L)] <= 0]
+    at_most_0 = [L for L in links if caps[id(relabeled.get(id(L), L))] <= 0]
     assert len(at_most_0) == 56
-    assert all(L._cuts is None for L in at_most_0)
+    assert all(id(L) not in relabeled and L._cuts is None for L in at_most_0)
 
 
 def test_a_certified_memo_hit_cuts_no_levels(monkeypatch):
@@ -656,11 +669,13 @@ def test_no_module_table_keeps_a_complex_once_the_memos_are_cleared():
     assert sorted(map(id, kept)) == sorted([id(K), id(L)])
 
 
-_HOCHSTER_PEAK_CHILD = """
-from srdepth import GF2, cycle, depth_ab, join
-assert depth_ab(join(join(cycle(6), cycle(6)), cycle(6)), GF2) == 6
-print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
-"""
+def _peak_kb(code):
+    """The peak resident set, in kB, of a fresh interpreter that runs ``code``."""
+    code += '\nprint(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))'
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(srdepth.__file__)))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return int(result.stdout)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from /proc/self/status")
@@ -668,12 +683,35 @@ def test_hochster_walk_on_c6_c6_c6_peaks_under_32_mb():
     # its 4,048 induced subcomplexes hold their face lists alone, and those
     # whose calls are capped at degree 0 or below are not kept: with a face
     # set each, the walk peaked at 190 MB
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(srdepth.__file__)))
-    result = subprocess.run(
-        [sys.executable, "-c", _HOCHSTER_PEAK_CHILD], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert result.returncode == 0, result.stderr
-    assert int(result.stdout) < 32 * 1024  # kB
+    code = "from srdepth import GF2, cycle, depth_ab, join\n"
+    code += "assert depth_ab(join(join(cycle(6), cycle(6)), cycle(6)), GF2) == 6"
+    assert _peak_kb(code) < 32 * 1024
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from /proc/self/status")
+def test_reisner_walk_on_the_boundary_of_the_12_simplex_peaks_under_64_mb():
+    # the memo keeps one bare complex per relabeling class, not the 7,814
+    # links asked above degree 0: keyed by label, the walk peaked at 72 MB
+    code = "from srdepth import GF3, boundary_simplex, depth_reisner\n"
+    code += "assert depth_reisner(boundary_simplex(12), GF3) == 12"
+    assert _peak_kb(code) < 64 * 1024
+
+
+@pytest.mark.parametrize("m", [6, 8, 11])
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+def test_reisner_walk_ranks_each_relabeling_class_once(monkeypatch, m, field):
+    # the link of a face sigma of the boundary of the m-simplex is the
+    # boundary of the simplex on the other m + 1 - card(sigma) vertices: one
+    # class per cardinality the walk asks above degree 0, m - 2 in all;
+    # keyed by label, the walk ranked 64, 382 and 3,797 links
+    ranked = []
+    reduced = DEPTH_MODULE.reduced_cohomology
+    monkeypatch.setattr(DEPTH_MODULE, "reduced_cohomology", lambda L, *a: ranked.append(L) or reduced(L, *a))
+    depth.cache_clear()
+    assert depth_reisner(boundary_simplex(m), field) == m
+    assert len(ranked) <= m
+    assert set(ranked) == {boundary_simplex(k) for k in range(3, m + 1)}
+    depth.cache_clear()
 
 
 def test_depth_raises_when_engines_disagree(monkeypatch):
@@ -899,6 +937,59 @@ def test_depth_report_is_immutable():
 
 
 # -- properties on seeded random complexes ----------------------------------------
+
+
+def _with_gaps(K, seed, ordered):
+    """A copy of K whose labels, a seeded sample of 1..2m+1, leave gaps;
+    with ``ordered`` they keep the order of K's, so the copy is in K's
+    relabeling class."""
+    labels = random.Random(seed).sample(range(1, 2 * K.m + 2), K.m)
+    if ordered:
+        labels.sort()
+    to = dict(zip(K.vertices, labels))
+    return SimplicialComplex([sum(1 << (to[v] - 1) for v in f) for f in K.facets])
+
+
+def _check_blind_to_gaps(K, field, seed, ordered):
+    L = _with_gaps(K, seed, ordered)
+    depth.cache_clear()
+    report = depth(K, field)
+    kept = len(DEPTH_MODULE._MEMO)
+    assert depth(L, field) == report
+    if ordered:  # answered from the memo, under K's class
+        assert len(DEPTH_MODULE._MEMO) == kept
+    depth.cache_clear()
+    assert depth(L, field) == report  # walked on its own labels
+    depth.cache_clear()
+
+
+@given(small_complexes, three_fields, st.integers(0, 10**6), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_depth_is_blind_to_labels_with_gaps(K, field, seed, ordered):
+    _check_blind_to_gaps(K, field, seed, ordered)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+@pytest.mark.parametrize("ordered", [True, False])
+def test_depth_is_blind_to_labels_with_gaps_with_torsion(field, ordered):
+    for K in (rp2_minimal(), moore_space_mod3()):
+        for seed in range(3):
+            _check_blind_to_gaps(K, field, seed, ordered)
+
+
+flipped_spheres = st.integers(1, 7).flatmap(
+    lambda d: st.builds(flipped_sphere, st.just(d), st.integers(d + 2, 10), st.integers(0, 12), st.integers(0, 10**6))
+)
+
+
+@given(flipped_spheres, three_fields)
+@settings(max_examples=30, deadline=None)
+def test_engines_find_dim_plus_one_on_flipped_spheres(S, field):
+    # a PL sphere is Cohen-Macaulay over every field
+    depth.cache_clear()
+    for engine in (depth_reisner, depth_topological, depth_ab):
+        assert engine(S, field) == S.dim + 1, engine.__name__
+    depth.cache_clear()
 
 @given(small_complexes, three_fields)
 @settings(max_examples=40, deadline=None)

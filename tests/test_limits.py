@@ -151,6 +151,11 @@ def test_negative_degree_bound_rejected():
         derived_limit_dims(cycle(3), QQ, -2)
 
 
+def test_unknown_method_rejected():
+    with pytest.raises(BadParameter, match="unknown method 'dense'"):
+        derived_limit_dims(cycle(4), GF2, 2, method="dense")
+
+
 @pytest.mark.parametrize("method", ["grouped", "direct"])
 def test_degree_bound_past_the_report_guard_fails_before_any_work(monkeypatch, method):
     def refuse(*args, **kwargs):

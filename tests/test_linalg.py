@@ -213,6 +213,8 @@ def test_empty_shapes():
     assert (z.rows, z.cols) == (2, 3)
     with pytest.raises(BadParameter):
         ExactMatrix(QQ, [{0: 1}, {3: 1}], shape=(2, 3))  # column >= cols
+    with pytest.raises(BadParameter, match="shape disagrees"):
+        ExactMatrix(GF2, [{}], shape=(2, 1))  # one row where the shape has two
     with pytest.raises(TypeError):
         ExactMatrix(GF2, [{0: 1}, {1: 1}])  # the shape is required
     for shape in ((-1, 2), (2, -1), (1.5, 2), 5, (1, 2, 3), (), None):
